@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Commands:
-  check <file> [--json] [--seed N] [--margin X]     evaluate a scenario file
+  check <file> [--json] [--seed N]                  evaluate a scenario file
   find-model <file> [--seed N]                      solve a scenario's constraints
   fuzz-theorem --samples N --seed N --margin X      fuzz the transitivity theorem
   counterexample --seed N --budget N [--output F]   mine a naive-transitivity failure
@@ -347,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--json", action="store_true")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--margin", type=float, default=0.0,
-                   help="strictness margin for the direct verdict")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("find-model", help="solve a scenario's constraint set")

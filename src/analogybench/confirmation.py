@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .finder import CompiledConstraints, ProbConstraint, Side
 from .prob import (
     JointDistribution,
     Proposition,
@@ -119,20 +120,24 @@ def confirm(
     return ConfirmationVerdict(confirms=degree > margin, degree=degree, measure_values=measures)
 
 
-def _strict_condition(margin_value: float, margin: float) -> ConditionResult:
-    return ConditionResult(
-        holds=margin_value > margin,
-        margin=margin_value,
-        at_boundary=abs(margin_value) <= WEAK_TOLERANCE,
-    )
+def transitivity_sides(
+    x: Proposition, y: Proposition, z: Proposition
+) -> list[tuple[str, Side, Side]]:
+    """Conditions (i)-(iv) and the conclusion over x -> y -> z as (kind, lhs, rhs)."""
+    not_y = ~y
+    return [
+        ("cond_gt_prob", Side(target=z, given=y), Side(target=z)),
+        ("cond_gt_cond", Side(target=x, given=y), Side(target=x, given=not_y)),
+        ("cond_ge_cond", Side(target=z, given=x & y), Side(target=z, given=y)),
+        ("cond_ge_cond", Side(target=z, given=x & not_y), Side(target=z, given=not_y)),
+        ("cond_gt_prob", Side(target=z, given=x), Side(target=z)),
+    ]
 
 
-def _weak_condition(margin_value: float) -> ConditionResult:
-    return ConditionResult(
-        holds=margin_value >= -WEAK_TOLERANCE,
-        margin=margin_value,
-        at_boundary=abs(margin_value) <= WEAK_TOLERANCE,
-    )
+def _side_probability(dist: JointDistribution, side: Side) -> float:
+    if side.given is None:
+        return probability(dist, side.target)
+    return conditional(dist, side.target, side.given)
 
 
 def check_transitivity(
@@ -146,49 +151,28 @@ def check_transitivity(
     """Evaluate the four transitivity conditions and the conclusion.
 
     (i) and (ii) are strict (judged against `margin`); (iii) and (iv) are weak
-    (>=, with WEAK_TOLERANCE slack). Conditions whose conditionals are
-    undefined are reported inapplicable, never silently true.
+    (>=, with WEAK_TOLERANCE slack); the conclusion is strict at margin 0.
+    Every side goes through prob.conditional, the scalar reference.
+    Conditions whose conditionals are undefined are reported inapplicable,
+    never silently true.
     """
-    not_y = ~y
-    try:
-        cond_i = _strict_condition(conditional(dist, z, y) - probability(dist, z), margin)
-    except UndefinedConditionalError:
-        cond_i = _INAPPLICABLE
-    try:
-        cond_ii = _strict_condition(
-            conditional(dist, x, y) - conditional(dist, x, not_y), margin
+    results = []
+    for i, (kind, lhs, rhs) in enumerate(transitivity_sides(x, y, z)):
+        try:
+            value = _side_probability(dist, lhs) - _side_probability(dist, rhs)
+        except UndefinedConditionalError:
+            results.append(_INAPPLICABLE)
+            continue
+        if kind == "cond_ge_cond":
+            holds = value >= -WEAK_TOLERANCE
+        else:
+            holds = value > (margin if i < 2 else 0.0)
+        results.append(
+            ConditionResult(
+                holds=holds, margin=value, at_boundary=abs(value) <= WEAK_TOLERANCE
+            )
         )
-    except UndefinedConditionalError:
-        cond_ii = _INAPPLICABLE
-    try:
-        cond_iii = _weak_condition(
-            conditional(dist, z, x & y) - conditional(dist, z, y)
-        )
-    except UndefinedConditionalError:
-        cond_iii = _INAPPLICABLE
-    try:
-        cond_iv = _weak_condition(
-            conditional(dist, z, x & not_y) - conditional(dist, z, not_y)
-        )
-    except UndefinedConditionalError:
-        cond_iv = _INAPPLICABLE
-    try:
-        concl_margin = conditional(dist, z, x) - probability(dist, z)
-        conclusion = ConditionResult(
-            holds=concl_margin > 0.0,
-            margin=concl_margin,
-            at_boundary=abs(concl_margin) <= WEAK_TOLERANCE,
-        )
-    except UndefinedConditionalError:
-        conclusion = _INAPPLICABLE
-    return TransitivityReport(
-        cond_i=cond_i,
-        cond_ii=cond_ii,
-        cond_iii=cond_iii,
-        cond_iv=cond_iv,
-        conclusion=conclusion,
-        corollary_mode=corollary_mode,
-    )
+    return TransitivityReport(*results, corollary_mode=corollary_mode)
 
 
 class EntailmentPreconditionError(ValueError):
@@ -225,10 +209,6 @@ class Counterexample:
         return first.confirms and second.confirms and final < -MINER_DISCONFIRM_MARGIN
 
 
-def _atom_masks(space: WorldSpace) -> np.ndarray:
-    return np.stack([space.atom_mask(a).astype(np.float64) for a in space.atoms])
-
-
 def mine_naive_transitivity_counterexample(
     seed: int, budget: int
 ) -> Counterexample | None:
@@ -241,31 +221,24 @@ def mine_naive_transitivity_counterexample(
     if budget <= 0:
         return None
     space = WorldSpace(("A", "B", "C"))
-    a_mask, b_mask, c_mask = _atom_masks(space)
+    a, b, c = (Proposition.atom(space, name) for name in space.atoms)
+    relations = CompiledConstraints([
+        ProbConstraint("cond_gt_prob", Side(target=b, given=a), Side(target=b),
+                       margin=MINER_CONFIRM_MARGIN),
+        ProbConstraint("cond_gt_prob", Side(target=c, given=b), Side(target=c),
+                       margin=MINER_CONFIRM_MARGIN),
+        ProbConstraint("prob_lt", Side(target=c, given=a), Side(target=c),
+                       margin=MINER_DISCONFIRM_MARGIN),
+    ])
     rng = np.random.default_rng(seed)
     raw = rng.standard_exponential((budget, space.world_count))
     weights = raw / raw.sum(axis=1, keepdims=True)
-
-    p_a = weights @ a_mask
-    p_b = weights @ b_mask
-    p_c = weights @ c_mask
-    p_ab = weights @ (a_mask * b_mask)
-    p_bc = weights @ (b_mask * c_mask)
-    p_ac = weights @ (a_mask * c_mask)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok = (
-            (p_ab / p_a - p_b > MINER_CONFIRM_MARGIN)
-            & (p_bc / p_b - p_c > MINER_CONFIRM_MARGIN)
-            & (p_ac / p_a - p_c < -MINER_DISCONFIRM_MARGIN)
-        )
-    hits = np.flatnonzero(ok)
-    for idx in hits:
+    for idx in np.flatnonzero(relations.satisfied(weights)):
         candidate = Counterexample(
             distribution=JointDistribution.from_unnormalized(space, weights[idx]),
-            x=Proposition.atom(space, "A"),
-            y=Proposition.atom(space, "B"),
-            z=Proposition.atom(space, "C"),
+            x=a,
+            y=b,
+            z=c,
             samples_used=int(idx) + 1,
         )
         if candidate.verify():
@@ -285,45 +258,29 @@ class FuzzReport:
 def fuzz_transitivity(samples: int, seed: int, margin: float, reverify_cap: int = 500) -> FuzzReport:
     """Sample 3-atom distributions, filter those satisfying (i)-(iv), verify (v).
 
-    The filter and conclusion check are vectorized; up to `reverify_cap`
-    filtered cases are additionally re-checked through the scalar
-    check_transitivity path as an independent cross-check.
+    The filter and the conclusion are evaluated over the whole sample block
+    by CompiledConstraints, with its verdict rule (the weak conditions
+    within BOUNDARY_TOLERANCE); up to `reverify_cap` filtered cases are
+    additionally re-checked through the scalar check_transitivity path as an
+    independent cross-check.
     """
     space = WorldSpace(("X", "Y", "Z"))
-    x_mask, y_mask, z_mask = _atom_masks(space)
-    ny_mask = 1.0 - y_mask
+    x, y, z = (Proposition.atom(space, name) for name in space.atoms)
+    *conditions, conclusion = transitivity_sides(x, y, z)
+    antecedent = CompiledConstraints(
+        ProbConstraint(kind, lhs, rhs, margin=0.0 if kind == "cond_ge_cond" else margin)
+        for kind, lhs, rhs in conditions
+    )
     rng = np.random.default_rng(seed)
     raw = rng.standard_exponential((samples, space.world_count))
     weights = raw / raw.sum(axis=1, keepdims=True)
 
-    p_y = weights @ y_mask
-    p_ny = weights @ ny_mask
-    p_x = weights @ x_mask
-    p_z = weights @ z_mask
-    p_zy = weights @ (z_mask * y_mask)
-    p_xy = weights @ (x_mask * y_mask)
-    p_xny = weights @ (x_mask * ny_mask)
-    p_zxy = weights @ (z_mask * x_mask * y_mask)
-    p_zxny = weights @ (z_mask * x_mask * ny_mask)
-    p_zny = weights @ (z_mask * ny_mask)
-    p_zx = weights @ (z_mask * x_mask)
+    filtered_idx = np.flatnonzero(antecedent.satisfied(weights))
+    (concluded,) = CompiledConstraints([ProbConstraint(*conclusion)]).margins(weights)
+    concluded = concluded[filtered_idx]
+    violations = int(np.count_nonzero(concluded <= 0.0))
+    min_margin = float(concluded.min()) if filtered_idx.size else float("nan")
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        defined = (p_y > 0) & (p_ny > 0) & (p_x > 0) & (p_xy > 0) & (p_xny > 0)
-        m_i = p_zy / p_y - p_z
-        m_ii = p_xy / p_y - p_xny / p_ny
-        m_iii = p_zxy / p_xy - p_zy / p_y
-        m_iv = p_zxny / p_xny - p_zny / p_ny
-        m_v = p_zx / p_x - p_z
-        antecedent = defined & (m_i > margin) & (m_ii > margin) & (m_iii >= 0) & (m_iv >= 0)
-
-    filtered_idx = np.flatnonzero(antecedent)
-    violations = int(np.count_nonzero(m_v[filtered_idx] <= 0.0))
-    min_margin = float(m_v[filtered_idx].min()) if filtered_idx.size else float("nan")
-
-    x = Proposition.atom(space, "X")
-    y = Proposition.atom(space, "Y")
-    z = Proposition.atom(space, "Z")
     reverified = 0
     for idx in filtered_idx[:reverify_cap]:
         dist = JointDistribution.from_unnormalized(space, weights[idx])

@@ -2,16 +2,22 @@
 
 Finds joint distributions satisfying conditional-probability inequality
 constraints at requested margins, via seeded random restarts plus
-derivative-free coordinate descent on the world weights. A small exact
-rational grid enumerator backs the search as an independent oracle.
+derivative-free coordinate descent on the world weights.
+
+Every probability the search evaluates goes through one kernel,
+CompiledConstraints: a constraint list compiled once into deduplicated 0/1
+mask columns, each side evaluated over a weight vector or block as
+(W @ num) / (W @ den). A small exact rational grid enumerator backs the
+search as an independent oracle; it shares only the compiled masks and the
+verdict rule (_holds) and keeps its arithmetic in integers and Fractions.
+prob.conditional is the scalar reference the tests compare against.
 
 Infeasibility is only ever reported as budget exhaustion, never as a proof.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -122,78 +128,88 @@ def sample_simplex(space: WorldSpace, seed: int) -> JointDistribution:
     return JointDistribution.from_unnormalized(space, raw)
 
 
-def _side_vectors(side: Side, n: int):
-    """Numerator/denominator mask vectors so value = (w@num)/(w@den) (den=None → 1)."""
-    if side.is_const:
-        return None
-    target = side.target.mask.astype(np.float64)
-    if side.given is None:
-        return target, None
-    given = side.given.mask.astype(np.float64)
-    return target * given, given
+class CompiledConstraints:
+    """A constraint list compiled once into deduplicated 0/1 mask columns.
 
+    A side is a constant, P(target) = W @ num or P(target | given) =
+    (W @ num) / (W @ den), with num = target & given and den = given. W is one
+    weight vector (n,) or a block (k, n). Each column keeps its own product
+    with W: stacking the columns into one matrix product would change the
+    last bits of the sums. Weights are >= 0 and num is a subset of den, so
+    den = 0 forces num = 0 and 0/0 = nan marks an undefined conditional.
+    """
 
-class _CompiledConstraints:
-    """Constraint set lowered to mask vectors for scalar and batch evaluation."""
-
-    def __init__(self, cs: ConstraintSet):
-        self.cs = cs
-        n = cs.space.world_count
-        self.entries = []
-        for c in cs.constraints:
-            self.entries.append((c, _side_vectors(c.lhs, n), _side_vectors(c.rhs, n)))
-
-    def side_values(self, w: np.ndarray):
-        """Per-constraint (lhs, rhs) values for one weight vector; nan when undefined."""
-        out = []
-        for c, lv, rv in self.entries:
-            out.append((_eval_side(w, c.lhs, lv), _eval_side(w, c.rhs, rv)))
-        return out
-
-    def achieved_margins(self, w: np.ndarray) -> list[float]:
-        """Achieved margin per constraint (see _achieved); nan when undefined."""
-        return [
-            _achieved(c.kind, lhs, rhs)
-            for (c, _, _), (lhs, rhs) in zip(self.entries, self.side_values(w))
+    def __init__(self, constraints):
+        self.constraints = tuple(constraints)
+        self.required = np.array([_required(c) for c in self.constraints])
+        # Values are laid out as [constants..., column products...].
+        self.consts = [
+            float(s.const)
+            for c in self.constraints for s in (c.lhs, c.rhs) if s.is_const
         ]
+        const_slots = iter(range(len(self.consts)))
+        self.columns: list[np.ndarray] = []
+        index: dict[bytes, int] = {}
 
-    def penalty(self, w: np.ndarray) -> float:
-        total = 0.0
-        for (c, _, _), achieved in zip(self.entries, self.achieved_margins(w)):
-            if np.isnan(achieved):
-                total += UNDEFINED_PENALTY
-            else:
-                total += max(0.0, _required(c) - achieved) ** 2
-        return total
+        def column(mask: np.ndarray) -> int:
+            key = mask.tobytes()
+            if key not in index:
+                index[key] = len(self.consts) + len(self.columns)
+                self.columns.append(mask.astype(np.float64))
+            return index[key]
 
-    def penalty_batch(self, weights: np.ndarray) -> np.ndarray:
-        """Vectorized penalty over a (n_samples, world_count) weight matrix."""
-        total = np.zeros(weights.shape[0])
+        def side(s: Side) -> tuple[int, int | None]:
+            if s.is_const:
+                return next(const_slots), None
+            if s.given is None:
+                return column(s.target.mask), None
+            return column(s.target.mask & s.given.mask), column(s.given.mask)
+
+        self.sides = [(side(c.lhs), side(c.rhs)) for c in self.constraints]
+
+    def _margins(self, values):
+        """Achieved margin per constraint from the value list, lazily."""
+        return (
+            _achieved(c.kind, _ratio(values, lhs), _ratio(values, rhs))
+            for c, (lhs, rhs) in zip(self.constraints, self.sides)
+        )
+
+    def margins(self, w: np.ndarray) -> list:
+        """Achieved margin per constraint; nan when undefined.
+
+        Floats for one weight vector, arrays of k values for a (k, n) block.
+        """
+        consts = [np.full(w.shape[:-1], c) for c in self.consts]
         with np.errstate(divide="ignore", invalid="ignore"):
-            for c, lv, rv in self.entries:
-                lhs = _eval_side_batch(weights, c.lhs, lv)
-                rhs = _eval_side_batch(weights, c.rhs, rv)
-                if c.kind == "equality":
-                    achieved = -np.abs(lhs - rhs)
-                    hinge = np.maximum(0.0, -c.margin - achieved)
-                elif c.kind == "prob_lt":
-                    achieved = rhs - lhs
-                    hinge = np.maximum(0.0, c.margin - achieved)
-                else:
-                    achieved = lhs - rhs
-                    hinge = np.maximum(0.0, c.margin - achieved)
-                contrib = hinge**2
-                contrib = np.where(np.isnan(achieved), UNDEFINED_PENALTY, contrib)
-                total += contrib
+            return list(self._margins(consts + [w.dot(col) for col in self.columns]))
+
+    def penalty(self, w: np.ndarray):
+        """Sum of squared hinges in constraint order, per row of w.
+
+        An undefined conditional counts as a hinge of sqrt(UNDEFINED_PENALTY).
+        """
+        achieved = np.array(self.margins(w)).T
+        hinges = np.maximum(self.required - achieved, 0.0)
+        hinges[np.isnan(achieved)] = np.sqrt(UNDEFINED_PENALTY)
+        # One constraint at a time, in order: a pairwise sum, or x * x in
+        # place of the float power of one weight vector, changes last bits
+        # and with them the descent's path.
+        total = 0.0
+        for hinge in hinges.T:
+            total = total + hinge**2
         return total
 
-    def satisfied(self, w: np.ndarray) -> bool:
-        for (c, _, _), achieved in zip(self.entries, self.achieved_margins(w)):
-            if np.isnan(achieved):
-                return False
-            if achieved < _required(c) - BOUNDARY_TOLERANCE:
-                return False
-        return True
+    def satisfied(self, w: np.ndarray):
+        """Whether every constraint holds, per row of w."""
+        ok = True
+        for c, achieved in zip(self.constraints, self.margins(w)):
+            ok = ok & _holds(c, achieved, BOUNDARY_TOLERANCE)
+        return ok
+
+
+def _ratio(values, side: tuple[int, int | None]):
+    num, den = side
+    return values[num] if den is None else values[num] / values[den]
 
 
 def _required(c: ProbConstraint) -> float:
@@ -201,36 +217,12 @@ def _required(c: ProbConstraint) -> float:
     return -c.margin if c.kind == "equality" else c.margin
 
 
-def _eval_side(w: np.ndarray, side: Side, vectors) -> float:
-    if side.is_const:
-        return float(side.const)
-    num, den = vectors
-    if den is None:
-        return float(w @ num)
-    d = float(w @ den)
-    if d <= 0.0:
-        return float("nan")
-    return float(w @ num) / d
-
-
-def _eval_side_batch(weights: np.ndarray, side: Side, vectors) -> np.ndarray:
-    if side.is_const:
-        return np.full(weights.shape[0], float(side.const))
-    num, den = vectors
-    if den is None:
-        return weights @ num
-    d = weights @ den
-    return np.where(d > 0.0, (weights @ num) / np.where(d > 0.0, d, 1.0), np.nan)
-
-
-def _achieved(kind: str, lhs: float, rhs: float) -> float:
-    """Signed slack of a constraint; satisfied at margin m iff achieved >= m.
+def _achieved(kind: str, lhs, rhs):
+    """Signed slack of a constraint, compared with _required by _holds.
 
     equality constraints use achieved = -|lhs - rhs| against margin -m, i.e.
-    they are satisfied iff |lhs - rhs| <= m.
+    they hold iff |lhs - rhs| <= m.
     """
-    if np.isnan(lhs) or np.isnan(rhs):
-        return float("nan")
     if kind == "equality":
         return -abs(lhs - rhs)
     if kind == "prob_lt":
@@ -238,53 +230,70 @@ def _achieved(kind: str, lhs: float, rhs: float) -> float:
     return lhs - rhs
 
 
+def _holds(c: ProbConstraint, achieved, tolerance: float):
+    """The verdict rule of the float and the exact paths.
+
+    Strict kinds need achieved > required; cond_ge_cond and equality need
+    achieved >= required - tolerance, with tolerance 0 in exact arithmetic.
+    An undefined (nan) margin never holds.
+    """
+    required = _required(c)
+    if c.kind in STRICT_KINDS:
+        return achieved > required
+    return achieved >= required - tolerance
+
+
 def penalty(dist: JointDistribution, cs: ConstraintSet) -> float:
     """Sum of squared hinge violations; zero iff every constraint holds at its margin."""
     if dist.space != cs.space:
         raise SpaceMismatchError("distribution and constraint set use different spaces")
-    return _CompiledConstraints(cs).penalty(dist.weights)
+    return float(CompiledConstraints(cs.constraints).penalty(dist.weights))
 
 
 def achieved_margins(dist: JointDistribution, cs: ConstraintSet) -> dict[str, float]:
-    compiled = _CompiledConstraints(cs)
-    values = compiled.achieved_margins(dist.weights)
-    out = {}
-    for i, (c, v) in enumerate(zip(cs.constraints, values)):
-        out[c.label or f"c{i}"] = v
-    return out
+    values = CompiledConstraints(cs.constraints).margins(dist.weights)
+    return {
+        c.label or f"c{i}": float(v) for i, (c, v) in enumerate(zip(cs.constraints, values))
+    }
 
 
 def is_satisfied(dist: JointDistribution, cs: ConstraintSet) -> bool:
-    """Exact float re-evaluation: every constraint at its margin (equality within it)."""
-    return _CompiledConstraints(cs).satisfied(dist.weights)
+    """Float verdict: strict kinds strictly past their margin, weak and
+    equality kinds within BOUNDARY_TOLERANCE of it (see _holds)."""
+    return bool(CompiledConstraints(cs.constraints).satisfied(dist.weights))
 
 
-def _coordinate_descent(
-    w: np.ndarray, compiled: _CompiledConstraints, steps: int
-) -> tuple[np.ndarray, float]:
-    """Multiplicative coordinate perturbation with renormalization after each move."""
-    w = w / w.sum()
-    best = compiled.penalty(w)
-    delta = 0.5
+def coordinate_descent(x: np.ndarray, objective, move, delta: float, steps: int):
+    """Derivative-free descent over the coordinates of x.
+
+    Each sweep tries move(x, i, delta, up) for every coordinate i, up and
+    down, and keeps every candidate that lowers the objective; a sweep
+    without improvement halves delta. Returns (x, objective(x)).
+    """
+    best = objective(x)
     for _ in range(steps):
         improved = False
-        for i in range(w.shape[0]):
-            for factor in (1.0 + delta, 1.0 / (1.0 + delta)):
-                cand = w.copy()
-                cand[i] *= factor
-                cand /= cand.sum()
-                p = compiled.penalty(cand)
+        for i in range(x.shape[0]):
+            for up in (True, False):
+                cand = move(x, i, delta, up)
+                p = objective(cand)
                 if p < best:
-                    best = p
-                    w = cand
-                    improved = True
+                    best, x, improved = p, cand, True
         if best == 0.0:
             break
         if not improved:
             delta *= 0.5
             if delta < 1e-7:
                 break
-    return w, best
+    return x, best
+
+
+def _scale_move(w: np.ndarray, i: int, delta: float, up: bool) -> np.ndarray:
+    """Multiply one world weight by 1 + delta (or divide by it), renormalized."""
+    cand = w.copy()
+    cand[i] *= 1.0 + delta if up else 1.0 / (1.0 + delta)
+    cand /= cand.sum()
+    return cand
 
 
 def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
@@ -294,7 +303,7 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     penalty and distribution (signals "not found within budget", never proven
     infeasibility). The best penalty is non-increasing over the run.
     """
-    compiled = _CompiledConstraints(cs)
+    compiled = CompiledConstraints(cs.constraints)
     rng = np.random.default_rng(config.seed)
     n = cs.space.world_count
 
@@ -307,13 +316,14 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
         count = min(config.batch_size, config.max_samples - samples_used)
         raw = rng.standard_exponential((count, n))
         weights = raw / raw.sum(axis=1, keepdims=True)
-        penalties = compiled.penalty_batch(weights)
+        penalties = compiled.penalty(weights)
         samples_used += count
 
         idx = int(np.argmin(penalties))
         if penalties[idx] < best_penalty:
-            refined, refined_penalty = _coordinate_descent(
-                weights[idx], compiled, config.refine_steps
+            w = weights[idx]
+            refined, refined_penalty = coordinate_descent(
+                w / w.sum(), compiled.penalty, _scale_move, 0.5, config.refine_steps
             )
             restarts_refined += 1
             if refined_penalty < best_penalty:
@@ -330,11 +340,11 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
         best_w = np.full(n, 1.0 / n)
         best_penalty = compiled.penalty(best_w)
     dist = JointDistribution.from_unnormalized(cs.space, best_w)
-    found = best_penalty <= config.penalty_tolerance and compiled.satisfied(best_w)
+    found = bool(best_penalty <= config.penalty_tolerance and compiled.satisfied(best_w))
     return FindModelResult(
         found=found,
         distribution=dist,
-        penalty=best_penalty,
+        penalty=float(best_penalty),
         achieved_margins=achieved_margins(dist, cs),
         samples_used=samples_used,
         restarts_refined=restarts_refined,
@@ -360,41 +370,13 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _exact_side(side: Side, counts: tuple[int, ...], resolution: int) -> Fraction | None:
-    """Exact side value over integer grid weights; None when undefined."""
-    if side.is_const:
-        return Fraction(side.const)
-    t_idx = np.flatnonzero(side.target.mask)
-    if side.given is None:
-        return Fraction(sum(counts[i] for i in t_idx), resolution)
-    g_idx = np.flatnonzero(side.given.mask)
-    den = sum(counts[i] for i in g_idx)
-    if den == 0:
-        return None
-    num = sum(counts[i] for i in np.flatnonzero(side.target.mask & side.given.mask))
-    return Fraction(num, den)
-
-
-def _exact_satisfied(c: ProbConstraint, counts: tuple[int, ...], resolution: int) -> bool:
-    lhs = _exact_side(c.lhs, counts, resolution)
-    rhs = _exact_side(c.rhs, counts, resolution)
-    if lhs is None or rhs is None:
-        return False
-    m = Fraction(c.margin)
-    if c.kind == "equality":
-        return abs(lhs - rhs) <= m
-    if c.kind == "prob_lt":
-        return rhs - lhs > m
-    if c.kind in WEAK_KINDS:
-        return lhs - rhs >= m
-    return lhs - rhs > m  # strict kinds
-
-
 def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
     """Enumerate all rational weight vectors k/resolution satisfying cs, exactly.
 
-    Strict kinds are judged with exact strict inequality, weak kinds with >=,
-    equality within its margin. Restricted to small spaces and resolutions.
+    Reads the compiled mask columns of CompiledConstraints and judges every
+    point by its verdict rule in integer and Fraction arithmetic: strict kinds
+    with exact strict inequality, weak kinds with >=, equality within its
+    margin. Restricted to small spaces and resolutions.
     """
     n = cs.space.world_count
     if n > MAX_GRID_WORLDS:
@@ -403,9 +385,22 @@ def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
         raise GridBudgetError(
             f"grid resolution must be in [1, {MAX_GRID_RESOLUTION}]"
         )
-    # Precompute index sets once; _exact_side recomputes them cheaply via masks.
+    compiled = CompiledConstraints(cs.constraints)
+    points = list(_compositions(resolution, n))
+    columns = np.array(compiled.columns, dtype=np.int64).reshape(-1, n)
+    masses = (np.array(points) @ columns.T).tolist()
+    consts = [Fraction(c) for c in compiled.consts]
+    fractions = [Fraction(k, resolution) for k in range(resolution + 1)]
     satisfying = []
-    for counts in _compositions(resolution, n):
-        if all(_exact_satisfied(c, counts, resolution) for c in cs.constraints):
-            satisfying.append([Fraction(k, resolution) for k in counts])
+    for point, mass in zip(points, masses):
+        values = consts + [fractions[m] for m in mass]
+        try:
+            ok = all(
+                _holds(c, achieved, 0)
+                for c, achieved in zip(cs.constraints, compiled._margins(values))
+            )
+        except ZeroDivisionError:  # an undefined conditional fails its constraint
+            ok = False
+        if ok:
+            satisfying.append([fractions[k] for k in point])
     return satisfying

@@ -35,16 +35,18 @@ import numpy as np
 from .confirmation import (
     ConditionResult,
     ConfirmationVerdict,
-    WEAK_TOLERANCE,
+    check_transitivity,
     confirm,
+    transitivity_sides,
 )
 from .finder import (
+    CompiledConstraints,
     ConstraintSet,
     FindModelResult,
     ProbConstraint,
     SearchConfig,
     Side,
-    achieved_margins as _achieved_margins,
+    coordinate_descent,
     find_model,
     is_satisfied,
     penalty as _penalty,
@@ -55,7 +57,6 @@ from .prob import (
     Proposition,
     UndefinedConditionalError,
     WorldSpace,
-    conditional,
     is_non_extremal,
     probability,
 )
@@ -104,18 +105,14 @@ class Scenario:
         return self.condition_labels or DEFAULT_LABELS[self.schema]
 
     def condition_sides(self) -> list[tuple[str, str, Side, Side]]:
-        """The four schema conditions as (label, kind, lhs, rhs)."""
-        h = self.roles["hypothesis"]
-        e = self.roles["evidence"]
-        b = self.roles["bridge"]
-        nb = ~b
-        labels = self.labels
-        return [
-            (labels[0], "cond_gt_prob", Side(target=h, given=b), Side(target=h)),
-            (labels[1], "cond_gt_cond", Side(target=e, given=b), Side(target=e, given=nb)),
-            (labels[2], "cond_ge_cond", Side(target=h, given=b & e), Side(target=h, given=b)),
-            (labels[3], "cond_ge_cond", Side(target=h, given=nb & e), Side(target=h, given=nb)),
-        ]
+        """The four schema conditions as (label, kind, lhs, rhs).
+
+        They are transitivity conditions (i)-(iv) with x=E, y=B, z=H.
+        """
+        sides = transitivity_sides(
+            x=self.roles["evidence"], y=self.roles["bridge"], z=self.roles["hypothesis"]
+        )
+        return [(label, *side) for label, side in zip(self.labels, sides[:4])]
 
     def condition_constraints(self) -> list[ProbConstraint]:
         """Schema conditions enforced in the solve: those with a margin entry."""
@@ -168,35 +165,21 @@ def evaluate_schema(
 ) -> SchemaReport:
     """Evaluate the four schema conditions and the direct Bayesian verdict.
 
-    Conditions 1-2 are strict (> 0), conditions 3-4 weak (>= within
-    tolerance). The overall verdict is always recomputed directly from the
-    distribution; the analogical (schema) verdict is claimed only when all
-    four conditions hold and the bridge is non-extremal.
+    The conditions are judged by check_transitivity with x=E, y=B, z=H:
+    1-2 strict (> 0), 3-4 weak (>= within tolerance). The overall verdict
+    is always recomputed directly from the distribution; the analogical
+    (schema) verdict is claimed only when all four conditions hold and the
+    bridge is non-extremal.
     """
     if dist is None:
         dist, _ = scenario.solve()
-    compiled = ConstraintSet(
-        space=scenario.space,
-        constraints=[
-            ProbConstraint(kind=kind, lhs=lhs, rhs=rhs, label=label)
-            for label, kind, lhs, rhs in scenario.condition_sides()
-        ],
+    transitivity = check_transitivity(
+        dist,
+        x=scenario.roles["evidence"],
+        y=scenario.roles["bridge"],
+        z=scenario.roles["hypothesis"],
     )
-    margins = _achieved_margins(dist, compiled)
-    labels = scenario.labels
-    conditions: dict[str, ConditionResult] = {}
-    for i, label in enumerate(labels):
-        m = margins[label]
-        if np.isnan(m):
-            conditions[label] = ConditionResult(holds=False, margin=m, applicable=False)
-        elif i < 2:  # strict conditions
-            conditions[label] = ConditionResult(
-                holds=m > 0.0, margin=m, at_boundary=abs(m) <= WEAK_TOLERANCE
-            )
-        else:  # weak conditions
-            conditions[label] = ConditionResult(
-                holds=m >= -WEAK_TOLERANCE, margin=m, at_boundary=abs(m) <= WEAK_TOLERANCE
-            )
+    conditions = dict(zip(scenario.labels, transitivity.conditions.values()))
 
     flags = []
     for role in ROLE_NAMES:
@@ -316,13 +299,11 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
                 result.distribution,
                 result.penalty,
             )
-        w = result.distribution.weights.copy()
-        # exact repair of the new atom's marginal
-        on = w[n_old:].sum()
-        if 0.0 < on < 1.0:
-            w[n_old:] *= spec.prior / on
-            w[:n_old] *= (1.0 - spec.prior) / (1.0 - on)
-        repaired = JointDistribution.from_unnormalized(new_space, w)
+        w = result.distribution.weights
+        rescaled = rescale_bridge(w, new_space.atom_mask(spec.new_atom), spec.prior)
+        repaired = JointDistribution.from_unnormalized(
+            new_space, w if rescaled is None else rescaled
+        )
         if not is_satisfied(repaired, cs):
             raise InfeasibleExtensionError(
                 "revisionary extension constraints unsatisfied after marginal repair",
@@ -340,9 +321,7 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
     cs = spec.likelihood_constraints
     if cs.space != new_space:
         raise ValueError("constraint set must be over the extended space")
-    from .finder import _CompiledConstraints  # internal reuse
-
-    compiled = _CompiledConstraints(cs)
+    compiled = CompiledConstraints(cs.constraints)
 
     def objective(t: np.ndarray) -> float:
         w = _assemble(old_w, t)
@@ -354,7 +333,7 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
     best_p = objective(best_t)
     for _ in range(16):  # random restarts over conditional probabilities
         t = rng.uniform(0.02, 0.98, n_old)
-        t, p = _descend_conditionals(t, objective, spec.refine_steps)
+        t, p = coordinate_descent(t, objective, _shift_move, 0.25, spec.refine_steps)
         if p < best_p:
             best_t, best_p = t, p
         if best_p < 1e-14:
@@ -365,29 +344,34 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
         raise InfeasibleExtensionError(
             "conservative extension constraints unsatisfied within budget",
             extended,
-            compiled.penalty(extended.weights),
+            _penalty(extended, cs),
         )
     return extended
 
 
-def _descend_conditionals(t: np.ndarray, objective, steps: int) -> tuple[np.ndarray, float]:
-    t = t.copy()
-    best = objective(t)
-    delta = 0.25
-    for _ in range(steps):
-        improved = False
-        for i in range(t.shape[0]):
-            for d in (delta, -delta):
-                cand = t.copy()
-                cand[i] = min(1.0, max(0.0, cand[i] + d))
-                p = objective(cand)
-                if p < best:
-                    best, t, improved = p, cand, True
-        if not improved:
-            delta *= 0.5
-            if delta < 1e-7:
-                break
-    return t, best
+def _shift_move(t: np.ndarray, i: int, delta: float, up: bool) -> np.ndarray:
+    """Move one conditional probability by +-delta, clipped to [0, 1]."""
+    cand = t.copy()
+    cand[i] = min(1.0, max(0.0, cand[i] + (delta if up else -delta)))
+    return cand
+
+
+def rescale_bridge(
+    weights: np.ndarray, bridge_mask: np.ndarray, prior: float
+) -> np.ndarray | None:
+    """Rescale the bridge/no-bridge blocks so the bridge marginal is exactly prior.
+
+    Per-block scaling preserves every conditional probability within a
+    block. Returns None when the bridge mass is 0 or 1, where no rescale can
+    move it.
+    """
+    w = weights.copy()
+    on = float(w[bridge_mask].sum())
+    if on <= 0.0 or on >= 1.0:
+        return None
+    w[bridge_mask] *= prior / on
+    w[~bridge_mask] *= (1.0 - prior) / (1.0 - on)
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .finder import (
     is_satisfied,
 )
 from .prob import JointDistribution, Proposition
-from .scenarios import Scenario, SchemaReport, evaluate_schema
+from .scenarios import Scenario, SchemaReport, evaluate_schema, rescale_bridge
 
 #: Equality slack used during the solve; the exact value is restored by a
 #: post-hoc block rescaling, which leaves all within-block conditionals intact.
@@ -132,10 +132,11 @@ def sweep_bridge_prior(
         )
         cs = ConstraintSet(space=scenario.space, constraints=constraints)
         result = find_model(cs, base_config)
-        dist = _repair_bridge_marginal(result.distribution, bridge_mask, value)
-        if dist is None:
+        weights = rescale_bridge(result.distribution.weights, bridge_mask, value)
+        if weights is None:
             rows.append(SweepRow(value, "infeasible", {}, None, None))
             continue
+        dist = JointDistribution.from_unnormalized(scenario.space, weights)
         tight = ConstraintSet(
             space=scenario.space,
             constraints=[
@@ -149,22 +150,6 @@ def sweep_bridge_prior(
         report = evaluate_schema(scenario, dist) if status == "ok" else None
         rows.append(_row_from_report(value, status, report))
     return rows
-
-
-def _repair_bridge_marginal(
-    dist: JointDistribution, bridge_mask: np.ndarray, value: float
-) -> JointDistribution | None:
-    """Rescale the bridge/no-bridge blocks so the marginal is exactly `value`.
-
-    Per-block scaling preserves every conditional probability within a block.
-    """
-    w = dist.weights.copy()
-    on = float(w[bridge_mask].sum())
-    if on <= 0.0 or on >= 1.0:
-        return None
-    w[bridge_mask] *= value / on
-    w[~bridge_mask] *= (1.0 - value) / (1.0 - on)
-    return JointDistribution.from_unnormalized(dist.space, w)
 
 
 def sweep_condition_margin(

@@ -24,6 +24,12 @@ def run(capsys, *argv):
 
 
 class TestCheck:
+    def test_margin_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", RIEMANN, "--margin", "0.9"])
+        assert exc.value.code == 2  # argparse usage error
+        assert "--margin" in capsys.readouterr().err
+
     def test_table_output(self, capsys):
         code, out, err = run(capsys, "check", RIEMANN)
         assert code == EXIT_OK

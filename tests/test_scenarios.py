@@ -29,6 +29,7 @@ from analogybench.scenarios import (
     ScenarioFormatError,
     corpus_dir,
     extended_space,
+    rescale_bridge,
 )
 
 from conftest import random_distribution
@@ -274,6 +275,23 @@ class TestBridgeExtension:
     def test_bad_prior_rejected(self):
         with pytest.raises(ValueError):
             BridgeSpec(new_atom="g", prior=1.5)
+
+    def test_rescale_bridge_pins_marginal_and_keeps_block_ratios(self, xyz_space):
+        weights = random_distribution(xyz_space, np.random.default_rng(4)).weights
+        bridge = xyz_space.atom_mask("z")
+        rescaled = rescale_bridge(weights, bridge, 0.3)
+        assert rescaled[bridge].sum() == pytest.approx(0.3, abs=1e-15)
+        for block in (bridge, ~bridge):
+            np.testing.assert_allclose(
+                rescaled[block] / rescaled[block].sum(),
+                weights[block] / weights[block].sum(),
+                rtol=1e-12,
+            )
+
+    def test_rescale_bridge_refuses_bridge_mass_zero_or_one(self, ab_space):
+        bridge = ab_space.atom_mask("a")  # worlds 1 and 3
+        assert rescale_bridge(np.array([0.5, 0.0, 0.5, 0.0]), bridge, 0.3) is None
+        assert rescale_bridge(np.array([0.0, 0.5, 0.0, 0.5]), bridge, 0.3) is None
 
     def test_marginal_preservation_property(self, xyz_space):
         rng = np.random.default_rng(9)
