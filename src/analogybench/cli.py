@@ -142,6 +142,7 @@ def cmd_check(args) -> int:
                     "found": result.found,
                     "penalty": result.penalty,
                     "samples_used": result.samples_used,
+                    "restarts_refined": result.restarts_refined,
                     "achieved_margins": result.achieved_margins,
                 },
                 "distribution": {
@@ -171,6 +172,7 @@ def cmd_find_model(args) -> int:
         "found": result.found,
         "penalty": result.penalty,
         "samples_used": result.samples_used,
+        "restarts_refined": result.restarts_refined,
         "achieved_margins": result.achieved_margins,
         "distribution": {
             "atoms": list(scenario.space.atoms),

@@ -248,8 +248,11 @@ def extended_space(space: WorldSpace, new_atom: str) -> WorldSpace:
 
 
 def _assemble(old_weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Extended weight vector from old weights and per-world P(new atom | world)."""
-    return np.concatenate([old_weights * (1.0 - t), old_weights * t])
+    """Extended weights from old weights and per-world P(new atom | world).
+
+    t is one vector (n,) or a block (k, n); the result has one row per row of t.
+    """
+    return np.concatenate([old_weights * (1.0 - t), old_weights * t], axis=-1)
 
 
 def _repair_marginal(t: np.ndarray, weights: np.ndarray, prior: float) -> np.ndarray:
@@ -323,10 +326,9 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
         raise ValueError("constraint set must be over the extended space")
     compiled = CompiledConstraints(cs.constraints)
 
-    def objective(t: np.ndarray) -> float:
-        w = _assemble(old_w, t)
-        marginal = float(old_w @ t)
-        return compiled.penalty(w) + (marginal - spec.prior) ** 2
+    def objective(t: np.ndarray):
+        """Penalty plus squared marginal error, per row of t."""
+        return compiled.penalty(_assemble(old_w, t)) + (t @ old_w - spec.prior) ** 2
 
     rng = np.random.default_rng(spec.seed)
     best_t = np.full(n_old, spec.prior if 0 < spec.prior < 1 else 0.5)
@@ -349,11 +351,9 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
     return extended
 
 
-def _shift_move(t: np.ndarray, i: int, delta: float, up: bool) -> np.ndarray:
-    """Move one conditional probability by +-delta, clipped to [0, 1]."""
-    cand = t.copy()
-    cand[i] = min(1.0, max(0.0, cand[i] + (delta if up else -delta)))
-    return cand
+def _shift_move(t: np.ndarray, signs: np.ndarray, delta) -> np.ndarray:
+    """Move each conditional probability by delta * sign, clipped to [0, 1]."""
+    return np.clip(t + delta * signs, 0.0, 1.0)
 
 
 def rescale_bridge(

@@ -46,6 +46,7 @@ class TestCheck:
         assert payload["version"] == 1
         assert payload["command"] == "check"
         assert payload["solver"]["found"] is True
+        assert payload["solver"]["restarts_refined"] >= 1
         report = payload["schema_report"]
         assert report["schema_confirms"] is True
         assert set(report["conditions"]) == {"a", "b", "c", "d"}
@@ -88,7 +89,13 @@ class TestFindModel:
         payload = json.loads(out)
         assert payload["found"] is True
         assert payload["penalty"] <= 1e-12
+        assert payload["restarts_refined"] >= 1
         assert len(payload["distribution"]["weights"]) == 8
+
+    def test_json_reproducible(self, capsys):
+        _, first, _ = run(capsys, "find-model", RIEMANN, "--json", "--seed", "7")
+        _, second, _ = run(capsys, "find-model", RIEMANN, "--json", "--seed", "7")
+        assert first == second
 
     def test_infeasible_constraints(self, capsys, tmp_path):
         path = tmp_path / "impossible.json"
