@@ -11,14 +11,18 @@ CompiledConstraints: a constraint list compiled once into deduplicated 0/1
 mask columns, each side evaluated over a weight vector or block as
 (W @ num) / (W @ den). A small exact rational grid enumerator backs the
 search as an independent oracle; it shares only the compiled masks and the
-verdict rule (_holds) and keeps its arithmetic in integers and Fractions.
-prob.conditional is the scalar reference the tests compare against.
+verdict rule (STRICT_KINDS, _required and the signs of _achieved) and
+decides all grid points at once in int64 arithmetic, with one exact Fraction
+threshold per constraint. prob.conditional is the scalar reference the tests
+compare against.
 
 Infeasibility is only ever reported as budget exhaustion, never as a proof.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -232,11 +236,12 @@ def _achieved(kind: str, lhs, rhs):
 
 
 def _holds(c: ProbConstraint, achieved, tolerance: float):
-    """The verdict rule of the float and the exact paths.
+    """The verdict rule on an achieved margin, float or exact.
 
     Strict kinds need achieved > required; cond_ge_cond and equality need
     achieved >= required - tolerance, with tolerance 0 in exact arithmetic.
-    An undefined (nan) margin never holds.
+    An undefined (nan) margin never holds. grid_enumerate applies the same
+    rule in integers.
     """
     required = _required(c)
     if c.kind in STRICT_KINDS:
@@ -385,23 +390,45 @@ MAX_GRID_WORLDS = 8
 MAX_GRID_RESOLUTION = 20
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of nonnegative ints of length `parts` summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All rows of `parts` nonnegative ints summing to `total`, lexicographic.
+
+    Stars and bars: each choice of parts - 1 bar positions among
+    total + parts - 1 slots is one row; combinations come in lexicographic
+    order, and so do the rows.
+    """
+    slots = total + parts - 1
+    count = math.comb(slots, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+        count=count * (parts - 1),
+    ).reshape(count, parts - 1)
+    edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), slots)])
+    return np.diff(edges, axis=1) - 1
+
+
+def _signs(kind: str) -> tuple[int, ...]:
+    """Signs s with _achieved(kind, lhs, rhs) = min over s of s * (lhs - rhs)."""
+    return (1, -1) if kind == "equality" else (_achieved(kind, 1, 0),)
 
 
 def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
     """Enumerate all rational weight vectors k/resolution satisfying cs, exactly.
 
     Reads the compiled mask columns of CompiledConstraints and judges every
-    point by its verdict rule in integer and Fraction arithmetic: strict kinds
-    with exact strict inequality, weak kinds with >=, equality within its
-    margin. Restricted to small spaces and resolutions.
+    point by its verdict rule in integer arithmetic: strict kinds with exact
+    strict inequality, weak kinds with >=, equality within its margin.
+    Restricted to small spaces and resolutions.
+
+    All points are decided at once. With R = resolution, every mask side is
+    num/den in integer counts (den = R for P(target)), so lhs - rhs is
+    X / Y + k with X = ln * rd - rn * ld, Y = ld * rd (|X|, Y <= R**2) and k
+    an exact constant from the constant sides. Each sign s of the achieved
+    margin then holds iff s * X >= lo[Y], where lo[Y] = floor(t * Y) + 1 for
+    strict kinds and ceil(t * Y) for weak ones, with the threshold
+    t = required - s * k one Fraction per constraint. Y = 0 is an undefined
+    conditional, which fails its constraint.
     """
     n = cs.space.world_count
     if n > MAX_GRID_WORLDS:
@@ -411,21 +438,42 @@ def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
             f"grid resolution must be in [1, {MAX_GRID_RESOLUTION}]"
         )
     compiled = CompiledConstraints(cs.constraints)
-    points = list(_compositions(resolution, n))
+    points = _compositions(resolution, n)
     columns = np.array(compiled.columns, dtype=np.int64).reshape(-1, n)
-    masses = (np.array(points) @ columns.T).tolist()
-    consts = [Fraction(c) for c in compiled.consts]
+    masses = points @ columns.T
+    n_consts = len(compiled.consts)
+
+    def side(slot: tuple[int, int | None]):
+        """A side as num / den + const: counts for a mask side, 0 / 1 + c for c."""
+        num, den = slot
+        if num < n_consts:
+            return 0, 1, Fraction(compiled.consts[num])
+        den = resolution if den is None else masses[:, den - n_consts]
+        return masses[:, num - n_consts], den, 0
+
+    ok = np.ones(len(points), dtype=bool)
+    for c, (lhs, rhs) in zip(cs.constraints, compiled.sides):
+        (ln, ld, lc), (rn, rd, rc) = side(lhs), side(rhs)
+        x, y, k = ln * rd - rn * ld, ld * rd, lc - rc
+        strict = c.kind in STRICT_KINDS
+        for s in _signs(c.kind):
+            lo = _lower_bounds(Fraction(_required(c)) - s * k, strict, resolution)
+            ok &= s * x >= lo[y]
     fractions = [Fraction(k, resolution) for k in range(resolution + 1)]
-    satisfying = []
-    for point, mass in zip(points, masses):
-        values = consts + [fractions[m] for m in mass]
-        try:
-            ok = all(
-                _holds(c, achieved, 0)
-                for c, achieved in zip(cs.constraints, compiled._margins(values))
-            )
-        except ZeroDivisionError:  # an undefined conditional fails its constraint
-            ok = False
-        if ok:
-            satisfying.append([fractions[k] for k in point])
-    return satisfying
+    return [[fractions[k] for k in point] for point in points[ok].tolist()]
+
+
+def _lower_bounds(t: Fraction, strict: bool, resolution: int) -> np.ndarray:
+    """Least integer X with X / Y > t (strict) or >= t, for each Y in [0, R**2].
+
+    Clipped to +-(R**2 + 1), beyond every |X| <= R**2, so no verdict moves and
+    int64 cannot overflow; Y = 0, an undefined conditional, gets R**2 + 1,
+    which no X reaches.
+    """
+    limit = resolution**2 + 1
+    p, q = t.numerator, t.denominator
+    lo = [limit]
+    for y in range(1, limit):
+        bound = p * y // q + 1 if strict else -(-p * y // q)
+        lo.append(min(max(bound, -limit), limit))
+    return np.array(lo, dtype=np.int64)

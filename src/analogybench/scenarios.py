@@ -330,6 +330,12 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
         """Penalty plus squared marginal error, per row of t."""
         return compiled.penalty(_assemble(old_w, t)) + (t @ old_w - spec.prior) ** 2
 
+    def extension(t: np.ndarray) -> JointDistribution:
+        """The extended distribution for t, its bridge marginal repaired to the prior."""
+        return JointDistribution(
+            new_space, _assemble(old_w, _repair_marginal(t, old_w, spec.prior))
+        )
+
     rng = np.random.default_rng(spec.seed)
     best_t = np.full(n_old, spec.prior if 0 < spec.prior < 1 else 0.5)
     best_p = objective(best_t)
@@ -339,9 +345,15 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
         if p < best_p:
             best_t, best_p = t, p
         if best_p < 1e-14:
-            break
-    best_t = _repair_marginal(best_t, old_w, spec.prior)
-    extended = JointDistribution(new_space, _assemble(old_w, best_t))
+            # An objective below 1e-14 can still miss a strict margin by
+            # ~1e-8 (a squared hinge of ~1e-16), so only a satisfied
+            # extension ends the restarts; after a miss the next candidate
+            # must again come in below 1e-14.
+            extended = extension(best_t)
+            if is_satisfied(extended, cs):
+                return extended
+            best_p = 1e-14
+    extended = extension(best_t)
     if not is_satisfied(extended, cs):
         raise InfeasibleExtensionError(
             "conservative extension constraints unsatisfied within budget",

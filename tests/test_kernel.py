@@ -1,6 +1,5 @@
 """The compiled evaluation kernel and the verdict rule it shares with the grid."""
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -14,19 +13,52 @@ from analogybench import (
     Side,
     WorldSpace,
     grid_enumerate,
+    load_corpus,
     penalty,
 )
-from analogybench.finder import ALL_KINDS, CompiledConstraints, is_satisfied
+from analogybench.finder import ALL_KINDS, CompiledConstraints, _holds, is_satisfied
 
 KINDS = sorted(ALL_KINDS)
 RESOLUTION = 8  # dyadic grid: every point's weights are exact in float
 
 
 def grid_points(parts: int, total: int):
-    """All nonnegative integer tuples of length `parts` summing to `total`."""
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        edges = (-1,) + bars + (total + parts - 1,)
-        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+    """All nonnegative integer tuples of length `parts` summing to `total`,
+    in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in grid_points(parts - 1, total - head):
+            yield (head,) + tail
+
+
+def reference_grid(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
+    """grid_enumerate one point at a time in Fraction arithmetic.
+
+    The per-point loop the integer grid replaced, kept as its reference: the
+    compiled margins of each point's Fraction values, judged by _holds.
+    """
+    compiled = CompiledConstraints(cs.constraints)
+    n = cs.space.world_count
+    points = list(grid_points(n, resolution))
+    columns = np.array(compiled.columns, dtype=np.int64).reshape(-1, n)
+    masses = (np.array(points) @ columns.T).tolist()
+    consts = [Fraction(c) for c in compiled.consts]
+    fractions = [Fraction(k, resolution) for k in range(resolution + 1)]
+    satisfying = []
+    for point, mass in zip(points, masses):
+        values = consts + [fractions[m] for m in mass]
+        try:
+            ok = all(
+                _holds(c, achieved, 0)
+                for c, achieved in zip(cs.constraints, compiled._margins(values))
+            )
+        except ZeroDivisionError:  # an undefined conditional fails its constraint
+            ok = False
+        if ok:
+            satisfying.append([fractions[k] for k in point])
+    return satisfying
 
 
 def required(c: ProbConstraint) -> float:
@@ -44,7 +76,10 @@ def constraint_sets(draw, atoms=st.integers(2, 4), dyadic=False):
     """Random constraint sets; dyadic ones use only P(target) and k/8 constants.
 
     Over a dyadic grid every side of a dyadic set is exact in float, so the
-    float and the exact verdicts must agree even at the boundary.
+    float and the exact verdicts must agree even at the boundary. Other sets
+    draw constants in [-0.5, 1.5] and margins up to 0.3 or 1e-6, mostly not
+    dyadic; a constant on both sides or a conditional on an event of mass 0
+    is allowed.
     """
     space = WorldSpace(tuple(f"a{i}" for i in range(draw(atoms))))
     n = space.world_count
@@ -56,12 +91,13 @@ def constraint_sets(draw, atoms=st.integers(2, 4), dyadic=False):
     def side():
         form = draw(st.sampled_from(["const", "prob"] if dyadic else ["const", "prob", "cond"]))
         if form == "const":
-            return Side(const=draw(eighths if dyadic else st.floats(0.0, 1.0)))
+            return Side(const=draw(eighths if dyadic else st.floats(-0.5, 1.5)))
         if form == "prob":
             return Side(target=prop())
         return Side(target=prop(), given=prop())
 
-    margin = eighths.filter(lambda m: m <= 0.5) if dyadic else st.floats(0.0, 0.3)
+    margin = eighths.filter(lambda m: m <= 0.5) if dyadic else (
+        st.floats(0.0, 0.3) | st.just(1e-6))
     count = draw(st.integers(1, 5))
     return ConstraintSet(space, [
         ProbConstraint(draw(st.sampled_from(KINDS)), side(), side(), margin=draw(margin))
@@ -111,25 +147,49 @@ class TestBlockPenalty:
         assert len(compiled.columns) == 3
 
 
+def uniform_ab_case(make):
+    """The constraint make(a, b) over atoms a, b, and the uniform point of that space.
+
+    At the uniform point P(a) = P(b) = P(a|b) = 1/2. On the grid of
+    resolution 4 a P(target) side has denominator Y = 4 and a conditional
+    given b has Y = 2, so every threshold below meets an integer t * Y.
+    """
+    space = WorldSpace(("a", "b"))
+    a, b = Proposition.atom(space, "a"), Proposition.atom(space, "b")
+    return ConstraintSet(space, [make(a, b)]), JointDistribution(space, [0.25] * 4)
+
+
+STRICT_AT_BOUNDARY = [
+    lambda a, b: ProbConstraint("prob_gt", Side(target=a), Side(const=0.5)),
+    lambda a, b: ProbConstraint("prob_lt", Side(target=a), Side(const=0.75), margin=0.25),
+    lambda a, b: ProbConstraint("cond_gt_prob", Side(target=a, given=b), Side(const=0.25),
+                                margin=0.25),
+    lambda a, b: ProbConstraint("cond_gt_cond", Side(target=a, given=b),
+                                Side(target=a, given=~b)),
+]
+
+WEAK_AT_BOUNDARY = [
+    lambda a, b: ProbConstraint("cond_ge_cond", Side(target=a), Side(const=0.25), margin=0.25),
+    lambda a, b: ProbConstraint("cond_ge_cond", Side(target=a, given=b), Side(const=0.25),
+                                margin=0.25),
+    lambda a, b: ProbConstraint("equality", Side(target=a), Side(const=0.25), margin=0.25),
+    lambda a, b: ProbConstraint("equality", Side(target=a), Side(const=0.75), margin=0.25),
+    lambda a, b: ProbConstraint("equality", Side(target=a, given=b), Side(target=b)),
+]
+
+
 class TestVerdictRule:
     def test_strict_kind_fails_at_its_boundary(self):
-        space = WorldSpace(("a",))
-        a = Proposition.atom(space, "a")
-        cs = ConstraintSet(space, [ProbConstraint("prob_gt", Side(target=a), Side(const=0.5))])
-        dist = JointDistribution(space, [0.5, 0.5])
-        assert not is_satisfied(dist, cs)
-        assert [Fraction(1, 2), Fraction(1, 2)] not in grid_enumerate(cs, 4)
+        for make in STRICT_AT_BOUNDARY:
+            cs, dist = uniform_ab_case(make)
+            assert not is_satisfied(dist, cs), cs.constraints
+            assert [Fraction(1, 4)] * 4 not in grid_enumerate(cs, 4), cs.constraints
 
     def test_weak_and_equality_hold_at_their_boundary(self):
-        space = WorldSpace(("a",))
-        a = Proposition.atom(space, "a")
-        cs = ConstraintSet(space, [
-            ProbConstraint("cond_ge_cond", Side(target=a), Side(const=0.25), margin=0.25),
-            ProbConstraint("equality", Side(target=a), Side(const=0.25), margin=0.25),
-        ])
-        dist = JointDistribution(space, [0.5, 0.5])
-        assert is_satisfied(dist, cs)
-        assert [Fraction(1, 2), Fraction(1, 2)] in grid_enumerate(cs, 4)
+        for make in WEAK_AT_BOUNDARY:
+            cs, dist = uniform_ab_case(make)
+            assert is_satisfied(dist, cs), cs.constraints
+            assert [Fraction(1, 4)] * 4 in grid_enumerate(cs, 4), cs.constraints
 
     # The float verdicts of all grid points come from one block: the grid is
     # dyadic, so a block row sums exactly as one weight vector does.
@@ -152,3 +212,21 @@ class TestVerdictRule:
         points = list(grid_points(cs.space.world_count, RESOLUTION))
         satisfied = CompiledConstraints(cs.constraints).satisfied(np.array(points) / RESOLUTION)
         np.testing.assert_array_equal(satisfied, exact_verdicts(cs, points))
+
+
+class TestGridReference:
+    # Lists, not sets: grid_enumerate must keep the reference's point order.
+    @settings(max_examples=50, deadline=None)
+    @given(cs=constraint_sets(atoms=st.integers(1, 3)), resolution=st.integers(1, 10))
+    def test_matches_fraction_reference(self, cs, resolution):
+        assert grid_enumerate(cs, resolution) == reference_grid(cs, resolution)
+
+    def test_corpus_sets_match_fraction_reference(self):
+        checked = 0
+        for scenario in load_corpus():
+            cs = scenario.constraint_set()
+            if cs is None or scenario.space.world_count > 8:
+                continue
+            checked += 1
+            assert grid_enumerate(cs, 10) == reference_grid(cs, 10), scenario.name
+        assert checked == 5

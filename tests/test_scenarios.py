@@ -24,6 +24,7 @@ from analogybench import (
     probability,
     symmetry_baseline,
 )
+from analogybench.finder import is_satisfied
 from analogybench.scenarios import (
     PLATONIC_SOLIDS,
     ScenarioFormatError,
@@ -190,6 +191,48 @@ class TestSchemaEvaluation:
         assert report.schema_confirms is True
 
 
+def planted_extension(seed: int) -> tuple[JointDistribution, BridgeSpec]:
+    """A conservative extension with a known witness, over 2-3 old atoms.
+
+    A Dirichlet(0.5) joint over the extended space is the witness: the old
+    distribution is its marginal, the prior its P(g), and 2-2*atoms
+    cond_gt_cond constraints sit at 0.8-0.9 of their gap under it. Every
+    conditioning event has probability >= 0.05 and every gap is >= 0.05.
+    """
+    rng = np.random.default_rng(seed)
+    atoms = 2 + seed % 2
+    old = WorldSpace(tuple(f"A{i}" for i in range(atoms)))
+    new = extended_space(old, "g")
+    n = old.world_count
+    joint = rng.dirichlet(np.full(2 * n, 0.5))
+
+    def prop() -> Proposition:
+        while True:
+            mask = rng.integers(0, 2, 2 * n).astype(bool)
+            if 0 < mask.sum() < 2 * n:
+                return Proposition(new, mask)
+
+    constraints = []
+    count = int(rng.integers(2, 2 * atoms + 1))
+    while len(constraints) < count:
+        t1, g1, t2, g2 = (prop() for _ in range(4))
+        p1, p2 = joint @ g1.mask, joint @ g2.mask
+        if min(p1, p2) < 0.05:
+            continue
+        gap = joint @ (t1.mask & g1.mask) / p1 - joint @ (t2.mask & g2.mask) / p2
+        if abs(gap) < 0.05:
+            continue
+        lhs, rhs = Side(target=t1, given=g1), Side(target=t2, given=g2)
+        if gap < 0:
+            lhs, rhs, gap = rhs, lhs, -gap
+        constraints.append(ProbConstraint(
+            "cond_gt_cond", lhs, rhs, margin=float(rng.uniform(0.8, 0.9) * gap)))
+    spec = BridgeSpec("g", prior=float(joint[n:].sum()),
+                      likelihood_constraints=ConstraintSet(new, constraints),
+                      seed=int(rng.integers(1, 2**31 - 1)))
+    return JointDistribution(old, joint[:n] + joint[n:]), spec
+
+
 class TestBridgeExtension:
     def test_conservative_preserves_old_marginals(self, xyz_space):
         rng = np.random.default_rng(3)
@@ -267,6 +310,18 @@ class TestBridgeExtension:
         )
         assert probability(ext, g) == pytest.approx(0.25, abs=1e-12)
         assert conditional(ext, a, g) - probability(ext, a) >= 0.05 - 1e-9
+
+    def test_planted_conservative_extensions_succeed(self):
+        # Restarts that stopped at the first objective below 1e-14 raised
+        # InfeasibleExtensionError on 3 of these 200 (seeds 71, 128, 199):
+        # each candidate missed a strict margin by 1e-8 to 1e-7.
+        for seed in range(200):
+            dist, spec = planted_extension(seed)
+            ext = extend_with_bridge(dist, spec)
+            assert is_satisfied(ext, spec.likelihood_constraints)
+            n = dist.space.world_count
+            np.testing.assert_allclose(ext.weights[:n] + ext.weights[n:], dist.weights,
+                                       atol=1e-12)
 
     def test_existing_atom_rejected(self, ab_dist):
         with pytest.raises(ValueError):
