@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finder import CompiledConstraints, ProbConstraint, Side
+from .finder import CompiledConstraints, ProbConstraint, Side, sample_blocks
 from .prob import (
     JointDistribution,
     Proposition,
@@ -41,6 +41,9 @@ WEAK_TOLERANCE = 1e-12
 #: independent re-computation comfortably clear of float noise.
 MINER_CONFIRM_MARGIN = 0.01
 MINER_DISCONFIRM_MARGIN = 0.001
+
+#: Rows in the miner's first sample block; later blocks double.
+MINER_FIRST_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -215,8 +218,13 @@ def mine_naive_transitivity_counterexample(
     """Search random 3-atom distributions for a naive-transitivity failure.
 
     Looks for atoms A, B, C with P(B|A) > P(B) + 0.01, P(C|B) > P(C) + 0.01
-    and P(C|A) < P(C) - 0.001. Deterministic given the seed; returns None when
-    the budget is exhausted (insufficient budget, not impossibility).
+    and P(C|A) < P(C) - 0.001. Samples `budget` rows of one seeded stream in
+    sample_blocks blocks (MINER_FIRST_BLOCK rows first, then doubling) and
+    stops at the first row that satisfies the three relations and passes
+    Counterexample.verify(); samples_used is that row's 1-based position in
+    the stream, the same row a single full-budget draw would give.
+    Deterministic given the seed; returns None when the budget is exhausted
+    (insufficient budget, not impossibility).
     """
     if budget <= 0:
         return None
@@ -231,18 +239,19 @@ def mine_naive_transitivity_counterexample(
                        margin=MINER_DISCONFIRM_MARGIN),
     ])
     rng = np.random.default_rng(seed)
-    raw = rng.standard_exponential((budget, space.world_count))
-    weights = raw / raw.sum(axis=1, keepdims=True)
-    for idx in np.flatnonzero(relations.satisfied(weights)):
-        candidate = Counterexample(
-            distribution=JointDistribution.from_unnormalized(space, weights[idx]),
-            x=a,
-            y=b,
-            z=c,
-            samples_used=int(idx) + 1,
-        )
-        if candidate.verify():
-            return candidate
+    offset = 0
+    for weights in sample_blocks(rng, space.world_count, MINER_FIRST_BLOCK, budget):
+        for idx in np.flatnonzero(relations.satisfied(weights)):
+            candidate = Counterexample(
+                distribution=JointDistribution.from_unnormalized(space, weights[idx]),
+                x=a,
+                y=b,
+                z=c,
+                samples_used=offset + int(idx) + 1,
+            )
+            if candidate.verify():
+                return candidate
+        offset += len(weights)
     return None
 
 

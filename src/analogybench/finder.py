@@ -6,6 +6,12 @@ derivative-free block coordinate descent on the world weights: each sweep
 scores all 2n single-coordinate moves in one block evaluation, then a short
 line search along their improving combination in a second.
 
+Restarts are sampled ahead in blocks of batches (sample_blocks): the first
+block is one batch, each later block doubles, up to LOOKAHEAD_VALUES floats,
+and each block is scored with one penalty call. The search then walks the
+block batch by batch under the same rule as one draw per batch would, so
+drawing ahead changes the number of calls, not the result (see find_model).
+
 Every probability the search evaluates goes through one kernel,
 CompiledConstraints: a constraint list compiled once into deduplicated 0/1
 mask columns, each side evaluated over a weight vector or block as
@@ -57,6 +63,8 @@ class Side:
     def __post_init__(self):
         if (self.const is None) == (self.target is None):
             raise ValueError("a side is either a constant or a (target, given?) query")
+        if self.is_const and not math.isfinite(self.const):
+            raise ValueError("a constant side must be finite")
 
     @property
     def is_const(self) -> bool:
@@ -74,8 +82,8 @@ class ProbConstraint:
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.margin < 0:
-            raise ValueError("constraint margin must be >= 0")
+        if not math.isfinite(self.margin) or self.margin < 0:
+            raise ValueError("constraint margin must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,34 @@ def sample_simplex(space: WorldSpace, seed: int) -> JointDistribution:
     return JointDistribution.from_unnormalized(space, raw)
 
 
+#: Most floats one look-ahead block of sample_blocks holds, unless its first
+#: block alone is larger. A block's penalty call keeps one product per mask
+#: column per row, several times the block itself on large constraint sets;
+#: blocks of 2**16 and 2**17 floats exhausted budgets no faster.
+LOOKAHEAD_VALUES = 2**15
+
+
+def sample_blocks(rng: np.random.Generator, n: int, first: int, total: int):
+    """Yield `total` uniform simplex rows over n worlds as (k, n) blocks.
+
+    The first block has `first` rows and each later one twice as many, while
+    a block stays within LOOKAHEAD_VALUES floats; the last block holds what
+    is left. The rows, concatenated, are exactly one
+    rng.standard_exponential((total, n)) draw normalised per row: the stream
+    does not depend on how it is cut, and each row is normalised on its own.
+    Blocks are drawn lazily, so a caller that stops early draws at most one
+    block ahead.
+    """
+    drawn, size = 0, first
+    while drawn < total:
+        count = min(size, total - drawn)
+        raw = rng.standard_exponential((count, n))
+        yield raw / raw.sum(axis=1, keepdims=True)
+        drawn += count
+        if 2 * size * n <= LOOKAHEAD_VALUES:
+            size *= 2
+
+
 class CompiledConstraints:
     """A constraint list compiled once into deduplicated 0/1 mask columns.
 
@@ -178,6 +214,13 @@ class CompiledConstraints:
             _achieved(c.kind, _ratio(values, lhs), _ratio(values, rhs))
             for c, (lhs, rhs) in zip(self.constraints, self.sides)
         )
+
+    def named_margins(self, w: np.ndarray) -> dict[str, float]:
+        """Achieved margin of one weight vector per constraint label (c<i> if none)."""
+        return {
+            c.label or f"c{i}": float(v)
+            for i, (c, v) in enumerate(zip(self.constraints, self.margins(w)))
+        }
 
     def margins(self, w: np.ndarray) -> list:
         """Achieved margin per constraint; nan when undefined.
@@ -257,10 +300,7 @@ def penalty(dist: JointDistribution, cs: ConstraintSet) -> float:
 
 
 def achieved_margins(dist: JointDistribution, cs: ConstraintSet) -> dict[str, float]:
-    values = CompiledConstraints(cs.constraints).margins(dist.weights)
-    return {
-        c.label or f"c{i}": float(v) for i, (c, v) in enumerate(zip(cs.constraints, values))
-    }
+    return CompiledConstraints(cs.constraints).named_margins(dist.weights)
 
 
 def is_satisfied(dist: JointDistribution, cs: ConstraintSet) -> bool:
@@ -329,6 +369,17 @@ def _scale_move(w: np.ndarray, signs: np.ndarray, delta) -> np.ndarray:
 def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     """Seeded random restarts + coordinate descent; deterministic given the seed.
 
+    Samples are drawn by sample_blocks in blocks of whole batches (the first
+    block is one batch, later ones double up to LOOKAHEAD_VALUES floats) and
+    each block is scored with one penalty call. The block is then walked
+    batch by batch: a batch's best sample is refined if it beats the best
+    penalty so far, and the search stops after the first batch that leaves a
+    model. samples_used counts whole batches walked, not rows drawn ahead.
+    At the default batch size each row's penalty is bit for bit the one a
+    per-batch call gives; at sizes such as 1 or 7, which split the BLAS
+    kernel's row groups, a row can differ in its last bit, and that moves a
+    result only through a tie within one ulp.
+
     Returns found=False after budget exhaustion, carrying the best-found
     penalty and distribution (signals "not found within budget", never proven
     infeasibility). The best penalty is non-increasing over the run.
@@ -336,19 +387,22 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     compiled = CompiledConstraints(cs.constraints)
     rng = np.random.default_rng(config.seed)
     n = cs.space.world_count
+    batch_size = config.batch_size
+
+    def batches():
+        for block in sample_blocks(rng, n, batch_size, config.max_samples):
+            penalties = compiled.penalty(block)
+            for start in range(0, len(block), batch_size):
+                stop = start + batch_size
+                yield block[start:stop], penalties[start:stop]
 
     best_w: np.ndarray | None = None
     best_penalty = float("inf")
     samples_used = 0
     restarts_refined = 0
 
-    while samples_used < config.max_samples:
-        count = min(config.batch_size, config.max_samples - samples_used)
-        raw = rng.standard_exponential((count, n))
-        weights = raw / raw.sum(axis=1, keepdims=True)
-        penalties = compiled.penalty(weights)
-        samples_used += count
-
+    for weights, penalties in batches():
+        samples_used += len(weights)
         idx = int(np.argmin(penalties))
         if penalties[idx] < best_penalty:
             w = weights[idx]
@@ -375,7 +429,7 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
         found=found,
         distribution=dist,
         penalty=float(best_penalty),
-        achieved_margins=achieved_margins(dist, cs),
+        achieved_margins=compiled.named_margins(dist.weights),
         samples_used=samples_used,
         restarts_refined=restarts_refined,
         seed=config.seed,

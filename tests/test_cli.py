@@ -115,6 +115,29 @@ class TestFindModel:
         code, out, err = run(capsys, "find-model", str(path))
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("field,value", [
+        ("margin", float("nan")), ("margin", float("inf")), ("const", float("nan")),
+    ])
+    def test_non_finite_number_is_a_validation_error(self, capsys, tmp_path, field, value):
+        constraint = {"kind": "equality", "lhs": {"target": "A"}, "rhs": {"const": 0.5}}
+        if field == "margin":
+            constraint["margin"] = value
+        else:
+            constraint["rhs"]["const"] = value
+        path = tmp_path / "nonfinite.json"
+        # json writes NaN and Infinity literals, which the scenario loader accepts
+        path.write_text(json.dumps({
+            "name": "nonfinite",
+            "atoms": ["A", "B", "C"],
+            "schema": "type1",
+            "roles": {"hypothesis": "A", "evidence": "B", "bridge": "C"},
+            "distribution": {"constraints": [constraint], "seed": 1},
+        }))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        code, out, err = run(capsys, "find-model", str(path))
+        assert code == EXIT_VALIDATION
+        assert "finite" in err
+
     def test_weights_scenario_rejected(self, capsys, tmp_path):
         path = tmp_path / "fixed.json"
         path.write_text(json.dumps({

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -16,11 +17,14 @@ from analogybench import (
     mine_naive_transitivity_counterexample,
     probability,
 )
+from analogybench import confirmation
 from analogybench.confirmation import (
     EntailmentPreconditionError,
     MINER_CONFIRM_MARGIN,
     MINER_DISCONFIRM_MARGIN,
+    Counterexample,
 )
+from analogybench.finder import CompiledConstraints, ProbConstraint, Side
 
 
 class TestConfirm:
@@ -225,6 +229,47 @@ class TestMiner:
     def test_exhausted_budget_returns_none(self):
         assert mine_naive_transitivity_counterexample(seed=1, budget=0) is None
         assert mine_naive_transitivity_counterexample(seed=1, budget=1) is None
+
+
+@functools.lru_cache(maxsize=None)
+def full_budget_miner(seed: int, budget: int):
+    """The miner as one draw of the whole budget: (samples_used, weight bytes) or None."""
+    space = WorldSpace(("A", "B", "C"))
+    a, b, c = (Proposition.atom(space, name) for name in space.atoms)
+    relations = CompiledConstraints([
+        ProbConstraint("cond_gt_prob", Side(target=b, given=a), Side(target=b),
+                       margin=MINER_CONFIRM_MARGIN),
+        ProbConstraint("cond_gt_prob", Side(target=c, given=b), Side(target=c),
+                       margin=MINER_CONFIRM_MARGIN),
+        ProbConstraint("prob_lt", Side(target=c, given=a), Side(target=c),
+                       margin=MINER_DISCONFIRM_MARGIN),
+    ])
+    raw = np.random.default_rng(seed).standard_exponential((budget, 8))
+    weights = raw / raw.sum(axis=1, keepdims=True)
+    for idx in np.flatnonzero(relations.satisfied(weights)):
+        dist = JointDistribution.from_unnormalized(space, weights[idx])
+        if Counterexample(dist, a, b, c, samples_used=int(idx) + 1).verify():
+            return int(idx) + 1, dist.weights.tobytes()
+    return None
+
+
+class TestMinerBlocks:
+    # Every counterexample of seeds 1-50 lies in the first 65 rows, so a first
+    # block of one row is needed to put some of them in later blocks.
+    @pytest.mark.parametrize("first_block", [1, 512])
+    @pytest.mark.parametrize("budget", [1, 3, 7, 511, 512, 513, 100_000])
+    def test_matches_full_budget_draw(self, budget, first_block, monkeypatch):
+        monkeypatch.setattr(confirmation, "MINER_FIRST_BLOCK", first_block)
+        outcomes = []
+        for seed in range(1, 51):
+            ce = mine_naive_transitivity_counterexample(seed, budget)
+            got = None if ce is None else (ce.samples_used, ce.distribution.weights.tobytes())
+            assert got == full_budget_miner(seed, budget), seed
+            outcomes.append(got is None)
+        if budget >= 511:
+            assert not any(outcomes)
+        if budget == 7:
+            assert any(outcomes) and not all(outcomes)
 
 
 class TestFuzz:

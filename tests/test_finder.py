@@ -16,12 +16,16 @@ from analogybench import (
     penalty,
     sample_simplex,
 )
+from analogybench import finder
 from analogybench.finder import (
+    LOOKAHEAD_VALUES,
     CompiledConstraints,
     GridBudgetError,
     _scale_move,
+    achieved_margins,
     coordinate_descent,
     is_satisfied,
+    sample_blocks,
 )
 from analogybench.scenarios import _shift_move
 
@@ -100,6 +104,18 @@ class TestConstraintValidation:
     def test_empty_set_rejected(self, ab_space):
         with pytest.raises(ValueError):
             ConstraintSet(space=ab_space, constraints=[])
+
+    @pytest.mark.parametrize("margin", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("kind", ["prob_gt", "cond_ge_cond", "equality"])
+    def test_non_finite_margin_rejected(self, ab_space, kind, margin):
+        a = Proposition.atom(ab_space, "a")
+        with pytest.raises(ValueError, match="finite"):
+            ProbConstraint(kind, lhs=Side(target=a), rhs=Side(const=0.5), margin=margin)
+
+    @pytest.mark.parametrize("const", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_constant_rejected(self, const):
+        with pytest.raises(ValueError, match="finite"):
+            Side(const=const)
 
 
 class TestPenalty:
@@ -187,6 +203,36 @@ class TestFindModel:
         assert a.penalty == b.penalty
 
 
+class TestSampleBlocks:
+    @pytest.mark.parametrize("total", [1, 511, 513, 100_000])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_blocks_are_one_normalised_draw(self, total, n):
+        blocks = list(sample_blocks(np.random.default_rng(total + n), n, 512, total))
+        reference = np.random.default_rng(total + n).standard_exponential((total, n))
+        reference /= reference.sum(axis=1, keepdims=True)
+        start, size = 0, 512
+        for block in blocks:
+            assert block.shape == (min(size, total - start), n)
+            assert block.size <= LOOKAHEAD_VALUES
+            assert block.tobytes() == reference[start:start + len(block)].tobytes()
+            start += len(block)
+            size = size * 2 if 2 * size * n <= LOOKAHEAD_VALUES else size
+        assert start == total
+
+    def test_first_block_larger_than_the_cap_is_kept(self):
+        n = 2 * LOOKAHEAD_VALUES // 512
+        sizes = [len(b) for b in sample_blocks(np.random.default_rng(0), n, 512, 1300)]
+        assert sizes == [512, 512, 276]
+
+    def test_drawn_lazily(self):
+        rng = np.random.default_rng(0)
+        blocks = sample_blocks(rng, 4, 8, 10**9)
+        assert [len(next(blocks)), len(next(blocks))] == [8, 16]
+        reference = np.random.default_rng(0)
+        reference.standard_exponential((24, 4))
+        assert rng.standard_exponential() == reference.standard_exponential()
+
+
 def _random_prop(space: WorldSpace, rng) -> Proposition:
     while True:
         mask = rng.integers(0, 2, space.world_count).astype(bool)
@@ -225,6 +271,107 @@ def tight_planted_set(seed: int, atoms: int) -> tuple[ConstraintSet, SearchConfi
 
 
 TIGHT_PLANTED = [(seed, atoms) for atoms in (4, 5) for seed in range(20)]
+
+
+def contradictory_set(seed: int, atoms: int) -> ConstraintSet:
+    """P(a) > hi and P(a) < lo <= hi over random events, plus satisfiable filler."""
+    rng = np.random.default_rng([atoms, seed, 1])
+    space = WorldSpace(tuple(f"A{i}" for i in range(atoms)))
+    a = _random_prop(space, rng)
+    hi = float(rng.uniform(0.4, 0.7))
+    lo = hi - float(rng.uniform(0.05, 0.3))
+    filler = [
+        ProbConstraint("cond_gt_prob", Side(target=_random_prop(space, rng),
+                                            given=_random_prop(space, rng)),
+                       Side(const=0.0), label=f"f{i}")
+        for i in range(atoms)
+    ]
+    return ConstraintSet(space, [
+        ProbConstraint("prob_gt", Side(target=a), Side(const=hi), label="above"),
+        ProbConstraint("prob_lt", Side(target=a), Side(const=lo), label="below"),
+        *filler,
+    ])
+
+
+def one_batch_at_a_time(cs: ConstraintSet, config: SearchConfig):
+    """find_model as one draw and one penalty call per batch, the reference."""
+    compiled = CompiledConstraints(cs.constraints)
+    rng = np.random.default_rng(config.seed)
+    n = cs.space.world_count
+    best_w, best_penalty = None, float("inf")
+    samples_used = restarts_refined = 0
+    while samples_used < config.max_samples:
+        count = min(config.batch_size, config.max_samples - samples_used)
+        raw = rng.standard_exponential((count, n))
+        weights = raw / raw.sum(axis=1, keepdims=True)
+        penalties = compiled.penalty(weights)
+        samples_used += count
+        idx = int(np.argmin(penalties))
+        if penalties[idx] < best_penalty:
+            w = weights[idx]
+            refined, refined_penalty = coordinate_descent(
+                w / w.sum(), compiled.penalty, _scale_move, 0.5, config.refine_steps)
+            restarts_refined += 1
+            if refined_penalty < best_penalty:
+                best_penalty, best_w = refined_penalty, refined
+        if best_penalty <= config.penalty_tolerance and compiled.satisfied(best_w):
+            break
+    weights = JointDistribution.from_unnormalized(cs.space, best_w).weights
+    found = bool(best_penalty <= config.penalty_tolerance and compiled.satisfied(best_w))
+    return found, samples_used, restarts_refined, repr(float(best_penalty)), weights.tobytes()
+
+
+def rare_set() -> ConstraintSet:
+    """P(a) > 0.99 at 2 atoms: about 1 uniform sample in 3 400 satisfies it."""
+    space = WorldSpace(("a", "b"))
+    return ConstraintSet(space, [ProbConstraint(
+        "prob_gt", Side(target=Proposition.atom(space, "a")), Side(const=0.99))])
+
+
+# name -> (set, refine_steps): with no descent sweep the rare set is found only
+# by sampling, in some later batch of some later block.
+BLOCK_SETS = {
+    "planted-3": (lambda: tight_planted_set(3, 3)[0], 40),
+    "planted-4": (lambda: tight_planted_set(5, 4)[0], 40),
+    "rare": (rare_set, 0),
+    "contradictory-2": (lambda: contradictory_set(0, 2), 5),
+    "contradictory-3": (lambda: contradictory_set(1, 3), 5),
+}
+
+
+class TestFindModelBlocks:
+    @pytest.mark.parametrize("name", sorted(BLOCK_SETS))
+    @pytest.mark.parametrize("batch_size", [1, 7, 512])
+    def test_matches_one_batch_at_a_time(self, name, batch_size):
+        make, refine_steps = BLOCK_SETS[name]
+        cs = make()
+        for budget in (1, 511, 512, 513, 5_000):
+            config = SearchConfig(seed=budget, max_samples=budget, batch_size=batch_size,
+                                  refine_steps=refine_steps)
+            result = find_model(cs, config)
+            got = (result.found, result.samples_used, result.restarts_refined,
+                   repr(result.penalty), result.distribution.weights.tobytes())
+            assert got == one_batch_at_a_time(cs, config), budget
+            assert result.achieved_margins == achieved_margins(result.distribution, cs)
+
+    def test_compiles_once(self, monkeypatch):
+        compiled = []
+
+        class Counting(CompiledConstraints):
+            def __init__(self, constraints):
+                compiled.append(1)
+                super().__init__(constraints)
+
+        monkeypatch.setattr(finder, "CompiledConstraints", Counting)
+        find_model(contradictory_set(0, 2), SearchConfig(max_samples=2_000))
+        assert len(compiled) == 1
+
+    def test_rare_set_is_found_in_a_later_block(self):
+        config = SearchConfig(seed=5_000, max_samples=5_000, batch_size=7, refine_steps=0)
+        result = find_model(rare_set(), config)
+        assert result.found
+        # the first block is one batch of 7, the second two
+        assert result.samples_used > 21 and result.restarts_refined > 1
 
 
 class TestCoordinateDescent:
