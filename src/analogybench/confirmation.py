@@ -22,7 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .finder import CompiledConstraints, ProbConstraint, Side, sample_blocks
+from .finder import (
+    BOUNDARY_TOLERANCE,
+    CompiledConstraints,
+    ProbConstraint,
+    Side,
+    _holds,
+    sample_blocks,
+)
 from .prob import (
     JointDistribution,
     Proposition,
@@ -32,10 +39,6 @@ from .prob import (
     entails,
     probability,
 )
-
-#: Slack for the weak (>=) conditions: float comparisons at exact equality
-#: must not produce spurious failures.
-WEAK_TOLERANCE = 1e-12
 
 #: Margins at which mined counterexamples must hold, so that they survive
 #: independent re-computation comfortably clear of float noise.
@@ -58,7 +61,7 @@ class ConditionResult:
     holds: bool
     margin: float  # nan when inapplicable
     applicable: bool = True
-    at_boundary: bool = False  # |margin| within WEAK_TOLERANCE of exact equality
+    at_boundary: bool = False  # |margin| within BOUNDARY_TOLERANCE of exact equality
 
 
 _INAPPLICABLE = ConditionResult(holds=False, margin=float("nan"), applicable=False)
@@ -153,11 +156,11 @@ def check_transitivity(
 ) -> TransitivityReport:
     """Evaluate the four transitivity conditions and the conclusion.
 
-    (i) and (ii) are strict (judged against `margin`); (iii) and (iv) are weak
-    (>=, with WEAK_TOLERANCE slack); the conclusion is strict at margin 0.
-    Every side goes through prob.conditional, the scalar reference.
-    Conditions whose conditionals are undefined are reported inapplicable,
-    never silently true.
+    Each condition is judged by the finder's verdict rule (finder._holds):
+    (i) and (ii) strictly past `margin`, (iii) and (iv) weak (>= 0 within
+    BOUNDARY_TOLERANCE), the conclusion strictly past 0. Every side goes
+    through prob.conditional, the scalar reference. Conditions whose
+    conditionals are undefined are reported inapplicable, never silently true.
     """
     results = []
     for i, (kind, lhs, rhs) in enumerate(transitivity_sides(x, y, z)):
@@ -166,15 +169,12 @@ def check_transitivity(
         except UndefinedConditionalError:
             results.append(_INAPPLICABLE)
             continue
-        if kind == "cond_ge_cond":
-            holds = value >= -WEAK_TOLERANCE
-        else:
-            holds = value > (margin if i < 2 else 0.0)
-        results.append(
-            ConditionResult(
-                holds=holds, margin=value, at_boundary=abs(value) <= WEAK_TOLERANCE
-            )
-        )
+        required = margin if i < 2 else 0.0
+        results.append(ConditionResult(
+            holds=bool(_holds(kind, value, required, BOUNDARY_TOLERANCE)),
+            margin=value,
+            at_boundary=abs(value) <= BOUNDARY_TOLERANCE,
+        ))
     return TransitivityReport(*results, corollary_mode=corollary_mode)
 
 

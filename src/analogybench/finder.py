@@ -11,6 +11,9 @@ block is one batch, each later block doubles, up to LOOKAHEAD_VALUES floats,
 and each block is scored with one penalty call. The search then walks the
 block batch by batch under the same rule as one draw per batch would, so
 drawing ahead changes the number of calls, not the result (see find_model).
+The first exact marginal equality P(T) = c in a set is met by construction:
+samples and descent moves are normalised per block, T-worlds to c and the
+rest to 1 - c, so the search never leaves P(T) = c.
 
 Every probability the search evaluates goes through one kernel,
 CompiledConstraints: a constraint list compiled once into deduplicated 0/1
@@ -129,10 +132,6 @@ class FindModelResult:
     restarts_refined: int
     seed: int
 
-    @property
-    def infeasible_report(self) -> bool:
-        return not self.found
-
 
 def sample_simplex(space: WorldSpace, seed: int) -> JointDistribution:
     """Uniform draw from the simplex: normalized i.i.d. standard exponentials."""
@@ -250,8 +249,8 @@ class CompiledConstraints:
     def satisfied(self, w: np.ndarray):
         """Whether every constraint holds, per row of w."""
         ok = True
-        for c, achieved in zip(self.constraints, self.margins(w)):
-            ok = ok & _holds(c, achieved, BOUNDARY_TOLERANCE)
+        for c, required, achieved in zip(self.constraints, self.required, self.margins(w)):
+            ok = ok & _holds(c.kind, achieved, required, BOUNDARY_TOLERANCE)
         return ok
 
 
@@ -278,16 +277,16 @@ def _achieved(kind: str, lhs, rhs):
     return lhs - rhs
 
 
-def _holds(c: ProbConstraint, achieved, tolerance: float):
+def _holds(kind: str, achieved, required, tolerance: float):
     """The verdict rule on an achieved margin, float or exact.
 
-    Strict kinds need achieved > required; cond_ge_cond and equality need
+    required is the constraint's _required margin. Strict kinds need
+    achieved > required; cond_ge_cond and equality need
     achieved >= required - tolerance, with tolerance 0 in exact arithmetic.
     An undefined (nan) margin never holds. grid_enumerate applies the same
     rule in integers.
     """
-    required = _required(c)
-    if c.kind in STRICT_KINDS:
+    if kind in STRICT_KINDS:
         return achieved > required
     return achieved >= required - tolerance
 
@@ -360,10 +359,46 @@ def coordinate_descent(x: np.ndarray, objective, move, delta: float, steps: int)
     return x, best
 
 
-def _scale_move(w: np.ndarray, signs: np.ndarray, delta) -> np.ndarray:
-    """Multiply each world weight by (1 + delta) ** sign, renormalized per row."""
-    cand = w * (1.0 + delta) ** signs
-    return cand / cand.sum(axis=1, keepdims=True)
+def _marginal_pin(constraints) -> tuple[np.ndarray, float] | None:
+    """The first exact marginal equality P(T) = c, as (T's world mask, c).
+
+    That is an equality at margin 0 between P(T), with no given, and a
+    constant c in [0, 1], where T is neither empty nor every world; either
+    side may hold the constant. None when the set has no such constraint.
+    """
+    for con in constraints:
+        if con.kind != "equality" or con.margin != 0.0:
+            continue
+        for query, const in ((con.lhs, con.rhs), (con.rhs, con.lhs)):
+            if query.is_const or query.given is not None or not const.is_const:
+                continue
+            mask = query.target.mask
+            if 0.0 <= const.const <= 1.0 and mask.any() and not mask.all():
+                return mask, const.const
+    return None
+
+
+def _normalise(w: np.ndarray, pin: tuple[np.ndarray, float] | None) -> np.ndarray:
+    """Each row of w scaled to sum 1, or per block under a pin (T, c).
+
+    Under a pin the T-worlds of a row sum to c and the other worlds to
+    1 - c; a block of mass 0 is set to exactly 0 and never divided.
+    """
+    if pin is None:
+        return w / w.sum(axis=-1, keepdims=True)
+    mask, c = pin
+    out = np.zeros_like(w)
+    for block, mass in ((mask, c), (~mask, 1.0 - c)):
+        if mass > 0.0:
+            part = w[..., block]
+            out[..., block] = part * (mass / part.sum(axis=-1, keepdims=True))
+    return out
+
+
+def _scale_move(w: np.ndarray, signs: np.ndarray, delta, pin=None) -> np.ndarray:
+    """Multiply each world weight by (1 + delta) ** sign, renormalized per row
+    (per block under a pin, see _normalise)."""
+    return _normalise(w * (1.0 + delta) ** signs, pin)
 
 
 def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
@@ -380,17 +415,30 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     kernel's row groups, a row can differ in its last bit, and that moves a
     result only through a tie within one ulp.
 
+    An exact marginal equality P(T) = c (see _marginal_pin; only the first
+    one in the set) is met by construction: the search runs only over
+    distributions with P(T) = c, every sampled row and every descent
+    candidate normalised per block by _normalise. The constraint stays in
+    the compiled set, so found still means every constraint holds. Any
+    further exact equality is an ordinary constraint.
+
     Returns found=False after budget exhaustion, carrying the best-found
     penalty and distribution (signals "not found within budget", never proven
     infeasibility). The best penalty is non-increasing over the run.
     """
     compiled = CompiledConstraints(cs.constraints)
+    pin = _marginal_pin(cs.constraints)
     rng = np.random.default_rng(config.seed)
     n = cs.space.world_count
     batch_size = config.batch_size
 
+    def move(w, signs, delta):
+        return _scale_move(w, signs, delta, pin)
+
     def batches():
         for block in sample_blocks(rng, n, batch_size, config.max_samples):
+            if pin is not None:
+                block = _normalise(block, pin)
             penalties = compiled.penalty(block)
             for start in range(0, len(block), batch_size):
                 stop = start + batch_size
@@ -405,9 +453,9 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
         samples_used += len(weights)
         idx = int(np.argmin(penalties))
         if penalties[idx] < best_penalty:
-            w = weights[idx]
             refined, refined_penalty = coordinate_descent(
-                w / w.sum(), compiled.penalty, _scale_move, 0.5, config.refine_steps
+                _normalise(weights[idx], pin), compiled.penalty, move, 0.5,
+                config.refine_steps,
             )
             restarts_refined += 1
             if refined_penalty < best_penalty:

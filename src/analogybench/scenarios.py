@@ -284,14 +284,11 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
         cs = spec.likelihood_constraints
         if cs.space != new_space:
             raise ValueError("constraint set must be over the extended space")
-        # Solve with a little slack on the marginal; the exact value is
-        # restored afterwards by rescaling the on/off blocks, which preserves
-        # every within-block conditional.
+        # find_model meets an exact marginal equality by construction.
         prior_constraint = ProbConstraint(
-            kind="equality",
-            lhs=Side(target=Proposition.atom(new_space, spec.new_atom)),
-            rhs=Side(const=spec.prior),
-            margin=1e-3,
+            "equality",
+            Side(target=Proposition.atom(new_space, spec.new_atom)),
+            Side(const=spec.prior),
             label="bridge_prior",
         )
         full = ConstraintSet(space=new_space, constraints=cs.constraints + (prior_constraint,))
@@ -302,18 +299,7 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
                 result.distribution,
                 result.penalty,
             )
-        w = result.distribution.weights
-        rescaled = rescale_bridge(w, new_space.atom_mask(spec.new_atom), spec.prior)
-        repaired = JointDistribution.from_unnormalized(
-            new_space, w if rescaled is None else rescaled
-        )
-        if not is_satisfied(repaired, cs):
-            raise InfeasibleExtensionError(
-                "revisionary extension constraints unsatisfied after marginal repair",
-                repaired,
-                _penalty(repaired, cs),
-            )
-        return repaired
+        return result.distribution
 
     # conservative mode
     old_w = dist.weights
@@ -366,24 +352,6 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
 def _shift_move(t: np.ndarray, signs: np.ndarray, delta) -> np.ndarray:
     """Move each conditional probability by delta * sign, clipped to [0, 1]."""
     return np.clip(t + delta * signs, 0.0, 1.0)
-
-
-def rescale_bridge(
-    weights: np.ndarray, bridge_mask: np.ndarray, prior: float
-) -> np.ndarray | None:
-    """Rescale the bridge/no-bridge blocks so the bridge marginal is exactly prior.
-
-    Per-block scaling preserves every conditional probability within a
-    block. Returns None when the bridge mass is 0 or 1, where no rescale can
-    move it.
-    """
-    w = weights.copy()
-    on = float(w[bridge_mask].sum())
-    if on <= 0.0 or on >= 1.0:
-        return None
-    w[bridge_mask] *= prior / on
-    w[~bridge_mask] *= (1.0 - prior) / (1.0 - on)
-    return w
 
 
 # ---------------------------------------------------------------------------

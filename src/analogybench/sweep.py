@@ -1,38 +1,32 @@
 """Parameter sweeps over scenarios: forced bridge marginals and condition margins.
 
 A bridge-prior sweep re-solves the scenario with the bridge atom's marginal
-pinned to each grid value. At an extremal value the analogy channel is
-degenerate: conditions that condition on the dead branch become inapplicable,
-and at value 0 the remaining weak condition is enforced at equality, which
-forces the direct confirmation degree to zero.
+pinned to each grid value: the constraint P(bridge) = value at margin 0,
+which find_model meets by construction, so every found model has exactly
+that prior. At an extremal value the analogy channel is degenerate:
+conditions that condition on the dead branch become inapplicable, and at
+value 0 the remaining weak condition is enforced at equality, which forces
+the direct confirmation degree to zero.
+
+A row reads "infeasible" when find_model found no model within its budget;
+that is budget exhaustion, not a proof that the value is infeasible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .finder import (
-    ConstraintSet,
-    ProbConstraint,
-    SearchConfig,
-    Side,
-    find_model,
-    is_satisfied,
-)
+from .finder import ConstraintSet, ProbConstraint, SearchConfig, Side, find_model
 from .prob import JointDistribution, Proposition
-from .scenarios import Scenario, SchemaReport, evaluate_schema, rescale_bridge
-
-#: Equality slack used during the solve; the exact value is restored by a
-#: post-hoc block rescaling, which leaves all within-block conditionals intact.
-SOLVE_EQUALITY_SLACK = 1e-3
+from .scenarios import Scenario, SchemaReport, evaluate_schema
 
 
 @dataclass(frozen=True)
 class SweepRow:
     value: float
-    status: str  # "ok" | "infeasible"
+    status: str  # "ok" | "infeasible" (no model found within the search budget)
     condition_margins: dict[str, float]  # nan = inapplicable
     degree: float | None
     schema_confirms: bool | None
@@ -72,16 +66,24 @@ def _constraint_mentions_atom(c: ProbConstraint, k: int) -> bool:
     return False
 
 
-def _row_from_report(value: float, status: str, report: SchemaReport | None) -> SweepRow:
-    if report is None:
-        return SweepRow(value, status, {}, None, None)
+def _ok_row(value: float, report: SchemaReport) -> SweepRow:
     return SweepRow(
         value=value,
-        status=status,
+        status="ok",
         condition_margins={k: c.margin for k, c in report.conditions.items()},
         degree=None if report.overall is None else report.overall.degree,
         schema_confirms=report.schema_confirms,
     )
+
+
+def _solve_row(scenario: Scenario, value: float, cs: ConstraintSet,
+               config: SearchConfig) -> SweepRow:
+    """The row for one re-solve: the schema report of a found model, or
+    "infeasible" when none is found within the budget."""
+    result = find_model(cs, config)
+    if not result.found:
+        return SweepRow(value, "infeasible", {}, None, None)
+    return _ok_row(value, evaluate_schema(scenario, result.distribution))
 
 
 def _degenerate_endpoint(scenario: Scenario, bridge_mask: np.ndarray, value: float) -> SweepRow:
@@ -94,8 +96,7 @@ def _degenerate_endpoint(scenario: Scenario, bridge_mask: np.ndarray, value: flo
     live = bridge_mask if value == 1.0 else ~bridge_mask
     weights = live.astype(np.float64)
     dist = JointDistribution.from_unnormalized(scenario.space, weights)
-    report = evaluate_schema(scenario, dist)
-    return _row_from_report(value, "ok", report)
+    return _ok_row(value, evaluate_schema(scenario, dist))
 
 
 def sweep_bridge_prior(
@@ -121,34 +122,11 @@ def sweep_bridge_prior(
         constraints += [
             c for c in scenario.extra_constraints if not _constraint_mentions_atom(c, k)
         ]
-        constraints.append(
-            ProbConstraint(
-                kind="equality",
-                lhs=Side(target=bridge_prop),
-                rhs=Side(const=value),
-                margin=SOLVE_EQUALITY_SLACK,
-                label="bridge_prior_pin",
-            )
-        )
+        constraints.append(ProbConstraint(
+            "equality", Side(target=bridge_prop), Side(const=value), label="bridge_prior_pin"
+        ))
         cs = ConstraintSet(space=scenario.space, constraints=constraints)
-        result = find_model(cs, base_config)
-        weights = rescale_bridge(result.distribution.weights, bridge_mask, value)
-        if weights is None:
-            rows.append(SweepRow(value, "infeasible", {}, None, None))
-            continue
-        dist = JointDistribution.from_unnormalized(scenario.space, weights)
-        tight = ConstraintSet(
-            space=scenario.space,
-            constraints=[
-                c if c.label != "bridge_prior_pin"
-                else ProbConstraint(kind="equality", lhs=c.lhs, rhs=c.rhs,
-                                    margin=0.0, label=c.label)
-                for c in cs.constraints
-            ],
-        )
-        status = "ok" if is_satisfied(dist, tight) else "infeasible"
-        report = evaluate_schema(scenario, dist) if status == "ok" else None
-        rows.append(_row_from_report(value, status, report))
+        rows.append(_solve_row(scenario, value, cs, base_config))
     return rows
 
 
@@ -163,25 +141,9 @@ def sweep_condition_margin(
         raise ValueError("scenario carries fixed weights; nothing to re-solve")
     if label not in scenario.labels:
         raise ValueError(f"unknown condition label {label!r}; have {scenario.labels}")
+    cfg = config or SearchConfig(seed=scenario.seed, max_samples=20_000)
     rows = []
     for value in values:
-        margins = dict(scenario.margins)
-        margins[label] = value
-        variant = Scenario(
-            name=scenario.name,
-            space=scenario.space,
-            schema=scenario.schema,
-            roles=scenario.roles,
-            margins=margins,
-            extra_constraints=scenario.extra_constraints,
-            seed=scenario.seed,
-            condition_labels=scenario.condition_labels,
-        )
-        cfg = config or SearchConfig(seed=scenario.seed, max_samples=20_000)
-        result = find_model(variant.constraint_set(), cfg)
-        if not result.found:
-            rows.append(SweepRow(value, "infeasible", {}, None, None))
-            continue
-        report = evaluate_schema(variant, result.distribution)
-        rows.append(_row_from_report(value, "ok", report))
+        variant = replace(scenario, margins={**scenario.margins, label: value})
+        rows.append(_solve_row(variant, value, variant.constraint_set(), cfg))
     return rows

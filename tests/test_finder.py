@@ -21,6 +21,8 @@ from analogybench.finder import (
     LOOKAHEAD_VALUES,
     CompiledConstraints,
     GridBudgetError,
+    _marginal_pin,
+    _normalise,
     _scale_move,
     achieved_margins,
     coordinate_descent,
@@ -28,6 +30,8 @@ from analogybench.finder import (
     sample_blocks,
 )
 from analogybench.scenarios import _shift_move
+
+from conftest import exact_satisfied, exact_value
 
 
 @pytest.fixture
@@ -190,7 +194,6 @@ class TestFindModel:
         )
         result = find_model(cs, SearchConfig(seed=1, max_samples=2_000))
         assert not result.found
-        assert result.infeasible_report
         assert result.samples_used == 2_000
         assert result.penalty > 0.0
         # best-found distribution still reported
@@ -520,3 +523,120 @@ class TestGridEnumerate:
             grid_enumerate(small, resolution=21)
         with pytest.raises(GridBudgetError):
             grid_enumerate(small, resolution=0)
+
+
+def equality(lhs: Side, rhs: Side, margin: float = 0.0, label=None) -> ProbConstraint:
+    return ProbConstraint("equality", lhs, rhs, margin=margin, label=label)
+
+
+class TestMarginalPin:
+    @pytest.fixture
+    def abc(self):
+        space = WorldSpace(("a", "b", "c"))
+        return space, *(Proposition.atom(space, name) for name in space.atoms)
+
+    def test_detects_the_first_exact_marginal_equality(self, abc):
+        space, a, b, c = abc
+        link = ProbConstraint("cond_gt_cond", Side(target=b, given=a),
+                              Side(target=b, given=~a), margin=0.1)
+        pin = _marginal_pin([link, equality(Side(target=a | c), Side(const=0.3)),
+                             equality(Side(target=b), Side(const=0.6))])
+        np.testing.assert_array_equal(pin[0], (a | c).mask)
+        assert pin[1] == 0.3
+        # the constant may stand on either side
+        pin = _marginal_pin([equality(Side(const=0.25), Side(target=b))])
+        np.testing.assert_array_equal(pin[0], b.mask)
+        assert pin[1] == 0.25
+
+    @pytest.mark.parametrize("case", [
+        "margin", "given", "above_one", "below_zero", "empty", "every_world", "kind", "two_queries",
+    ])
+    def test_other_constraints_are_not_pinned(self, abc, case):
+        space, a, b, c = abc
+        none = Proposition(space, np.zeros(space.world_count, dtype=bool))
+        constraint = {
+            "margin": equality(Side(target=a), Side(const=0.3), margin=1e-3),
+            "given": equality(Side(target=a, given=b), Side(const=0.3)),
+            "above_one": equality(Side(target=a), Side(const=1.5)),
+            "below_zero": equality(Side(target=a), Side(const=-0.1)),
+            "empty": equality(Side(target=none), Side(const=0.0)),
+            "every_world": equality(Side(target=~none), Side(const=1.0)),
+            "kind": ProbConstraint("prob_gt", Side(target=a), Side(const=0.3)),
+            "two_queries": equality(Side(target=a), Side(target=b)),
+        }[case]
+        assert _marginal_pin([constraint]) is None
+
+    def test_normalise_fills_each_block_to_its_mass(self):
+        mask = np.array([True, False, True, False, False])
+        block = np.random.default_rng(2).standard_exponential((6, 5))
+        for c in (0.0, 0.3, 1.0):
+            rows = _normalise(block, (mask, c))
+            np.testing.assert_allclose(rows[:, mask].sum(axis=1), c, atol=1e-15)
+            np.testing.assert_allclose(rows[:, ~mask].sum(axis=1), 1.0 - c, atol=1e-15)
+            # a block of mass 0 is exactly 0; the other keeps its proportions
+            dead, live = (mask, ~mask) if c == 0.0 else (~mask, mask)
+            if c in (0.0, 1.0):
+                assert not rows[:, dead].any()
+                np.testing.assert_allclose(
+                    rows[:, live], block[:, live] / block[:, live].sum(axis=1, keepdims=True))
+
+    def test_exact_marginal_equality_is_found(self, abc):
+        # Without the pin, no sample or descent step met P(a) = 0.3 within
+        # BOUNDARY_TOLERANCE in 100 000 samples.
+        space, a, b, c = abc
+        pin = equality(Side(target=a), Side(const=0.3), label="pin")
+        link = ProbConstraint("cond_gt_cond", Side(target=b, given=a),
+                              Side(target=b, given=~a), margin=0.1, label="link")
+        for constraints in ([pin], [link, pin]):
+            cs = ConstraintSet(space, constraints)
+            result = find_model(cs, SearchConfig(seed=3))
+            assert result.found
+            assert result.samples_used == 512
+            w = result.distribution.weights
+            assert abs(exact_value(Side(target=a), w) - Fraction(0.3)) <= 1e-15
+            assert exact_satisfied([con for con in constraints if con is not pin], w)
+
+    def test_only_the_first_equality_is_pinned(self, abc):
+        space, a, b, c = abc
+        first = equality(Side(target=a), Side(const=0.3))
+        second = equality(Side(target=b), Side(const=0.6))
+        for pinned, other, value in ((a, b, 0.6), (b, a, 0.3)):
+            order = [first, second] if pinned is a else [second, first]
+            result = find_model(ConstraintSet(space, order),
+                                SearchConfig(seed=1, max_samples=2_000))
+            w = result.distribution.weights
+            pinned_value = 0.3 if pinned is a else 0.6
+            assert abs(exact_value(Side(target=pinned), w) - Fraction(pinned_value)) <= 1e-15
+            # the second equality is an ordinary constraint: the descent
+            # approaches it but does not meet it within BOUNDARY_TOLERANCE
+            assert not result.found
+            assert abs(exact_value(Side(target=other), w) - Fraction(value)) > 1e-12
+
+    def test_planted_pinned_sets_are_found_exactly(self):
+        # A Dirichlet(0.5) joint plants cond_gt_cond constraints at half their
+        # gap, plus the exact marginal of a random world set under it.
+        for seed in range(20):
+            rng = np.random.default_rng([31, seed])
+            space = WorldSpace(tuple("abcd"[: int(rng.integers(2, 5))]))
+            joint = rng.dirichlet(np.full(space.world_count, 0.5))
+            target = _random_prop(space, rng)
+            while not 0.02 < joint @ target.mask < 0.98:
+                target = _random_prop(space, rng)
+            pin = equality(Side(target=target), Side(const=float(joint @ target.mask)))
+            constraints = []
+            while len(constraints) < 2 * len(space.atoms):
+                t1, g1, t2, g2 = (_random_prop(space, rng) for _ in range(4))
+                p1, p2 = joint @ g1.mask, joint @ g2.mask
+                if min(p1, p2) < 0.05:
+                    continue
+                gap = joint @ (t1.mask & g1.mask) / p1 - joint @ (t2.mask & g2.mask) / p2
+                lhs, rhs = Side(target=t1, given=g1), Side(target=t2, given=g2)
+                if gap < 0:
+                    lhs, rhs, gap = rhs, lhs, -gap
+                if gap >= 0.05:
+                    constraints.append(ProbConstraint("cond_gt_cond", lhs, rhs, margin=gap / 2))
+            result = find_model(ConstraintSet(space, constraints + [pin]), SearchConfig(seed=seed))
+            assert result.found, seed
+            w = result.distribution.weights
+            assert abs(exact_value(pin.lhs, w) - Fraction(pin.rhs.const)) <= 1e-15
+            assert exact_satisfied(constraints, w), seed

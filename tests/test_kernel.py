@@ -16,7 +16,13 @@ from analogybench import (
     load_corpus,
     penalty,
 )
-from analogybench.finder import ALL_KINDS, CompiledConstraints, _holds, is_satisfied
+from analogybench.finder import (
+    ALL_KINDS,
+    CompiledConstraints,
+    _holds,
+    _required,
+    is_satisfied,
+)
 
 KINDS = sorted(ALL_KINDS)
 RESOLUTION = 8  # dyadic grid: every point's weights are exact in float
@@ -51,7 +57,7 @@ def reference_grid(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
         values = consts + [fractions[m] for m in mass]
         try:
             ok = all(
-                _holds(c, achieved, 0)
+                _holds(c.kind, achieved, _required(c), 0)
                 for c, achieved in zip(cs.constraints, compiled._margins(values))
             )
         except ZeroDivisionError:  # an undefined conditional fails its constraint

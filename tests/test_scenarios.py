@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,13 +28,13 @@ from analogybench import (
 from analogybench.finder import is_satisfied
 from analogybench.scenarios import (
     PLATONIC_SOLIDS,
+    InfeasibleExtensionError,
     ScenarioFormatError,
     corpus_dir,
     extended_space,
-    rescale_bridge,
 )
 
-from conftest import random_distribution
+from conftest import exact_satisfied, exact_value, random_distribution
 
 
 CORPUS_NAMES = {
@@ -311,6 +312,52 @@ class TestBridgeExtension:
         assert probability(ext, g) == pytest.approx(0.25, abs=1e-12)
         assert conditional(ext, a, g) - probability(ext, a) >= 0.05 - 1e-9
 
+    def test_revisionary_prior_is_exact(self, ab_space, ab_dist):
+        new_space = extended_space(ab_space, "g")
+        g = Proposition.atom(new_space, "g")
+        a = Proposition.atom(new_space, "a")
+        cs = ConstraintSet(new_space, [
+            ProbConstraint("cond_gt_prob", Side(target=a, given=g), Side(target=a),
+                           margin=0.05, label="rel"),
+        ])
+        for seed, prior in enumerate((0.1, 0.25, 0.5, 0.9)):
+            ext = extend_with_bridge(ab_dist, BridgeSpec(
+                new_atom="g", prior=prior, likelihood_constraints=cs,
+                mode="revisionary", seed=seed))
+            assert abs(exact_value(Side(target=g), ext.weights) - Fraction(prior)) <= 1e-15
+            assert exact_satisfied(cs.constraints, ext.weights)
+
+    @pytest.mark.parametrize("prior", [0.0, 1.0])
+    def test_revisionary_extremal_prior_leaves_the_dead_block_zero(self, ab_space, ab_dist,
+                                                                   prior):
+        new_space = extended_space(ab_space, "g")
+        a = Proposition.atom(new_space, "a")
+        g = new_space.atom_mask("g")
+        cs = ConstraintSet(new_space, [
+            ProbConstraint("prob_gt", Side(target=a), Side(const=0.6), label="a"),
+        ])
+        ext = extend_with_bridge(ab_dist, BridgeSpec(
+            new_atom="g", prior=prior, likelihood_constraints=cs, mode="revisionary"))
+        dead = ~g if prior == 1.0 else g
+        assert not ext.weights[dead].any()
+        assert ext.weights[~dead].sum() == pytest.approx(1.0, abs=1e-15)
+        assert exact_satisfied(cs.constraints, ext.weights)
+
+    def test_revisionary_condition_on_the_dead_branch_is_not_found(self, ab_space, ab_dist):
+        new_space = extended_space(ab_space, "g")
+        g = Proposition.atom(new_space, "g")
+        a = Proposition.atom(new_space, "a")
+        cs = ConstraintSet(new_space, [
+            ProbConstraint("cond_gt_prob", Side(target=a, given=g), Side(target=a),
+                           margin=0.05, label="rel"),
+        ])
+        with pytest.raises(InfeasibleExtensionError) as err:
+            extend_with_bridge(ab_dist, BridgeSpec(
+                new_atom="g", prior=0.0, likelihood_constraints=cs, mode="revisionary"))
+        assert err.value.penalty == 1.0  # UNDEFINED_PENALTY: P(a|g) is undefined
+        assert not err.value.best.weights[g.mask].any()
+        assert np.isfinite(err.value.best.weights).all()
+
     def test_planted_conservative_extensions_succeed(self):
         # Restarts that stopped at the first objective below 1e-14 raised
         # InfeasibleExtensionError on 3 of these 200 (seeds 71, 128, 199):
@@ -330,23 +377,6 @@ class TestBridgeExtension:
     def test_bad_prior_rejected(self):
         with pytest.raises(ValueError):
             BridgeSpec(new_atom="g", prior=1.5)
-
-    def test_rescale_bridge_pins_marginal_and_keeps_block_ratios(self, xyz_space):
-        weights = random_distribution(xyz_space, np.random.default_rng(4)).weights
-        bridge = xyz_space.atom_mask("z")
-        rescaled = rescale_bridge(weights, bridge, 0.3)
-        assert rescaled[bridge].sum() == pytest.approx(0.3, abs=1e-15)
-        for block in (bridge, ~bridge):
-            np.testing.assert_allclose(
-                rescaled[block] / rescaled[block].sum(),
-                weights[block] / weights[block].sum(),
-                rtol=1e-12,
-            )
-
-    def test_rescale_bridge_refuses_bridge_mass_zero_or_one(self, ab_space):
-        bridge = ab_space.atom_mask("a")  # worlds 1 and 3
-        assert rescale_bridge(np.array([0.5, 0.0, 0.5, 0.0]), bridge, 0.3) is None
-        assert rescale_bridge(np.array([0.0, 0.5, 0.0, 0.5]), bridge, 0.3) is None
 
     def test_marginal_preservation_property(self, xyz_space):
         rng = np.random.default_rng(9)
