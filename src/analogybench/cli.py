@@ -5,7 +5,7 @@ Commands:
   find-model <file> [--seed N]                      solve a scenario's constraints
   fuzz-theorem --samples N --seed N --margin X      fuzz the transitivity theorem
   counterexample --seed N --budget N [--output F]   mine a naive-transitivity failure
-  sweep <file> --param P --range lo:hi:step --output file.csv
+  sweep <file> --param P(<bridge>)|margins.<label> --range lo:hi:step [--output F]
 
 Exit codes: 0 completed, 2 validation/parse error, 3 infeasible constraints,
 4 counterexample not found, 5 I/O error, 1 unexpected error.
@@ -28,14 +28,14 @@ from .confirmation import (
 )
 from .finder import SearchConfig, find_model
 from .formula import FormulaError
-from .prob import JointDistribution, probability, conditional
-from .scenarios import (
-    Scenario,
-    ScenarioFormatError,
-    evaluate_schema,
-    load_scenario,
+from .prob import JointDistribution, Proposition, probability, conditional
+from .scenarios import Scenario, evaluate_schema, load_scenario
+from .sweep import (
+    SWEEP_MAX_SAMPLES,
+    sweep_bridge_prior,
+    sweep_condition_margin,
+    sweep_values,
 )
-from .sweep import sweep_bridge_prior, sweep_condition_margin, sweep_values
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -102,8 +102,15 @@ def _print_schema_table(report, dist: JointDistribution) -> None:
         print("  analogical verdict: withheld")
 
 
-def _load(path: str) -> Scenario:
-    return load_scenario(path)
+def _solver_dict(result) -> dict:
+    """A find_model result's report keys: check's `solver` block, find-model's top level."""
+    return {
+        "found": result.found,
+        "penalty": result.penalty,
+        "samples_used": result.samples_used,
+        "restarts_refined": result.restarts_refined,
+        "achieved_margins": result.achieved_margins,
+    }
 
 
 def _solve_scenario(scenario: Scenario, seed: int | None):
@@ -114,7 +121,7 @@ def _solve_scenario(scenario: Scenario, seed: int | None):
 
 
 def cmd_check(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     started = time.perf_counter()
     dist, result = _solve_scenario(scenario, args.seed)
     if result is not None and not result.found:
@@ -136,15 +143,7 @@ def cmd_check(args) -> int:
                     "seed": args.seed if args.seed is not None else scenario.seed,
                     "margins": scenario.margins,
                 },
-                "solver": None
-                if result is None
-                else {
-                    "found": result.found,
-                    "penalty": result.penalty,
-                    "samples_used": result.samples_used,
-                    "restarts_refined": result.restarts_refined,
-                    "achieved_margins": result.achieved_margins,
-                },
+                "solver": None if result is None else _solver_dict(result),
                 "distribution": {
                     "atoms": list(scenario.space.atoms),
                     "weights": [float(w) for w in dist.weights],
@@ -159,7 +158,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_find_model(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     if scenario.weights is not None:
         print("error: scenario carries explicit weights; nothing to solve", file=sys.stderr)
         return EXIT_VALIDATION
@@ -169,11 +168,7 @@ def cmd_find_model(args) -> int:
         "version": REPORT_VERSION,
         "command": "find-model",
         "config": {"scenario_file": args.scenario, "seed": result.seed},
-        "found": result.found,
-        "penalty": result.penalty,
-        "samples_used": result.samples_used,
-        "restarts_refined": result.restarts_refined,
-        "achieved_margins": result.achieved_margins,
+        **_solver_dict(result),
         "distribution": {
             "atoms": list(scenario.space.atoms),
             "weights": [float(w) for w in result.distribution.weights],
@@ -293,17 +288,33 @@ def _parse_range(text: str) -> list[float]:
     return sweep_values(lo, hi, step)
 
 
+def _denotes(space, text: str, prop: Proposition) -> bool:
+    """Whether formula text, parsed over space, denotes the proposition."""
+    try:
+        return Proposition.parse(space, text) == prop
+    except FormulaError:
+        return False
+
+
 def cmd_sweep(args) -> int:
-    scenario = _load(args.scenario)
+    scenario = load_scenario(args.scenario)
     values = _parse_range(args.range)
-    config = SearchConfig(seed=args.seed) if args.seed is not None else None
+    config = None
+    if args.seed is not None:
+        config = SearchConfig(seed=args.seed, max_samples=SWEEP_MAX_SAMPLES)
     if args.param.startswith("P(") and args.param.endswith(")"):
+        bridge = scenario.roles["bridge"]
+        if not _denotes(scenario.space, args.param[2:-1], bridge):
+            print(
+                f"error: {scenario.name} sweeps only its bridge prior "
+                f"P({bridge.text}), not {args.param!r}",
+                file=sys.stderr,
+            )
+            return EXIT_VALIDATION
         rows = sweep_bridge_prior(scenario, values, config)
-        swept = args.param
     elif args.param.startswith("margins."):
         label = args.param.split(".", 1)[1]
         rows = sweep_condition_margin(scenario, label, values, config)
-        swept = args.param
     else:
         print(
             f"error: unsupported sweep parameter {args.param!r}; "
@@ -374,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="sweep a parameter and emit CSV")
     p.add_argument("scenario")
-    p.add_argument("--param", required=True)
+    p.add_argument("--param", required=True, help="P(<bridge-atom>) or margins.<label>")
     p.add_argument("--range", required=True, help="lo:hi:step")
     p.add_argument("--output", default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -387,12 +398,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ScenarioFormatError, FormulaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -48,6 +48,9 @@ MINER_DISCONFIRM_MARGIN = 0.001
 #: Rows in the miner's first sample block; later blocks double.
 MINER_FIRST_BLOCK = 512
 
+#: Most filtered fuzz cases re-checked through check_transitivity.
+FUZZ_REVERIFY_CAP = 500
+
 
 @dataclass(frozen=True)
 class ConfirmationVerdict:
@@ -75,8 +78,6 @@ class TransitivityReport:
     cond_iv: ConditionResult
     conclusion: ConditionResult
     corollary_mode: bool = False
-    #: The conclusion is judged as strictly-greater: P(Z|X) > P(Z).
-    conclusion_direction: str = "greater"
 
     @property
     def antecedent_holds(self) -> bool:
@@ -264,12 +265,12 @@ class FuzzReport:
     min_conclusion_margin: float
 
 
-def fuzz_transitivity(samples: int, seed: int, margin: float, reverify_cap: int = 500) -> FuzzReport:
+def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     """Sample 3-atom distributions, filter those satisfying (i)-(iv), verify (v).
 
     The filter and the conclusion are evaluated over the whole sample block
     by CompiledConstraints, with its verdict rule (the weak conditions
-    within BOUNDARY_TOLERANCE); up to `reverify_cap` filtered cases are
+    within BOUNDARY_TOLERANCE); up to FUZZ_REVERIFY_CAP filtered cases are
     additionally re-checked through the scalar check_transitivity path as an
     independent cross-check.
     """
@@ -291,7 +292,7 @@ def fuzz_transitivity(samples: int, seed: int, margin: float, reverify_cap: int 
     min_margin = float(concluded.min()) if filtered_idx.size else float("nan")
 
     reverified = 0
-    for idx in filtered_idx[:reverify_cap]:
+    for idx in filtered_idx[:FUZZ_REVERIFY_CAP]:
         dist = JointDistribution.from_unnormalized(space, weights[idx])
         report = check_transitivity(dist, x, y, z, margin=margin)
         if report.antecedent_holds and report.conclusion.holds:

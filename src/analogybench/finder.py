@@ -109,17 +109,14 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """A find_model run: the seed of its sample stream and its sample budget."""
+
     seed: int = 1
     max_samples: int = 100_000
-    refine_steps: int = 240
-    penalty_tolerance: float = 1e-12
-    batch_size: int = 512
 
     def __post_init__(self):
         if self.max_samples < 1:
             raise ValueError("max_samples must be >= 1")
-        if self.penalty_tolerance <= 0:
-            raise ValueError("penalty_tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -401,19 +398,24 @@ def _scale_move(w: np.ndarray, signs: np.ndarray, delta, pin=None) -> np.ndarray
     return _normalise(w * (1.0 + delta) ** signs, pin)
 
 
+#: Samples per batch: find_model refines the best sample of each batch.
+BATCH_SIZE = 512
+
+#: Coordinate-descent sweeps per refine.
+REFINE_STEPS = 240
+
+
 def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     """Seeded random restarts + coordinate descent; deterministic given the seed.
 
-    Samples are drawn by sample_blocks in blocks of whole batches (the first
-    block is one batch, later ones double up to LOOKAHEAD_VALUES floats) and
-    each block is scored with one penalty call. The block is then walked
-    batch by batch: a batch's best sample is refined if it beats the best
-    penalty so far, and the search stops after the first batch that leaves a
-    model. samples_used counts whole batches walked, not rows drawn ahead.
-    At the default batch size each row's penalty is bit for bit the one a
-    per-batch call gives; at sizes such as 1 or 7, which split the BLAS
-    kernel's row groups, a row can differ in its last bit, and that moves a
-    result only through a tie within one ulp.
+    Samples are drawn by sample_blocks in blocks of whole BATCH_SIZE batches
+    (the first block is one batch, later ones double up to LOOKAHEAD_VALUES
+    floats) and each block is scored with one penalty call. The block is then
+    walked batch by batch: a batch's best sample is refined for REFINE_STEPS
+    sweeps if it beats the best penalty so far, and the search stops after
+    the first refine that leaves a satisfied model. samples_used counts whole
+    batches walked, not rows drawn ahead. The first batch always refines,
+    since its best sample beats the initial infinite penalty.
 
     An exact marginal equality P(T) = c (see _marginal_pin; only the first
     one in the set) is met by construction: the search runs only over
@@ -422,30 +424,31 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     the compiled set, so found still means every constraint holds. Any
     further exact equality is an ordinary constraint.
 
-    Returns found=False after budget exhaustion, carrying the best-found
-    penalty and distribution (signals "not found within budget", never proven
-    infeasibility). The best penalty is non-increasing over the run.
+    found is the float verdict CompiledConstraints.satisfied on the best
+    model. Returns found=False after budget exhaustion, carrying the
+    best-found penalty and distribution (signals "not found within budget",
+    never proven infeasibility). The best penalty is non-increasing over the
+    run.
     """
     compiled = CompiledConstraints(cs.constraints)
     pin = _marginal_pin(cs.constraints)
     rng = np.random.default_rng(config.seed)
     n = cs.space.world_count
-    batch_size = config.batch_size
 
     def move(w, signs, delta):
         return _scale_move(w, signs, delta, pin)
 
     def batches():
-        for block in sample_blocks(rng, n, batch_size, config.max_samples):
+        for block in sample_blocks(rng, n, BATCH_SIZE, config.max_samples):
             if pin is not None:
                 block = _normalise(block, pin)
             penalties = compiled.penalty(block)
-            for start in range(0, len(block), batch_size):
-                stop = start + batch_size
+            for start in range(0, len(block), BATCH_SIZE):
+                stop = start + BATCH_SIZE
                 yield block[start:stop], penalties[start:stop]
 
-    best_w: np.ndarray | None = None
     best_penalty = float("inf")
+    found = False
     samples_used = 0
     restarts_refined = 0
 
@@ -454,25 +457,17 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
         idx = int(np.argmin(penalties))
         if penalties[idx] < best_penalty:
             refined, refined_penalty = coordinate_descent(
-                _normalise(weights[idx], pin), compiled.penalty, move, 0.5,
-                config.refine_steps,
+                _normalise(weights[idx], pin), compiled.penalty, move, 0.5, REFINE_STEPS,
             )
             restarts_refined += 1
             if refined_penalty < best_penalty:
                 best_penalty = refined_penalty
                 best_w = refined
-        if (
-            best_w is not None
-            and best_penalty <= config.penalty_tolerance
-            and compiled.satisfied(best_w)
-        ):
-            break
+                found = bool(compiled.satisfied(best_w))
+                if found:
+                    break
 
-    if best_w is None:  # pragma: no cover - max_samples >= 1 guarantees a sample
-        best_w = np.full(n, 1.0 / n)
-        best_penalty = compiled.penalty(best_w)
     dist = JointDistribution.from_unnormalized(cs.space, best_w)
-    found = bool(best_penalty <= config.penalty_tolerance and compiled.satisfied(best_w))
     return FindModelResult(
         found=found,
         distribution=dist,

@@ -52,7 +52,6 @@ from .finder import (
     penalty as _penalty,
 )
 from .prob import (
-    DEFAULT_EXTREMALITY_EPS,
     JointDistribution,
     Proposition,
     UndefinedConditionalError,
@@ -158,11 +157,7 @@ class SchemaReport:
         return all(c.holds for c in self.conditions.values())
 
 
-def evaluate_schema(
-    scenario: Scenario,
-    dist: JointDistribution | None = None,
-    eps: float = DEFAULT_EXTREMALITY_EPS,
-) -> SchemaReport:
+def evaluate_schema(scenario: Scenario, dist: JointDistribution | None = None) -> SchemaReport:
     """Evaluate the four schema conditions and the direct Bayesian verdict.
 
     The conditions are judged by check_transitivity with x=E, y=B, z=H:
@@ -183,7 +178,7 @@ def evaluate_schema(
 
     flags = []
     for role in ROLE_NAMES:
-        if not is_non_extremal(dist, scenario.roles[role], eps):
+        if not is_non_extremal(dist, scenario.roles[role]):
             flags.append(role)
     bridge_prior = probability(dist, scenario.roles["bridge"])
     degenerate = "bridge" in flags
@@ -215,6 +210,9 @@ def evaluate_schema(
 # ---------------------------------------------------------------------------
 # Bridge-atom world-space extension
 
+#: Coordinate-descent sweeps per restart of a conservative extension.
+BRIDGE_REFINE_STEPS = 80
+
 
 @dataclass(frozen=True)
 class BridgeSpec:
@@ -223,7 +221,6 @@ class BridgeSpec:
     likelihood_constraints: ConstraintSet | None = None  # over the extended space
     mode: str = "conservative"  # "conservative" | "revisionary"
     seed: int = 1
-    refine_steps: int = 80
 
     def __post_init__(self):
         if not 0.0 <= self.prior <= 1.0:
@@ -327,7 +324,7 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
     best_p = objective(best_t)
     for _ in range(16):  # random restarts over conditional probabilities
         t = rng.uniform(0.02, 0.98, n_old)
-        t, p = coordinate_descent(t, objective, _shift_move, 0.25, spec.refine_steps)
+        t, p = coordinate_descent(t, objective, _shift_move, 0.25, BRIDGE_REFINE_STEPS)
         if p < best_p:
             best_t, best_p = t, p
         if best_p < 1e-14:

@@ -22,6 +22,9 @@ from .finder import ConstraintSet, ProbConstraint, SearchConfig, Side, find_mode
 from .prob import JointDistribution, Proposition
 from .scenarios import Scenario, SchemaReport, evaluate_schema
 
+#: Sample budget of each sweep row's re-solve, by default and under `sweep --seed`.
+SWEEP_MAX_SAMPLES = 20_000
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -111,7 +114,7 @@ def sweep_bridge_prior(
     k = scenario.space.index(atom)
     bridge_mask = scenario.space.atom_mask(atom)
     bridge_prop = Proposition.atom(scenario.space, atom)
-    base_config = config or SearchConfig(seed=scenario.seed, max_samples=20_000)
+    base_config = config or SearchConfig(seed=scenario.seed, max_samples=SWEEP_MAX_SAMPLES)
 
     rows = []
     for value in values:
@@ -141,7 +144,7 @@ def sweep_condition_margin(
         raise ValueError("scenario carries fixed weights; nothing to re-solve")
     if label not in scenario.labels:
         raise ValueError(f"unknown condition label {label!r}; have {scenario.labels}")
-    cfg = config or SearchConfig(seed=scenario.seed, max_samples=20_000)
+    cfg = config or SearchConfig(seed=scenario.seed, max_samples=SWEEP_MAX_SAMPLES)
     rows = []
     for value in values:
         variant = replace(scenario, margins={**scenario.margins, label: value})

@@ -1,7 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
+from analogybench import sweep
 from analogybench.cli import (
     CSV_HEADER_COMMENT,
     EXIT_INFEASIBLE,
@@ -15,6 +18,7 @@ from analogybench.scenarios import corpus_dir
 
 
 RIEMANN = str(corpus_dir() / "riemann_weil.json")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -239,8 +243,59 @@ class TestSweep:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("param", ["P(R)", "P(nonsense)", "P(G |)", "P(G & W)"])
+    def test_prior_of_anything_but_the_bridge_is_rejected(self, capsys, param):
+        code, out, err = run(capsys, "sweep", RIEMANN, "--param", param, "--range", "0:1:0.5")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "P(G)" in err
+
+    def test_any_formula_for_the_bridge_is_accepted(self, capsys):
+        _, expected, _ = run(capsys, "sweep", RIEMANN, "--param", "P(G)", "--range", "0:1:0.5")
+        code, out, _ = run(capsys, "sweep", RIEMANN, "--param", "P(G & (G | W))",
+                           "--range", "0:1:0.5")
+        assert code == EXIT_OK
+        assert out == expected
+
+    @pytest.mark.parametrize("param,grid", [("P(G)", "0.9:0.95:0.05"),
+                                            ("margins.a", "0.05:0.06:0.01")])
+    def test_seed_keeps_the_default_budget(self, capsys, monkeypatch, param, grid):
+        budgets = []
+        find_model = sweep.find_model
+
+        def spy(cs, config):
+            budgets.append(config.max_samples)
+            return find_model(cs, config)
+
+        monkeypatch.setattr(sweep, "find_model", spy)
+        code, _, _ = run(capsys, "sweep", RIEMANN, "--param", param, "--range", grid,
+                         "--seed", "3")
+        assert code == EXIT_OK
+        assert budgets == [20_000, 20_000]
+
     def test_bad_range(self, capsys):
         code, out, err = run(
             capsys, "sweep", RIEMANN, "--param", "margins.a", "--range", "0-1-2",
         )
         assert code == EXIT_VALIDATION
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The `analogybench ...` commands of the README's CLI section, as argv lists."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(c)[1:] for c in commands if c.startswith("analogybench ")]
+
+
+class TestReadmeExamples:
+    def test_every_subcommand_has_an_example(self):
+        assert {argv[0] for argv in readme_cli_examples()} == {
+            "check", "find-model", "fuzz-theorem", "counterexample", "sweep"}
+
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+    def test_example_exits_0(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        argv = [str(ROOT / a) if a.startswith("src/") else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_OK, err

@@ -297,14 +297,19 @@ def contradictory_set(seed: int, atoms: int) -> ConstraintSet:
 
 
 def one_batch_at_a_time(cs: ConstraintSet, config: SearchConfig):
-    """find_model as one draw and one penalty call per batch, the reference."""
+    """find_model as one draw and one penalty call per batch, the reference.
+
+    It stops on penalty <= 1e-12 and satisfied, checked after every batch
+    and again at the end; find_model checks satisfied alone, after each
+    refine that improves the best. Equal results show the two rules agree.
+    """
     compiled = CompiledConstraints(cs.constraints)
     rng = np.random.default_rng(config.seed)
     n = cs.space.world_count
     best_w, best_penalty = None, float("inf")
     samples_used = restarts_refined = 0
     while samples_used < config.max_samples:
-        count = min(config.batch_size, config.max_samples - samples_used)
+        count = min(finder.BATCH_SIZE, config.max_samples - samples_used)
         raw = rng.standard_exponential((count, n))
         weights = raw / raw.sum(axis=1, keepdims=True)
         penalties = compiled.penalty(weights)
@@ -313,14 +318,14 @@ def one_batch_at_a_time(cs: ConstraintSet, config: SearchConfig):
         if penalties[idx] < best_penalty:
             w = weights[idx]
             refined, refined_penalty = coordinate_descent(
-                w / w.sum(), compiled.penalty, _scale_move, 0.5, config.refine_steps)
+                w / w.sum(), compiled.penalty, _scale_move, 0.5, finder.REFINE_STEPS)
             restarts_refined += 1
             if refined_penalty < best_penalty:
                 best_penalty, best_w = refined_penalty, refined
-        if best_penalty <= config.penalty_tolerance and compiled.satisfied(best_w):
+        if best_penalty <= 1e-12 and compiled.satisfied(best_w):
             break
     weights = JointDistribution.from_unnormalized(cs.space, best_w).weights
-    found = bool(best_penalty <= config.penalty_tolerance and compiled.satisfied(best_w))
+    found = bool(best_penalty <= 1e-12 and compiled.satisfied(best_w))
     return found, samples_used, restarts_refined, repr(float(best_penalty)), weights.tobytes()
 
 
@@ -331,7 +336,7 @@ def rare_set() -> ConstraintSet:
         "prob_gt", Side(target=Proposition.atom(space, "a")), Side(const=0.99))])
 
 
-# name -> (set, refine_steps): with no descent sweep the rare set is found only
+# name -> (set, REFINE_STEPS): with no descent sweep the rare set is found only
 # by sampling, in some later batch of some later block.
 BLOCK_SETS = {
     "planted-3": (lambda: tight_planted_set(3, 3)[0], 40),
@@ -344,18 +349,17 @@ BLOCK_SETS = {
 
 class TestFindModelBlocks:
     @pytest.mark.parametrize("name", sorted(BLOCK_SETS))
-    @pytest.mark.parametrize("batch_size", [1, 7, 512])
-    def test_matches_one_batch_at_a_time(self, name, batch_size):
+    @pytest.mark.parametrize("budget", [1, 511, 512, 513, 5_000])
+    def test_matches_one_batch_at_a_time(self, monkeypatch, name, budget):
         make, refine_steps = BLOCK_SETS[name]
+        monkeypatch.setattr(finder, "REFINE_STEPS", refine_steps)
         cs = make()
-        for budget in (1, 511, 512, 513, 5_000):
-            config = SearchConfig(seed=budget, max_samples=budget, batch_size=batch_size,
-                                  refine_steps=refine_steps)
-            result = find_model(cs, config)
-            got = (result.found, result.samples_used, result.restarts_refined,
-                   repr(result.penalty), result.distribution.weights.tobytes())
-            assert got == one_batch_at_a_time(cs, config), budget
-            assert result.achieved_margins == achieved_margins(result.distribution, cs)
+        config = SearchConfig(seed=budget, max_samples=budget)
+        result = find_model(cs, config)
+        got = (result.found, result.samples_used, result.restarts_refined,
+               repr(result.penalty), result.distribution.weights.tobytes())
+        assert got == one_batch_at_a_time(cs, config)
+        assert result.achieved_margins == achieved_margins(result.distribution, cs)
 
     def test_compiles_once(self, monkeypatch):
         compiled = []
@@ -369,12 +373,12 @@ class TestFindModelBlocks:
         find_model(contradictory_set(0, 2), SearchConfig(max_samples=2_000))
         assert len(compiled) == 1
 
-    def test_rare_set_is_found_in_a_later_block(self):
-        config = SearchConfig(seed=5_000, max_samples=5_000, batch_size=7, refine_steps=0)
-        result = find_model(rare_set(), config)
+    def test_rare_set_is_found_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(finder, "REFINE_STEPS", 0)
+        result = find_model(rare_set(), SearchConfig(seed=5_000, max_samples=5_000))
         assert result.found
-        # the first block is one batch of 7, the second two
-        assert result.samples_used > 21 and result.restarts_refined > 1
+        # the first block is one batch of 512, the second two
+        assert result.samples_used > 3 * finder.BATCH_SIZE and result.restarts_refined > 1
 
 
 class TestCoordinateDescent:

@@ -220,6 +220,36 @@ class TestVerdictRule:
         np.testing.assert_array_equal(satisfied, exact_verdicts(cs, points))
 
 
+class TestSatisfiedBoundsPenalty:
+    # find_model's found is the float verdict alone, with no penalty test:
+    # a satisfied vector has penalty <= 1e-12, since a strict kind that holds
+    # has hinge 0 and a weak or equality kind a hinge of at most
+    # BOUNDARY_TOLERANCE, so the penalty is at most C * 1e-24.
+    @settings(max_examples=40, deadline=None)
+    @given(cs=st.booleans().flatmap(
+        lambda dyadic: constraint_sets(atoms=st.integers(2, 3), dyadic=dyadic)))
+    def test_satisfied_grid_points_have_penalty_at_most_1e_12(self, cs):
+        block = np.array(list(grid_points(cs.space.world_count, RESOLUTION))) / RESOLUTION
+        compiled = CompiledConstraints(cs.constraints)
+        satisfied = compiled.satisfied(block)
+        assert np.all(compiled.penalty(block)[satisfied] <= 1e-12)
+        for row in block[satisfied][:20]:
+            assert compiled.satisfied(row) and compiled.penalty(row) <= 1e-12
+
+    def test_boundary_points(self):
+        within_tolerance = [
+            lambda a, b: ProbConstraint("cond_ge_cond", Side(target=a), Side(const=0.5 + 4e-13)),
+            lambda a, b: ProbConstraint("equality", Side(target=a), Side(const=0.5 + 4e-13)),
+        ]
+        held = 0
+        for make in STRICT_AT_BOUNDARY + WEAK_AT_BOUNDARY + within_tolerance:
+            cs, dist = uniform_ab_case(make)
+            if is_satisfied(dist, cs):
+                held += 1
+                assert penalty(dist, cs) <= 1e-12, cs.constraints
+        assert held == len(WEAK_AT_BOUNDARY) + len(within_tolerance)
+
+
 class TestGridReference:
     # Lists, not sets: grid_enumerate must keep the reference's point order.
     @settings(max_examples=50, deadline=None)
