@@ -140,7 +140,7 @@ def cmd_check(args) -> int:
                 "command": "check",
                 "config": {
                     "scenario_file": args.scenario,
-                    "seed": args.seed if args.seed is not None else scenario.seed,
+                    "seed": None if result is None else result.seed,
                     "margins": scenario.margins,
                 },
                 "solver": None if result is None else _solver_dict(result),

@@ -24,6 +24,7 @@ import numpy as np
 
 from .finder import (
     BOUNDARY_TOLERANCE,
+    LOOKAHEAD_VALUES,
     CompiledConstraints,
     ProbConstraint,
     Side,
@@ -268,11 +269,14 @@ class FuzzReport:
 def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     """Sample 3-atom distributions, filter those satisfying (i)-(iv), verify (v).
 
-    The filter and the conclusion are evaluated over the whole sample block
-    by CompiledConstraints, with its verdict rule (the weak conditions
-    within BOUNDARY_TOLERANCE); up to FUZZ_REVERIFY_CAP filtered cases are
-    additionally re-checked through the scalar check_transitivity path as an
-    independent cross-check.
+    The rows are one seeded stream walked in sample_blocks blocks of
+    LOOKAHEAD_VALUES // 8 rows, so memory stays one block whatever
+    `samples` is, and the report does not depend on how the stream is cut.
+    The filter and the conclusion are evaluated block by block by
+    CompiledConstraints, with its verdict rule (the weak conditions within
+    BOUNDARY_TOLERANCE); the first FUZZ_REVERIFY_CAP filtered cases, in
+    stream order, are additionally re-checked through the scalar
+    check_transitivity path as an independent cross-check.
     """
     space = WorldSpace(("X", "Y", "Z"))
     x, y, z = (Proposition.atom(space, name) for name in space.atoms)
@@ -281,26 +285,27 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
         ProbConstraint(kind, lhs, rhs, margin=0.0 if kind == "cond_ge_cond" else margin)
         for kind, lhs, rhs in conditions
     )
+    concluded = CompiledConstraints([ProbConstraint(*conclusion)])
     rng = np.random.default_rng(seed)
-    raw = rng.standard_exponential((samples, space.world_count))
-    weights = raw / raw.sum(axis=1, keepdims=True)
+    n = space.world_count
 
-    filtered_idx = np.flatnonzero(antecedent.satisfied(weights))
-    (concluded,) = CompiledConstraints([ProbConstraint(*conclusion)]).margins(weights)
-    concluded = concluded[filtered_idx]
-    violations = int(np.count_nonzero(concluded <= 0.0))
-    min_margin = float(concluded.min()) if filtered_idx.size else float("nan")
-
-    reverified = 0
-    for idx in filtered_idx[:FUZZ_REVERIFY_CAP]:
-        dist = JointDistribution.from_unnormalized(space, weights[idx])
-        report = check_transitivity(dist, x, y, z, margin=margin)
-        if report.antecedent_holds and report.conclusion.holds:
-            reverified += 1
+    filtered = violations = reverified = 0
+    min_margin = math.inf
+    for weights in sample_blocks(rng, n, LOOKAHEAD_VALUES // n, samples):
+        kept = weights[antecedent.satisfied(weights)]
+        (margins,) = concluded.margins(kept)
+        violations += int(np.count_nonzero(margins <= 0.0))
+        min_margin = min(min_margin, margins.min(initial=math.inf))
+        for row in kept[:max(FUZZ_REVERIFY_CAP - filtered, 0)]:
+            dist = JointDistribution.from_unnormalized(space, row)
+            report = check_transitivity(dist, x, y, z, margin=margin)
+            if report.antecedent_holds and report.conclusion.holds:
+                reverified += 1
+        filtered += len(kept)
     return FuzzReport(
         samples=samples,
-        filtered=int(filtered_idx.size),
+        filtered=filtered,
         violations=violations,
         reverified=reverified,
-        min_conclusion_margin=min_margin,
+        min_conclusion_margin=float(min_margin) if filtered else float("nan"),
     )

@@ -16,14 +16,14 @@ samples and descent moves are normalised per block, T-worlds to c and the
 rest to 1 - c, so the search never leaves P(T) = c.
 
 Every probability the search evaluates goes through one kernel,
-CompiledConstraints: a constraint list compiled once into deduplicated 0/1
-mask columns, each side evaluated over a weight vector or block as
-(W @ num) / (W @ den). A small exact rational grid enumerator backs the
-search as an independent oracle; it shares only the compiled masks and the
-verdict rule (STRICT_KINDS, _required and the signs of _achieved) and
-decides all grid points at once in int64 arithmetic, with one exact Fraction
-threshold per constraint. prob.conditional is the scalar reference the tests
-compare against.
+CompiledConstraints: a constraint list compiled once into a stacked matrix
+of deduplicated 0/1 mask columns, each side evaluated over a weight vector
+or block as (W @ num) / (W @ den), with one matrix product per call. A
+small exact rational grid enumerator backs the search as an independent
+oracle; it shares only the compiled masks and the verdict rule
+(STRICT_KINDS, _required and _signs) and decides all grid points at once in
+int64 arithmetic, with one exact Fraction threshold per constraint.
+prob.conditional is the scalar reference the tests compare against.
 
 Infeasibility is only ever reported as budget exhaustion, never as a proof.
 """
@@ -138,9 +138,10 @@ def sample_simplex(space: WorldSpace, seed: int) -> JointDistribution:
 
 
 #: Most floats one look-ahead block of sample_blocks holds, unless its first
-#: block alone is larger. A block's penalty call keeps one product per mask
-#: column per row, several times the block itself on large constraint sets;
-#: blocks of 2**16 and 2**17 floats exhausted budgets no faster.
+#: block alone is larger. A block's penalty call holds one value array, a row
+#: per mask column, constant and conditional side for every sampled row, and
+#: the (constraints, rows) margins: several times the block itself on large
+#: constraint sets. fuzz_transitivity walks blocks of this size too.
 LOOKAHEAD_VALUES = 2**15
 
 
@@ -166,20 +167,34 @@ def sample_blocks(rng: np.random.Generator, n: int, first: int, total: int):
 
 
 class CompiledConstraints:
-    """A constraint list compiled once into deduplicated 0/1 mask columns.
+    """A constraint list compiled once into one fused mask-ratio kernel.
 
     A side is a constant, P(target) = W @ num or P(target | given) =
     (W @ num) / (W @ den), with num = target & given and den = given. W is one
-    weight vector (n,) or a block (k, n). Each column keeps its own product
-    with W: stacking the columns into one matrix product would change the
-    last bits of the sums. Weights are >= 0 and num is a subset of den, so
-    den = 0 forces num = 0 and 0/0 = nan marks an undefined conditional.
+    weight vector (n,) or a block (k, n); a vector takes the same path as a
+    block of one row. The deduplicated 0/1 mask columns are stacked into one
+    contiguous (C, n) matrix, so a call takes one matrix product for all
+    columns and rows, laid out constraints x rows: a (C, k) value array,
+    followed by a row per constant and a row per distinct conditional side,
+    which holds one division num / den. A constant or an unconditional side
+    is read as is, never divided. A constraint's achieved margin is then one
+    gathered row minus another, and penalty and satisfied reduce the (m, k)
+    margins over the constraint axis without a per-constraint loop. Weights
+    are >= 0 and num is a subset of den, so den = 0 forces num = 0 and
+    0/0 = nan marks an undefined conditional.
+
+    The matrix product may sum a column in another order than a lone dot
+    product with it, so values can differ from prob.conditional's sums in
+    the last bits; same-seed search results depend on those bits.
+
+    columns, consts and sides keep the slot layout grid_enumerate reads,
+    [constants..., columns...], with one (num, den) slot pair per side and
+    den None for a constant or an unconditional side.
     """
 
     def __init__(self, constraints):
         self.constraints = tuple(constraints)
-        self.required = np.array([_required(c) for c in self.constraints])
-        # Values are laid out as [constants..., column products...].
+        # Slots, as grid_enumerate reads them: [constants..., columns...].
         self.consts = [
             float(s.const)
             for c in self.constraints for s in (c.lhs, c.rhs) if s.is_const
@@ -204,12 +219,70 @@ class CompiledConstraints:
 
         self.sides = [(side(c.lhs), side(c.rhs)) for c in self.constraints]
 
-    def _margins(self, values):
-        """Achieved margin per constraint from the value list, lazily."""
-        return (
-            _achieved(c.kind, _ratio(values, lhs), _ratio(values, rhs))
-            for c, (lhs, rhs) in zip(self.constraints, self.sides)
-        )
+        # The kernel's value rows are [columns..., constants..., conditional
+        # ratios...]. The achieved margin, min over s in _signs of
+        # s * (lhs - rhs), is first - second: prob_lt swaps its sides, and
+        # equality then takes -|first - second|.
+        n_cols, n_consts = len(self.columns), len(self.consts)
+        ratios: dict[tuple[int, int], int] = {}
+
+        def slot_row(slot: int) -> int:
+            return n_cols + slot if slot < n_consts else slot - n_consts
+
+        def row(side: tuple[int, int | None]) -> int:
+            num, den = side
+            if den is None:
+                return slot_row(num)
+            key = (slot_row(num), slot_row(den))
+            return ratios.setdefault(key, n_cols + n_consts + len(ratios))
+
+        first, second = [], []
+        for c, (lhs, rhs) in zip(self.constraints, self.sides):
+            if _signs(c.kind) == (-1,):
+                lhs, rhs = rhs, lhs
+            first.append(row(lhs))
+            second.append(row(rhs))
+        self._first, self._second = np.array(first), np.array(second)
+        self._ratio_num = np.array([num for num, _ in ratios], dtype=int)
+        self._ratio_den = np.array([den for _, den in ratios], dtype=int)
+        self._n_values = n_cols + n_consts + len(ratios)
+        self._matrix = np.array(self.columns)
+        self._consts = np.array(self.consts)[:, None]
+        self._equality = [
+            i for i, c in enumerate(self.constraints) if len(_signs(c.kind)) == 2
+        ]
+        required = [_required(c) for c in self.constraints]
+        self._required = np.array(required)[:, None]
+        # _holds in one comparison: a > r iff a >= the next float above r.
+        self._floor = np.array([
+            np.nextafter(r, np.inf) if c.kind in STRICT_KINDS else r - BOUNDARY_TOLERANCE
+            for c, r in zip(self.constraints, required)
+        ])[:, None]
+
+    def _achieved(self, w: np.ndarray) -> np.ndarray:
+        """Achieved margin per constraint and row of w, as an (m, k) array.
+
+        The signed slack _holds judges (see _signs): lhs - rhs, rhs - lhs for
+        prob_lt, -|lhs - rhs| for equality; nan when undefined.
+        """
+        rows = w.reshape(-1, w.shape[-1])
+        n_cols = len(self.columns)
+        values = np.empty((self._n_values, len(rows)))
+        if n_cols:
+            np.matmul(self._matrix, rows.T, out=values[:n_cols])
+        known = n_cols + len(self.consts)
+        values[n_cols:known] = self._consts
+        # Each distinct conditional side is divided once, in place in its own
+        # row (the indices are in range; mode "clip" takes without a buffer).
+        ratios = values[known:]
+        np.take(values, self._ratio_num, axis=0, out=ratios, mode="clip")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios /= values[self._ratio_den]
+        achieved = values[self._first]
+        achieved -= values[self._second]
+        if self._equality:
+            achieved[self._equality] = -np.abs(achieved[self._equality])
+        return achieved
 
     def named_margins(self, w: np.ndarray) -> dict[str, float]:
         """Achieved margin of one weight vector per constraint label (c<i> if none)."""
@@ -218,42 +291,32 @@ class CompiledConstraints:
             for i, (c, v) in enumerate(zip(self.constraints, self.margins(w)))
         }
 
-    def margins(self, w: np.ndarray) -> list:
+    def margins(self, w: np.ndarray) -> np.ndarray:
         """Achieved margin per constraint; nan when undefined.
 
-        Floats for one weight vector, arrays of k values for a (k, n) block.
+        Shape (m,) for one weight vector, (m, k) for a (k, n) block.
         """
-        consts = [np.full(w.shape[:-1], c) for c in self.consts]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return list(self._margins(consts + [w.dot(col) for col in self.columns]))
+        achieved = self._achieved(w)
+        return achieved if w.ndim > 1 else achieved[:, 0]
 
     def penalty(self, w: np.ndarray):
-        """Sum of squared hinges in constraint order, per row of w.
+        """Sum of squared hinges, per row of w.
 
         An undefined conditional counts as a hinge of sqrt(UNDEFINED_PENALTY).
         """
-        achieved = np.array(self.margins(w)).T
-        hinges = np.maximum(self.required - achieved, 0.0)
-        hinges[np.isnan(achieved)] = np.sqrt(UNDEFINED_PENALTY)
-        # One constraint at a time, in order: a pairwise sum, or x * x in
-        # place of the float power of one weight vector, changes last bits
-        # and with them the descent's path.
-        total = 0.0
-        for hinge in hinges.T:
-            total = total + hinge**2
-        return total
+        achieved = self._achieved(w)
+        hinges = np.subtract(self._required, achieved, out=achieved)
+        np.maximum(hinges, 0.0, out=hinges)
+        hinges[np.isnan(hinges)] = np.sqrt(UNDEFINED_PENALTY)
+        # Summed over the constraint axis: for a block of k > 1 rows that
+        # adds one constraint at a time, in order, for every row.
+        total = np.square(hinges, out=hinges).sum(axis=0)
+        return total if w.ndim > 1 else total[0]
 
     def satisfied(self, w: np.ndarray):
-        """Whether every constraint holds, per row of w."""
-        ok = True
-        for c, required, achieved in zip(self.constraints, self.required, self.margins(w)):
-            ok = ok & _holds(c.kind, achieved, required, BOUNDARY_TOLERANCE)
-        return ok
-
-
-def _ratio(values, side: tuple[int, int | None]):
-    num, den = side
-    return values[num] if den is None else values[num] / values[den]
+        """Whether every constraint holds by the _holds rule, per row of w."""
+        ok = (self._achieved(w) >= self._floor).all(axis=0)
+        return ok if w.ndim > 1 else ok[0]
 
 
 def _required(c: ProbConstraint) -> float:
@@ -261,17 +324,16 @@ def _required(c: ProbConstraint) -> float:
     return -c.margin if c.kind == "equality" else c.margin
 
 
-def _achieved(kind: str, lhs, rhs):
-    """Signed slack of a constraint, compared with _required by _holds.
+def _signs(kind: str) -> tuple[int, ...]:
+    """Signs s whose min of s * (lhs - rhs) is a constraint's achieved margin.
 
-    equality constraints use achieved = -|lhs - rhs| against margin -m, i.e.
-    they hold iff |lhs - rhs| <= m.
+    That signed slack is compared with _required by _holds: lhs - rhs, or
+    rhs - lhs for prob_lt; equality uses -|lhs - rhs| against margin -m,
+    i.e. it holds iff |lhs - rhs| <= m.
     """
     if kind == "equality":
-        return -abs(lhs - rhs)
-    if kind == "prob_lt":
-        return rhs - lhs
-    return lhs - rhs
+        return (1, -1)
+    return (-1,) if kind == "prob_lt" else (1,)
 
 
 def _holds(kind: str, achieved, required, tolerance: float):
@@ -503,11 +565,6 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     ).reshape(count, parts - 1)
     edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), slots)])
     return np.diff(edges, axis=1) - 1
-
-
-def _signs(kind: str) -> tuple[int, ...]:
-    """Signs s with _achieved(kind, lhs, rhs) = min over s of s * (lhs - rhs)."""
-    return (1, -1) if kind == "equality" else (_achieved(kind, 1, 0),)
 
 
 def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:

@@ -61,6 +61,21 @@ class TestCheck:
         _, second, _ = run(capsys, "check", RIEMANN, "--json", "--seed", "1")
         assert first == second
 
+    @pytest.mark.parametrize("seed", [[], ["--seed", "7"]])
+    def test_fixed_weights_report_no_seed(self, capsys, seed):
+        # euler_polya carries its weights: no solve runs, so no seed is used.
+        path = str(corpus_dir() / "euler_polya.json")
+        code, out, _ = run(capsys, "check", path, "--json", *seed)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["solver"] is None
+        assert payload["config"]["seed"] is None
+
+    def test_solved_scenario_reports_its_seed(self, capsys):
+        for argv, expected in ([RIEMANN], 1), ([RIEMANN, "--seed", "7"], 7):
+            _, out, _ = run(capsys, "check", *argv, "--json")
+            assert json.loads(out)["config"]["seed"] == expected
+
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(capsys, "check", str(tmp_path / "absent.json"))
         assert code == EXIT_IO

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,7 +277,65 @@ class TestMinerBlocks:
             assert any(outcomes) and not all(outcomes)
 
 
+def fuzz_one_draw(samples: int, seed: int, margin: float):
+    """fuzz_transitivity as one draw of every row, the reference.
+
+    Conditions (i)-(iv) and the conclusion are written out as mask sums
+    over the whole (samples, 8) draw; the first FUZZ_REVERIFY_CAP filtered
+    rows go through check_transitivity.
+    """
+    space = WorldSpace(("X", "Y", "Z"))
+    x, y, z = (Proposition.atom(space, name) for name in space.atoms)
+    raw = np.random.default_rng(seed).standard_exponential((samples, 8))
+    w = raw / raw.sum(axis=1, keepdims=True)
+
+    def p(target, given=None):
+        if given is None:
+            return w @ target.mask
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return (w @ (target & given).mask) / (w @ given.mask)
+
+    kept = (
+        (p(z, y) - p(z) > margin)
+        & (p(x, y) - p(x, ~y) > margin)
+        & (p(z, x & y) - p(z, y) >= -1e-12)
+        & (p(z, x & ~y) - p(z, ~y) >= -1e-12)
+    )
+    conclusion = (p(z, x) - p(z))[kept]
+    reverified = 0
+    for row in w[kept][:FUZZ_REVERIFY_CAP]:
+        report = check_transitivity(JointDistribution.from_unnormalized(space, row), x, y, z,
+                                    margin=margin)
+        reverified += report.antecedent_holds and report.conclusion.holds
+    return int(kept.sum()), int(np.count_nonzero(conclusion <= 0.0)), reverified, conclusion
+
+
 class TestFuzz:
+    # Blocks hold LOOKAHEAD_VALUES // 8 = 4 096 rows: one row, one short of a
+    # block, one past it, and several blocks with the reverification cap
+    # reached in the middle of one.
+    @pytest.mark.parametrize("samples", [1, 4_095, 4_097, 20_000])
+    def test_blocks_match_one_draw(self, samples):
+        report = fuzz_transitivity(samples=samples, seed=11, margin=1e-6)
+        filtered, violations, reverified, conclusion = fuzz_one_draw(samples, 11, 1e-6)
+        assert (report.filtered, report.violations, report.reverified) == (
+            filtered, violations, reverified)
+        if filtered:
+            assert abs(report.min_conclusion_margin - conclusion.min()) <= 1e-12
+        else:
+            assert math.isnan(report.min_conclusion_margin)
+
+    def test_memory_stays_one_block(self):
+        # One (400 000, 8) draw alone is 25.6 MB.
+        tracemalloc.start()
+        try:
+            report = fuzz_transitivity(samples=400_000, seed=2, margin=1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.filtered > 0
+        assert peak < 4e6
+
     def test_small_run_has_zero_violations(self):
         report = fuzz_transitivity(samples=5_000, seed=3, margin=1e-6)
         assert report.samples == 5_000

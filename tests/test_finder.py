@@ -273,7 +273,8 @@ def tight_planted_set(seed: int, atoms: int) -> tuple[ConstraintSet, SearchConfi
     return ConstraintSet(space, constraints), config
 
 
-TIGHT_PLANTED = [(seed, atoms) for atoms in (4, 5) for seed in range(20)]
+TIGHT_PLANTED = [(seed, atoms) for atoms in (4, 5) for seed in range(20)] + [
+    (seed, 6) for seed in range(10)]
 
 
 def contradictory_set(seed: int, atoms: int) -> ConstraintSet:
@@ -446,11 +447,14 @@ class TestCoordinateDescent:
     @pytest.mark.parametrize("seed,atoms", TIGHT_PLANTED)
     def test_tight_planted_sets_are_found(self, seed, atoms):
         # The scalar one-coordinate-at-a-time descent this replaced, at 60
-        # sweeps, missed 4 of these 40 within the 100 000-sample budget.
+        # sweeps, missed 4 of the 40 at 4-5 atoms within the 100 000-sample
+        # budget. The float verdict that ends the search must also hold in
+        # exact arithmetic.
         cs, config = tight_planted_set(seed, atoms)
         result = find_model(cs, config)
         assert result.found
         assert is_satisfied(result.distribution, cs)
+        assert exact_satisfied(cs.constraints, result.distribution.weights)
 
 
 class TestGridEnumerate:

@@ -16,6 +16,7 @@ from analogybench import (
     load_corpus,
     penalty,
 )
+from analogybench.prob import UndefinedConditionalError, conditional, probability
 from analogybench.finder import (
     ALL_KINDS,
     CompiledConstraints,
@@ -39,26 +40,47 @@ def grid_points(parts: int, total: int):
             yield (head,) + tail
 
 
+def fraction_side(side: Side, point, resolution: int) -> Fraction:
+    """A side's exact value at a grid point in counts of 1/resolution.
+
+    Raises ZeroDivisionError for a conditional on an event of mass 0.
+    """
+    if side.is_const:
+        return Fraction(side.const)
+    given = side.given
+    num_mask = side.target.mask if given is None else side.target.mask & given.mask
+    num = sum(k for k, t in zip(point, num_mask) if t)
+    den = resolution if given is None else sum(k for k, g in zip(point, given.mask) if g)
+    return Fraction(num, den)
+
+
+def signed_slack(kind: str, d):
+    """The achieved margin _holds judges, from d = lhs - rhs: -|d| for
+    equality, -d for prob_lt, d otherwise."""
+    if kind == "equality":
+        return -abs(d)
+    return -d if kind == "prob_lt" else d
+
+
+def fraction_achieved(c: ProbConstraint, point, resolution: int) -> Fraction:
+    d = fraction_side(c.lhs, point, resolution) - fraction_side(c.rhs, point, resolution)
+    return signed_slack(c.kind, d)
+
+
 def reference_grid(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
     """grid_enumerate one point at a time in Fraction arithmetic.
 
-    The per-point loop the integer grid replaced, kept as its reference: the
-    compiled margins of each point's Fraction values, judged by _holds.
+    The per-point loop the integer grid replaced, kept as its reference:
+    each side an exact Fraction ratio of the point's masses, each constraint
+    judged by _holds with tolerance 0.
     """
-    compiled = CompiledConstraints(cs.constraints)
-    n = cs.space.world_count
-    points = list(grid_points(n, resolution))
-    columns = np.array(compiled.columns, dtype=np.int64).reshape(-1, n)
-    masses = (np.array(points) @ columns.T).tolist()
-    consts = [Fraction(c) for c in compiled.consts]
     fractions = [Fraction(k, resolution) for k in range(resolution + 1)]
     satisfying = []
-    for point, mass in zip(points, masses):
-        values = consts + [fractions[m] for m in mass]
+    for point in grid_points(cs.space.world_count, resolution):
         try:
             ok = all(
-                _holds(c.kind, achieved, _required(c), 0)
-                for c, achieved in zip(cs.constraints, compiled._margins(values))
+                _holds(c.kind, fraction_achieved(c, point, resolution), _required(c), 0)
+                for c in cs.constraints
             )
         except ZeroDivisionError:  # an undefined conditional fails its constraint
             ok = False
@@ -78,14 +100,14 @@ def exact_verdicts(cs: ConstraintSet, points: list[tuple[int, ...]]) -> np.ndarr
 
 
 @st.composite
-def constraint_sets(draw, atoms=st.integers(2, 4), dyadic=False):
+def constraint_sets(draw, atoms=st.integers(2, 4), dyadic=False, constants_only=False):
     """Random constraint sets; dyadic ones use only P(target) and k/8 constants.
 
     Over a dyadic grid every side of a dyadic set is exact in float, so the
     float and the exact verdicts must agree even at the boundary. Other sets
     draw constants in [-0.5, 1.5] and margins up to 0.3 or 1e-6, mostly not
     dyadic; a constant on both sides or a conditional on an event of mass 0
-    is allowed.
+    is allowed. A constants_only set has no query side at all.
     """
     space = WorldSpace(tuple(f"a{i}" for i in range(draw(atoms))))
     n = space.world_count
@@ -95,7 +117,9 @@ def constraint_sets(draw, atoms=st.integers(2, 4), dyadic=False):
         return Proposition(space, np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
 
     def side():
-        form = draw(st.sampled_from(["const", "prob"] if dyadic else ["const", "prob", "cond"]))
+        forms = ["const"] if constants_only else ["const", "prob"] if dyadic else [
+            "const", "prob", "cond"]
+        form = draw(st.sampled_from(forms))
         if form == "const":
             return Side(const=draw(eighths if dyadic else st.floats(-0.5, 1.5)))
         if form == "prob":
@@ -116,6 +140,57 @@ def dyadic_rows(draw, n: int):
     """Weight vectors k/1024: every sum of them is exact in float."""
     cuts = sorted(draw(st.lists(st.integers(0, 1024), min_size=n - 1, max_size=n - 1)))
     return np.diff([0, *cuts, 1024]) / 1024
+
+
+def scalar_margin(c: ProbConstraint, dist: JointDistribution) -> float:
+    """A constraint's achieved margin from prob.conditional; nan when undefined."""
+    def value(side: Side) -> float:
+        if side.is_const:
+            return side.const
+        if side.given is None:
+            return probability(dist, side.target)
+        return conditional(dist, side.target, side.given)
+
+    try:
+        return signed_slack(c.kind, value(c.lhs) - value(c.rhs))
+    except UndefinedConditionalError:
+        return float("nan")
+
+
+class TestFusedMargins:
+    # Dyadic weights k/1024 make every mask sum exact in float, so the fused
+    # kernel and the scalar reference divide the same numbers.
+    @settings(max_examples=80, deadline=None)
+    @given(cs=st.sampled_from([False, True]).flatmap(
+        lambda const: constraint_sets(constants_only=const)), data=st.data())
+    def test_margins_match_scalar_conditionals(self, cs, data):
+        n = cs.space.world_count
+        block = np.array(data.draw(st.lists(dyadic_rows(n), min_size=1, max_size=6)))
+        compiled = CompiledConstraints(cs.constraints)
+        margins = compiled.margins(block)
+        assert margins.shape == (len(cs.constraints), len(block))
+        for j, row in enumerate(block):
+            dist = JointDistribution(cs.space, row)
+            expected = np.array([scalar_margin(c, dist) for c in cs.constraints])
+            for got in (margins[:, j], compiled.margins(row)):
+                np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
+                defined = ~np.isnan(expected)
+                assert np.all(np.abs(got[defined] - expected[defined]) <= 1e-15)
+
+    def test_every_kind_on_one_point(self, ab_space):
+        a, b = Proposition.atom(ab_space, "a"), Proposition.atom(ab_space, "b")
+        dist = JointDistribution(ab_space, [0.5, 0.25, 0.25, 0.0])
+        constraints = [
+            ProbConstraint(kind, Side(target=a, given=b), Side(target=a), margin=0.125)
+            for kind in KINDS
+        ] + [
+            ProbConstraint("prob_gt", Side(target=a & b, given=a & b), Side(const=0.5)),
+            ProbConstraint("equality", Side(const=0.25), Side(const=0.75)),
+        ]
+        got = CompiledConstraints(constraints).margins(dist.weights)
+        expected = [scalar_margin(c, dist) for c in constraints]
+        np.testing.assert_array_equal(got, expected)
+        assert np.isnan(got[-2]) and got[-1] == -0.5
 
 
 class TestBlockPenalty:
