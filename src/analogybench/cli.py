@@ -48,8 +48,20 @@ REPORT_VERSION = 1
 CSV_HEADER_COMMENT = "# analogybench sweep csv v1"
 
 
+def _finite_or_null(value):
+    """The report with every non-finite float (an undefined margin) as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _print_json(report: dict) -> None:
-    print(json.dumps(report, sort_keys=True))
+    """Print strict JSON: non-finite floats become null, and any left over raise."""
+    print(json.dumps(_finite_or_null(report), sort_keys=True, allow_nan=False))
 
 
 def _condition_dict(cond) -> dict:

@@ -158,14 +158,27 @@ def check_transitivity(
 ) -> TransitivityReport:
     """Evaluate the four transitivity conditions and the conclusion.
 
-    Each condition is judged by the finder's verdict rule (finder._holds):
-    (i) and (ii) strictly past `margin`, (iii) and (iv) weak (>= 0 within
+    Builds the sides with transitivity_sides and judges them with
+    _judge_transitivity, the verdict path that fuzz_transitivity's re-check
+    shares over sides it builds once per run. Each condition is
+    judged by the finder's verdict rule (finder._holds): (i) and (ii)
+    strictly past `margin`, (iii) and (iv) weak (>= 0 within
     BOUNDARY_TOLERANCE), the conclusion strictly past 0. Every side goes
     through prob.conditional, the scalar reference. Conditions whose
     conditionals are undefined are reported inapplicable, never silently true.
     """
+    return _judge_transitivity(dist, transitivity_sides(x, y, z), margin, corollary_mode)
+
+
+def _judge_transitivity(
+    dist: JointDistribution,
+    sides: list[tuple[str, Side, Side]],
+    margin: float,
+    corollary_mode: bool = False,
+) -> TransitivityReport:
+    """check_transitivity's verdicts over a side list from transitivity_sides."""
     results = []
-    for i, (kind, lhs, rhs) in enumerate(transitivity_sides(x, y, z)):
+    for i, (kind, lhs, rhs) in enumerate(sides):
         try:
             value = _side_probability(dist, lhs) - _side_probability(dist, rhs)
         except UndefinedConditionalError:
@@ -275,12 +288,18 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     The filter and the conclusion are evaluated block by block by
     CompiledConstraints, with its verdict rule (the weak conditions within
     BOUNDARY_TOLERANCE); the first FUZZ_REVERIFY_CAP filtered cases, in
-    stream order, are additionally re-checked through the scalar
-    check_transitivity path as an independent cross-check.
+    stream order, are additionally re-checked on the scalar path as an
+    independent cross-check: the sides are built once per run by
+    transitivity_sides and each re-checked row is judged by
+    _judge_transitivity, the verdict path check_transitivity uses.
+    Raises ValueError when `samples` is below 1.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     space = WorldSpace(("X", "Y", "Z"))
     x, y, z = (Proposition.atom(space, name) for name in space.atoms)
-    *conditions, conclusion = transitivity_sides(x, y, z)
+    sides = transitivity_sides(x, y, z)
+    *conditions, conclusion = sides
     antecedent = CompiledConstraints(
         ProbConstraint(kind, lhs, rhs, margin=0.0 if kind == "cond_ge_cond" else margin)
         for kind, lhs, rhs in conditions
@@ -298,7 +317,7 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
         min_margin = min(min_margin, margins.min(initial=math.inf))
         for row in kept[:max(FUZZ_REVERIFY_CAP - filtered, 0)]:
             dist = JointDistribution.from_unnormalized(space, row)
-            report = check_transitivity(dist, x, y, z, margin=margin)
+            report = _judge_transitivity(dist, sides, margin)
             if report.antecedent_holds and report.conclusion.holds:
                 reverified += 1
         filtered += len(kept)

@@ -152,7 +152,9 @@ def sample_blocks(rng: np.random.Generator, n: int, first: int, total: int):
     a block stays within LOOKAHEAD_VALUES floats; the last block holds what
     is left. The rows, concatenated, are exactly one
     rng.standard_exponential((total, n)) draw normalised per row: the stream
-    does not depend on how it is cut, and each row is normalised on its own.
+    does not depend on how it is cut, and each row is normalised on its own,
+    in place in the freshly drawn block, so a block costs one array and each
+    yielded block is a new array that later draws never touch.
     Blocks are drawn lazily, so a caller that stops early draws at most one
     block ahead.
     """
@@ -160,7 +162,8 @@ def sample_blocks(rng: np.random.Generator, n: int, first: int, total: int):
     while drawn < total:
         count = min(size, total - drawn)
         raw = rng.standard_exponential((count, n))
-        yield raw / raw.sum(axis=1, keepdims=True)
+        raw /= raw.sum(axis=1, keepdims=True)
+        yield raw
         drawn += count
         if 2 * size * n <= LOOKAHEAD_VALUES:
             size *= 2

@@ -209,7 +209,7 @@ class JointDistribution:
 
 
 def _require_same_space(a: WorldSpace, b: WorldSpace) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise SpaceMismatchError(f"world spaces differ: {a.atoms} vs {b.atoms}")
 
 

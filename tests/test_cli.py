@@ -21,6 +21,15 @@ RIEMANN = str(corpus_dir() / "riemann_weil.json")
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as RFC 8259 parsers do."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -70,6 +79,24 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["solver"] is None
         assert payload["config"]["seed"] is None
+
+    def test_undefined_margins_are_null(self, capsys, tmp_path):
+        # euler_polya with every evidence world zeroed: P(Estar) = 0, so the
+        # conditions that condition on the evidence are inapplicable.
+        scenario = json.loads((corpus_dir() / "euler_polya.json").read_text())
+        weights = scenario["distribution"]["weights"]
+        for world in (2, 3, 6, 7):  # Estar is bit 1
+            weights[world] = 0.0
+        total = sum(weights)
+        scenario["distribution"]["weights"] = [w / total for w in weights]
+        path = tmp_path / "no_evidence.json"
+        path.write_text(json.dumps(scenario))
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == EXIT_OK
+        conditions = strict_json(out)["schema_report"]["conditions"]
+        inapplicable = [c for c in conditions.values() if not c["applicable"]]
+        assert len(inapplicable) == 2
+        assert all(c["margin"] is None for c in inapplicable)
 
     def test_solved_scenario_reports_its_seed(self, capsys):
         for argv, expected in ([RIEMANN], 1), ([RIEMANN, "--seed", "7"], 7):
@@ -179,6 +206,20 @@ class TestFuzzTheorem:
         payload = json.loads(out)
         assert payload["violations"] == 0
         assert payload["filtered"] > 0
+
+    def test_no_filtered_row_prints_strict_json(self, capsys):
+        code, out, _ = run(capsys, "fuzz-theorem", "--samples", "5", "--json")
+        assert code == EXIT_OK
+        payload = strict_json(out)
+        assert payload["filtered"] == 0
+        assert payload["min_conclusion_margin"] is None
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_rejected(self, capsys, samples):
+        code, out, err = run(capsys, "fuzz-theorem", "--samples", samples, "--json")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "samples must be >= 1" in err
 
 
 class TestCounterexample:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from analogybench import (
     JointDistribution,
@@ -21,6 +22,8 @@ from analogybench import (
 from analogybench import confirmation
 from analogybench.confirmation import (
     EntailmentPreconditionError,
+    _judge_transitivity,
+    transitivity_sides,
     FUZZ_REVERIFY_CAP,
     MINER_CONFIRM_MARGIN,
     MINER_DISCONFIRM_MARGIN,
@@ -308,6 +311,56 @@ def fuzz_one_draw(samples: int, seed: int, margin: float):
                                     margin=margin)
         reverified += report.antecedent_holds and report.conclusion.holds
     return int(kept.sum()), int(np.count_nonzero(conclusion <= 0.0)), reverified, conclusion
+
+
+@st.composite
+def dyadic_joint(draw):
+    """Sixteenths over the 8 worlds of x, y, z, often with empty worlds."""
+    support = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+    units = draw(st.lists(st.sampled_from(support), min_size=16, max_size=16))
+    return np.bincount(units, minlength=8) / 16
+
+
+class TestJudgeTransitivity:
+    @given(
+        weights=st.lists(dyadic_joint(), min_size=1, max_size=4),
+        masks=st.lists(st.integers(1, 254), min_size=3, max_size=3),
+        margin=st.sampled_from([0.0, 1e-6, 0.125]),
+        corollary_mode=st.booleans(),
+    )
+    @example(  # no mass on y: (i) and (iii) are undefined
+        weights=[np.array([0.5, 0.5, 0, 0, 0, 0, 0, 0])],
+        masks=[0b10101010, 0b11001100, 0b11110000],
+        margin=0.0,
+        corollary_mode=False,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_check_transitivity(self, weights, masks, margin, corollary_mode):
+        space = WorldSpace(("x", "y", "z"))
+        x, y, z = (Proposition(space, [(m >> k) & 1 for k in range(8)]) for m in masks)
+        sides = transitivity_sides(x, y, z)  # built once, judged for every joint
+        for w in weights:
+            dist = JointDistribution(space, w)
+            assert _judge_transitivity(dist, sides, margin, corollary_mode) == (
+                check_transitivity(dist, x, y, z, margin, corollary_mode))
+
+    def test_fuzz_builds_the_sides_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transitivity_sides(*args)
+
+        monkeypatch.setattr(confirmation, "transitivity_sides", counted)
+        report = fuzz_transitivity(samples=20_000, seed=3, margin=1e-6)
+        assert report.filtered > FUZZ_REVERIFY_CAP
+        assert report.reverified == FUZZ_REVERIFY_CAP
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_fuzz_rejects_samples_below_one(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            fuzz_transitivity(samples=samples, seed=1, margin=1e-6)
 
 
 class TestFuzz:

@@ -227,6 +227,14 @@ class TestSampleBlocks:
         sizes = [len(b) for b in sample_blocks(np.random.default_rng(0), n, 512, 1300)]
         assert sizes == [512, 512, 276]
 
+    def test_earlier_block_unchanged_by_next_draw(self):
+        blocks = sample_blocks(np.random.default_rng(3), 4, 8, 100)
+        first = next(blocks)
+        kept = first.copy()
+        second = next(blocks)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.shares_memory(first, second)
+
     def test_drawn_lazily(self):
         rng = np.random.default_rng(0)
         blocks = sample_blocks(rng, 4, 8, 10**9)

@@ -97,6 +97,15 @@ class TestProbability:
         with pytest.raises(SpaceMismatchError):
             probability(ab_dist, Proposition.atom(other, "a"))
 
+    def test_equal_distinct_spaces_accepted(self, ab_dist, ab_space):
+        twin = WorldSpace(("a", "b"))
+        assert twin is not ab_space and twin == ab_space
+        a, b = Proposition.atom(twin, "a"), Proposition.atom(twin, "b")
+        assert probability(ab_dist, a) == probability(ab_dist, Proposition.atom(ab_space, "a"))
+        assert conditional(ab_dist, a, b) == pytest.approx(0.75)
+        with pytest.raises(SpaceMismatchError):
+            conditional(ab_dist, a, Proposition.atom(WorldSpace(("a", "c")), "a"))
+
 
 class TestConditional:
     def test_self_conditioning(self, ab_dist, ab_space):
