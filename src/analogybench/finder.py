@@ -186,9 +186,10 @@ class CompiledConstraints:
     are >= 0 and num is a subset of den, so den = 0 forces num = 0 and
     0/0 = nan marks an undefined conditional.
 
-    The matrix product may sum a column in another order than a lone dot
-    product with it, so values can differ from prob.conditional's sums in
-    the last bits; same-seed search results depend on those bits.
+    The matrix product sums a column in its own order, while
+    prob.conditional's sums are correctly rounded (math.fsum), so values can
+    differ from prob.conditional in the last bits; same-seed search results
+    depend on those bits.
 
     columns, consts and sides keep the slot layout grid_enumerate reads,
     [constants..., columns...], with one (num, den) slot pair per side and

@@ -14,6 +14,7 @@ that is budget exhaustion, not a proof that the value is infeasible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,8 @@ class SweepRow:
 
 def sweep_values(lo: float, hi: float, step: float) -> list[float]:
     """Grid lo, lo+step, ... capped at hi; a step larger than the range gives [lo]."""
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError("sweep range bounds and step must be finite numbers")
     if step <= 0:
         raise ValueError("sweep step must be positive")
     values = []

@@ -239,6 +239,13 @@ class TestCounterexample:
         code, out, err = run(capsys, "counterexample", "--seed", "1", "--budget", "1")
         assert code == EXIT_NOT_FOUND
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_rejected(self, capsys, budget):
+        code, out, err = run(capsys, "counterexample", "--budget", budget, "--json")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "budget must be >= 1" in err
+
     def test_output_scenario_round_trip(self, capsys, tmp_path):
         target = tmp_path / "mined.json"
         code, _, _ = run(
@@ -334,6 +341,15 @@ class TestSweep:
             capsys, "sweep", RIEMANN, "--param", "margins.a", "--range", "0-1-2",
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("grid", ["0.2:1:nan", "0.2:nan:0.1", "0:inf:0.1", "-inf:1:0.1"])
+    def test_non_finite_range_rejected(self, capsys, grid):
+        code, out, err = run(
+            capsys, "sweep", RIEMANN, "--param", "margins.a", f"--range={grid}",
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "finite" in err
 
 
 def readme_cli_examples() -> list[list[str]]:

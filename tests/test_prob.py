@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from analogybench import (
@@ -76,6 +79,18 @@ class TestJointDistribution:
 
     def test_normalization_tolerance(self, ab_space):
         JointDistribution(ab_space, [0.25, 0.25, 0.25, 0.25 + 5e-13])
+
+    @pytest.mark.parametrize("weights", [
+        [math.nan, 0.5, 0.25, 0.25],
+        [math.inf, 0.0, 0.0, 0.0],
+        [-math.inf, 1.0, 0.0, 0.0],
+        [-0.1, 0.6, 0.25, 0.25],
+        [math.inf, -math.inf, 0.5, 0.5],
+    ])
+    def test_rejects_non_finite_or_negative_weights(self, ab_space, weights):
+        with pytest.raises(InvalidDistributionError,
+                           match="^weights must be finite and nonnegative$"):
+            JointDistribution(ab_space, weights)
 
 
 class TestProbability:
@@ -226,3 +241,68 @@ class TestInvariants:
         sub = a & b
         assert probability(dist, sub) <= probability(dist, a) + 1e-12
         assert probability(dist, a) <= probability(dist, a | b) + 1e-12
+
+
+@st.composite
+def weights_and_masks(draw):
+    """A distribution from arbitrary nonnegative floats and three random masks."""
+    n_atoms = draw(st.integers(1, 6))
+    space = WorldSpace(tuple(f"p{i}" for i in range(n_atoms)))
+    n = space.world_count
+    raw = draw(st.lists(st.floats(0.0, 1e300), min_size=n, max_size=n))
+    assume(sum(raw) > 0)
+    dist = JointDistribution.from_unnormalized(space, raw)
+    masks = [draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(3)]
+    return dist, [Proposition(space, np.array(m, dtype=bool)) for m in masks]
+
+
+def exact_mass(dist, prop) -> Fraction:
+    return sum((Fraction(w) for w, t in zip(dist.weights.tolist(), prop.mask) if t),
+               Fraction(0))
+
+
+class TestCorrectlyRoundedSums:
+    """probability and conditional round exact sums of the selected weights once."""
+
+    @given(weights_and_masks())
+    @settings(max_examples=200, deadline=None)
+    def test_probability_is_the_rounded_exact_sum(self, data):
+        dist, props = data
+        for a in props:
+            assert probability(dist, a) == float(exact_mass(dist, a))
+
+    @given(weights_and_masks())
+    @settings(max_examples=200, deadline=None)
+    def test_conditional_divides_rounded_exact_sums(self, data):
+        dist, (a, b, given) = data
+        den = exact_mass(dist, given)
+        if den == 0:
+            with pytest.raises(UndefinedConditionalError):
+                conditional(dist, a, given)
+            return
+        for target in (a, b, a & given, ~given):
+            assert conditional(dist, target, given) == (
+                float(exact_mass(dist, target & given)) / float(den))
+
+    def test_empty_selection_is_zero(self, ab_dist, ab_space):
+        assert probability(ab_dist, Proposition.contradiction(ab_space)) == 0.0
+        b = Proposition.atom(ab_space, "b")
+        assert conditional(ab_dist, Proposition.contradiction(ab_space), b) == 0.0
+
+    def test_zero_mass_given_raises(self, ab_space):
+        dist = JointDistribution(ab_space, [0.5, 0.5, 0.0, 0.0])
+        b = Proposition.atom(ab_space, "b")
+        assert probability(dist, b) == 0.0
+        with pytest.raises(UndefinedConditionalError):
+            conditional(dist, Proposition.atom(ab_space, "a"), b)
+
+    def test_other_space_raises_after_a_cached_query(self, ab_dist, ab_space):
+        a = Proposition.atom(ab_space, "a")
+        assert conditional(ab_dist, a, a) == 1.0
+        other = Proposition.atom(WorldSpace(("a", "c")), "a")
+        with pytest.raises(SpaceMismatchError):
+            probability(ab_dist, other)
+        with pytest.raises(SpaceMismatchError):
+            conditional(ab_dist, other, a)
+        with pytest.raises(SpaceMismatchError):
+            conditional(ab_dist, a, other)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -80,3 +81,15 @@ class TestConditionMarginSweep:
         assert row.status == "ok"
         assert row.condition_margins == {k: c.margin for k, c in report.conditions.items()}
         assert row.degree == report.overall.degree
+
+
+class TestSweepValues:
+    @pytest.mark.parametrize("lo,hi,step", [
+        (0.2, 1.0, math.nan),
+        (0.2, math.nan, 0.1),
+        (0.0, math.inf, 0.1),
+        (-math.inf, 1.0, 0.1),
+    ])
+    def test_non_finite_numbers_rejected(self, lo, hi, step):
+        with pytest.raises(ValueError, match="finite"):
+            sweep.sweep_values(lo, hi, step)
