@@ -19,10 +19,11 @@ Every probability the search evaluates goes through one kernel,
 CompiledConstraints: a constraint list compiled once into a stacked matrix
 of deduplicated 0/1 mask columns, each side evaluated over a weight vector
 or block as (W @ num) / (W @ den), with one matrix product per call. A
-small exact rational grid enumerator backs the search as an independent
-oracle; it shares only the compiled masks and the verdict rule
-(STRICT_KINDS, _required and _signs) and decides all grid points at once in
-int64 arithmetic, with one exact Fraction threshold per constraint.
+small exact rational grid enumerator backs the search as an oracle: it reads
+the kernel's value rows over integer weights
+(CompiledConstraints.integer_differences), shares the verdict rule
+(STRICT_KINDS and _required) and decides all grid points at once in int64
+arithmetic, with one exact Fraction threshold per constraint.
 prob.conditional is the scalar reference the tests compare against.
 
 Infeasibility is only ever reported as budget exhaustion, never as a proof.
@@ -176,85 +177,73 @@ class CompiledConstraints:
     (W @ num) / (W @ den), with num = target & given and den = given. W is one
     weight vector (n,) or a block (k, n); a vector takes the same path as a
     block of one row. The deduplicated 0/1 mask columns are stacked into one
-    contiguous (C, n) matrix, so a call takes one matrix product for all
-    columns and rows, laid out constraints x rows: a (C, k) value array,
-    followed by a row per constant and a row per distinct conditional side,
-    which holds one division num / den. A constant or an unconditional side
-    is read as is, never divided. A constraint's achieved margin is then one
-    gathered row minus another, and penalty and satisfied reduce the (m, k)
-    margins over the constraint axis without a per-constraint loop. Weights
-    are >= 0 and num is a subset of den, so den = 0 forces num = 0 and
-    0/0 = nan marks an undefined conditional.
+    contiguous (C, n) matrix, columns, so a call takes one matrix product for
+    all columns and rows. Every call fills one value array with a row per
+    value and a column per row of W, in one row order:
+    [constants..., mask columns..., conditional ratios...], where each
+    distinct conditional side is one ratio row, one division num / den of two
+    column rows. A constant or an unconditional side is read as is, never
+    divided. A constraint's achieved margin is then its first row minus its
+    second (prob_lt's sides swapped at compile time, equality's -|.| taken
+    after), and penalty and satisfied reduce the (m, k) margins over the
+    constraint axis without a per-constraint loop. Weights are >= 0 and num
+    is a subset of den, so den = 0 forces num = 0 and 0/0 = nan marks an
+    undefined conditional. integer_differences reads the same rows over
+    integer weights, exactly, for grid_enumerate.
 
     The matrix product sums a column in its own order, while
     prob.conditional's sums are correctly rounded (math.fsum), so values can
     differ from prob.conditional in the last bits; same-seed search results
     depend on those bits.
-
-    columns, consts and sides keep the slot layout grid_enumerate reads,
-    [constants..., columns...], with one (num, den) slot pair per side and
-    den None for a constant or an unconditional side.
     """
 
     def __init__(self, constraints):
         self.constraints = tuple(constraints)
-        # Slots, as grid_enumerate reads them: [constants..., columns...].
-        self.consts = [
+        consts = [
             float(s.const)
             for c in self.constraints for s in (c.lhs, c.rhs) if s.is_const
         ]
-        const_slots = iter(range(len(self.consts)))
-        self.columns: list[np.ndarray] = []
+        const_rows = iter(range(len(consts)))
+        masks: list[np.ndarray] = []
         index: dict[bytes, int] = {}
 
         def column(mask: np.ndarray) -> int:
             key = mask.tobytes()
             if key not in index:
-                index[key] = len(self.consts) + len(self.columns)
-                self.columns.append(mask.astype(np.float64))
+                index[key] = len(consts) + len(masks)
+                masks.append(mask)
             return index[key]
 
         def side(s: Side) -> tuple[int, int | None]:
+            """A side's (num, den) rows; den None for a constant or P(target)."""
             if s.is_const:
-                return next(const_slots), None
+                return next(const_rows), None
             if s.given is None:
                 return column(s.target.mask), None
             return column(s.target.mask & s.given.mask), column(s.given.mask)
 
-        self.sides = [(side(c.lhs), side(c.rhs)) for c in self.constraints]
-
-        # The kernel's value rows are [columns..., constants..., conditional
-        # ratios...]. The achieved margin, min over s in _signs of
-        # s * (lhs - rhs), is first - second: prob_lt swaps its sides, and
-        # equality then takes -|first - second|.
-        n_cols, n_consts = len(self.columns), len(self.consts)
+        sides = [(side(c.lhs), side(c.rhs)) for c in self.constraints]
+        known = len(consts) + len(masks)
         ratios: dict[tuple[int, int], int] = {}
 
-        def slot_row(slot: int) -> int:
-            return n_cols + slot if slot < n_consts else slot - n_consts
+        def row(num: int, den: int | None) -> int:
+            return num if den is None else ratios.setdefault((num, den), known + len(ratios))
 
-        def row(side: tuple[int, int | None]) -> int:
-            num, den = side
-            if den is None:
-                return slot_row(num)
-            key = (slot_row(num), slot_row(den))
-            return ratios.setdefault(key, n_cols + n_consts + len(ratios))
-
+        # The achieved margin is first - second: prob_lt swaps its sides, and
+        # equality then takes -|first - second|.
         first, second = [], []
-        for c, (lhs, rhs) in zip(self.constraints, self.sides):
-            if _signs(c.kind) == (-1,):
+        for c, (lhs, rhs) in zip(self.constraints, sides):
+            if c.kind == "prob_lt":
                 lhs, rhs = rhs, lhs
-            first.append(row(lhs))
-            second.append(row(rhs))
+            first.append(row(*lhs))
+            second.append(row(*rhs))
         self._first, self._second = np.array(first), np.array(second)
         self._ratio_num = np.array([num for num, _ in ratios], dtype=int)
         self._ratio_den = np.array([den for _, den in ratios], dtype=int)
-        self._n_values = n_cols + n_consts + len(ratios)
-        self._matrix = np.array(self.columns)
-        self._consts = np.array(self.consts)[:, None]
-        self._equality = [
-            i for i, c in enumerate(self.constraints) if len(_signs(c.kind)) == 2
-        ]
+        self._known, self._n_values = known, known + len(ratios)
+        self._consts = np.array(consts)[:, None]
+        self.columns = np.array(masks, dtype=np.float64)
+        self._equality = [i for i, c in enumerate(self.constraints) if c.kind == "equality"]
         required = [_required(c) for c in self.constraints]
         self._required = np.array(required)[:, None]
         # _holds in one comparison: a > r iff a >= the next float above r.
@@ -266,16 +255,15 @@ class CompiledConstraints:
     def _achieved(self, w: np.ndarray) -> np.ndarray:
         """Achieved margin per constraint and row of w, as an (m, k) array.
 
-        The signed slack _holds judges (see _signs): lhs - rhs, rhs - lhs for
-        prob_lt, -|lhs - rhs| for equality; nan when undefined.
+        The signed slack _holds judges: lhs - rhs, rhs - lhs for prob_lt,
+        -|lhs - rhs| for equality; nan when undefined.
         """
         rows = w.reshape(-1, w.shape[-1])
-        n_cols = len(self.columns)
+        n_consts, known = len(self._consts), self._known
         values = np.empty((self._n_values, len(rows)))
-        if n_cols:
-            np.matmul(self._matrix, rows.T, out=values[:n_cols])
-        known = n_cols + len(self.consts)
-        values[n_cols:known] = self._consts
+        values[:n_consts] = self._consts
+        if known > n_consts:
+            np.matmul(self.columns, rows.T, out=values[n_consts:known])
         # Each distinct conditional side is divided once, in place in its own
         # row (the indices are in range; mode "clip" takes without a buffer).
         ratios = values[known:]
@@ -287,6 +275,30 @@ class CompiledConstraints:
         if self._equality:
             achieved[self._equality] = -np.abs(achieved[self._equality])
         return achieved
+
+    def integer_differences(self, counts: np.ndarray, total: int):
+        """Yield first - second of each constraint over integer weights, exactly.
+
+        counts is a (P, n) int64 block of weight vectors in units of 1 / total.
+        Each value row is then num / den + const: 0 / 1 + c for a constant c,
+        (counts @ target) / total for P(target) and (counts @ num) /
+        (counts @ den) for a conditional. For the constraint's first and
+        second rows this yields (x, y, k) with first - second = x / y + k:
+        x = fn * sd - sn * fd and y = fd * sd, int64 arrays of shape (P,)
+        (ints when both sides are constant), and k = fc - sc an exact
+        Fraction. |x| and y are at most total**2, so int64 is exact while
+        total < 2**31. y = 0 exactly where a conditional is undefined. The
+        sides are those of the achieved margin: prob_lt's are swapped, and
+        equality takes -|x / y + k|.
+        """
+        columns = self.columns.astype(np.int64).reshape(-1, counts.shape[-1])
+        parts = [(0, 1, Fraction(c)) for c in self._consts[:, 0].tolist()]
+        parts += [(mass, total, 0) for mass in (counts @ columns.T).T]
+        parts += [(parts[num][0], parts[den][0], 0)
+                  for num, den in zip(self._ratio_num, self._ratio_den)]
+        for f, s in zip(self._first, self._second):
+            (fn, fd, fc), (sn, sd, sc) = parts[f], parts[s]
+            yield fn * sd - sn * fd, fd * sd, fc - sc
 
     def named_margins(self, w: np.ndarray) -> dict[str, float]:
         """Achieved margin of one weight vector per constraint label (c<i> if none)."""
@@ -326,18 +338,6 @@ class CompiledConstraints:
 def _required(c: ProbConstraint) -> float:
     """Required achieved margin: -m for equality (|lhs-rhs| <= m), m otherwise."""
     return -c.margin if c.kind == "equality" else c.margin
-
-
-def _signs(kind: str) -> tuple[int, ...]:
-    """Signs s whose min of s * (lhs - rhs) is a constraint's achieved margin.
-
-    That signed slack is compared with _required by _holds: lhs - rhs, or
-    rhs - lhs for prob_lt; equality uses -|lhs - rhs| against margin -m,
-    i.e. it holds iff |lhs - rhs| <= m.
-    """
-    if kind == "equality":
-        return (1, -1)
-    return (-1,) if kind == "prob_lt" else (1,)
 
 
 def _holds(kind: str, achieved, required, tolerance: float):
@@ -574,19 +574,20 @@ def _compositions(total: int, parts: int) -> np.ndarray:
 def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
     """Enumerate all rational weight vectors k/resolution satisfying cs, exactly.
 
-    Reads the compiled mask columns of CompiledConstraints and judges every
-    point by its verdict rule in integer arithmetic: strict kinds with exact
-    strict inequality, weak kinds with >=, equality within its margin.
-    Restricted to small spaces and resolutions.
+    Judges every point by the verdict rule of CompiledConstraints in integer
+    arithmetic: strict kinds with exact strict inequality, weak kinds with
+    >=, equality within its margin. Restricted to small spaces and
+    resolutions.
 
-    All points are decided at once. With R = resolution, every mask side is
-    num/den in integer counts (den = R for P(target)), so lhs - rhs is
-    X / Y + k with X = ln * rd - rn * ld, Y = ld * rd (|X|, Y <= R**2) and k
-    an exact constant from the constant sides. Each sign s of the achieved
-    margin then holds iff s * X >= lo[Y], where lo[Y] = floor(t * Y) + 1 for
-    strict kinds and ceil(t * Y) for weak ones, with the threshold
-    t = required - s * k one Fraction per constraint. Y = 0 is an undefined
-    conditional, which fails its constraint.
+    All points are decided at once. With R = resolution,
+    CompiledConstraints.integer_differences gives each constraint's
+    first - second as X / Y + k over the points' counts (|X|, Y <= R**2,
+    k an exact constant). The achieved margin is s * (X / Y + k) for s = 1,
+    and the min over s in (1, -1) for equality; each sign s holds iff
+    s * X >= lo[Y], where lo[Y] = floor(t * Y) + 1 for strict kinds and
+    ceil(t * Y) for weak ones, with the threshold t = required - s * k one
+    Fraction per constraint. Y = 0 is an undefined conditional, which fails
+    its constraint.
     """
     n = cs.space.world_count
     if n > MAX_GRID_WORLDS:
@@ -597,24 +598,11 @@ def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
         )
     compiled = CompiledConstraints(cs.constraints)
     points = _compositions(resolution, n)
-    columns = np.array(compiled.columns, dtype=np.int64).reshape(-1, n)
-    masses = points @ columns.T
-    n_consts = len(compiled.consts)
-
-    def side(slot: tuple[int, int | None]):
-        """A side as num / den + const: counts for a mask side, 0 / 1 + c for c."""
-        num, den = slot
-        if num < n_consts:
-            return 0, 1, Fraction(compiled.consts[num])
-        den = resolution if den is None else masses[:, den - n_consts]
-        return masses[:, num - n_consts], den, 0
-
     ok = np.ones(len(points), dtype=bool)
-    for c, (lhs, rhs) in zip(cs.constraints, compiled.sides):
-        (ln, ld, lc), (rn, rd, rc) = side(lhs), side(rhs)
-        x, y, k = ln * rd - rn * ld, ld * rd, lc - rc
+    differences = compiled.integer_differences(points, resolution)
+    for c, (x, y, k) in zip(cs.constraints, differences):
         strict = c.kind in STRICT_KINDS
-        for s in _signs(c.kind):
+        for s in (1, -1) if c.kind == "equality" else (1,):
             lo = _lower_bounds(Fraction(_required(c)) - s * k, strict, resolution)
             ok &= s * x >= lo[y]
     fractions = [Fraction(k, resolution) for k in range(resolution + 1)]

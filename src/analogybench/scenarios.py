@@ -48,8 +48,6 @@ from .finder import (
     Side,
     coordinate_descent,
     find_model,
-    is_satisfied,
-    penalty as _penalty,
 )
 from .prob import (
     JointDistribution,
@@ -98,6 +96,18 @@ class Scenario:
                         f"{self.name}: roles {ROLE_NAMES[i]} and {ROLE_NAMES[j]}"
                         " must be distinct propositions"
                     )
+        where = self.source_file or self.name
+        labels = self.condition_labels
+        if labels is not None and not (
+            isinstance(labels, tuple) and all(isinstance(x, str) for x in labels)
+            and len(set(labels)) == len(labels) == 4
+        ):
+            raise ScenarioFormatError(f"{where}: 'condition_labels' needs 4 distinct strings")
+        for key in self.margins:
+            if key not in self.labels:
+                raise ScenarioFormatError(
+                    f"{where}: margin {key!r} is not a condition label {list(self.labels)}"
+                )
 
     @property
     def labels(self) -> tuple[str, str, str, str]:
@@ -274,13 +284,13 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
     """
     new_space = extended_space(dist.space, spec.new_atom)
     n_old = dist.space.world_count
+    cs = spec.likelihood_constraints
+    if cs is not None and cs.space != new_space:
+        raise ValueError("constraint set must be over the extended space")
 
     if spec.mode == "revisionary":
-        if spec.likelihood_constraints is None:
+        if cs is None:
             raise ValueError("revisionary extension requires a constraint set")
-        cs = spec.likelihood_constraints
-        if cs.space != new_space:
-            raise ValueError("constraint set must be over the extended space")
         # find_model meets an exact marginal equality by construction.
         prior_constraint = ProbConstraint(
             "equality",
@@ -300,13 +310,9 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
 
     # conservative mode
     old_w = dist.weights
-    if spec.likelihood_constraints is None:
+    if cs is None:
         t = np.full(n_old, spec.prior)
         return JointDistribution(new_space, _assemble(old_w, t))
-
-    cs = spec.likelihood_constraints
-    if cs.space != new_space:
-        raise ValueError("constraint set must be over the extended space")
     compiled = CompiledConstraints(cs.constraints)
 
     def objective(t: np.ndarray):
@@ -333,15 +339,15 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
             # extension ends the restarts; after a miss the next candidate
             # must again come in below 1e-14.
             extended = extension(best_t)
-            if is_satisfied(extended, cs):
+            if compiled.satisfied(extended.weights):
                 return extended
             best_p = 1e-14
     extended = extension(best_t)
-    if not is_satisfied(extended, cs):
+    if not compiled.satisfied(extended.weights):
         raise InfeasibleExtensionError(
             "conservative extension constraints unsatisfied within budget",
             extended,
-            _penalty(extended, cs),
+            float(compiled.penalty(extended.weights)),
         )
     return extended
 
@@ -465,10 +471,6 @@ def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
             )
 
     labels = data.get("condition_labels")
-    if labels is not None:
-        if len(labels) != 4:
-            raise ScenarioFormatError(f"{where}: 'condition_labels' needs 4 entries")
-        labels = tuple(labels)
 
     return Scenario(
         name=name,
@@ -479,7 +481,7 @@ def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
         extra_constraints=tuple(constraints),
         weights=weights,
         seed=seed,
-        condition_labels=labels,
+        condition_labels=tuple(labels) if isinstance(labels, list) else labels,
         baseline=data.get("baseline"),
         notes=data.get("notes", ""),
         source_file=source_file,

@@ -42,12 +42,14 @@ def sweep_values(lo: float, hi: float, step: float) -> list[float]:
         raise ValueError("sweep range bounds and step must be finite numbers")
     if step <= 0:
         raise ValueError("sweep step must be positive")
+    if lo > hi:
+        raise ValueError(f"sweep range is reversed: lo {lo} > hi {hi}")
     values = []
     v = lo
     while v <= hi + 1e-12:
         values.append(round(v, 12))
         v += step
-    return values or [lo]
+    return values
 
 
 def _bridge_atom(scenario: Scenario) -> str:

@@ -127,6 +127,27 @@ class TestCheck:
         code, out, err = run(capsys, "check", str(path))
         assert code == EXIT_VALIDATION
 
+    def test_duplicate_condition_labels(self, capsys, tmp_path):
+        data = json.loads(Path(RIEMANN).read_text())
+        data["condition_labels"] = ["a", "a", "c", "d"]
+        path = tmp_path / "duplicate_labels.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path), "--json")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "condition_labels" in err
+
+    def test_margin_for_unknown_label(self, capsys, tmp_path):
+        data = json.loads((corpus_dir() / "volume.json").read_text())
+        margins = data["distribution"]["margins"]
+        margins["A_typo"] = margins.pop("a")
+        path = tmp_path / "volume_typo.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path), "--json")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "A_typo" in err
+
 
 class TestFindModel:
     def test_json_success(self, capsys):
@@ -335,6 +356,14 @@ class TestSweep:
                          "--seed", "3")
         assert code == EXIT_OK
         assert budgets == [20_000, 20_000]
+
+    def test_reversed_range_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", RIEMANN, "--param", "margins.a", "--range", "0.9:0.1:0.1",
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "reversed" in err
 
     def test_bad_range(self, capsys):
         code, out, err = run(

@@ -325,6 +325,28 @@ class TestSatisfiedBoundsPenalty:
         assert held == len(WEAK_AT_BOUNDARY) + len(within_tolerance)
 
 
+class TestIntegerDifferences:
+    # grid_enumerate reads the kernel's value rows over integer weights. Over
+    # k/1024 weights that reading and the float margins see the same sides.
+    @settings(max_examples=80, deadline=None)
+    @given(cs=constraint_sets(), data=st.data())
+    def test_integer_reading_matches_float_margins(self, cs, data):
+        n = cs.space.world_count
+        block = np.array(data.draw(st.lists(dyadic_rows(n), min_size=1, max_size=6)))
+        counts = np.rint(block * 1024).astype(np.int64)
+        compiled = CompiledConstraints(cs.constraints)
+        margins = compiled.margins(block)
+        differences = compiled.integer_differences(counts, 1024)
+        for c, margin, (x, y, k) in zip(cs.constraints, margins, differences):
+            x, y = np.broadcast_to(x, margin.shape), np.broadcast_to(y, margin.shape)
+            np.testing.assert_array_equal(y == 0, np.isnan(margin))
+            defined = y != 0
+            first_minus_second = x[defined] / y[defined] + float(k)
+            if c.kind == "equality":
+                first_minus_second = -np.abs(first_minus_second)
+            assert np.all(np.abs(first_minus_second - margin[defined]) <= 1e-12)
+
+
 class TestGridReference:
     # Lists, not sets: grid_enumerate must keep the reference's point order.
     @settings(max_examples=50, deadline=None)

@@ -114,6 +114,35 @@ class TestCorpusLoading:
         with pytest.raises(FileNotFoundError):
             load_scenario(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize("labels", [
+        ["a", "a", "c", "d"], ["a", "b", "c"], "abcd", ["a", "b", "c", 4],
+    ])
+    def test_rejects_condition_labels_not_four_distinct_strings(self, tmp_path, labels):
+        # Under these weights condition (i) fails and (ii)-(iv) hold, so a
+        # repeated label would let (ii) hide (i) in the report.
+        bad = tmp_path / "labels.json"
+        bad.write_text(json.dumps({
+            "name": "labels",
+            "atoms": ["H", "E", "B"],
+            "schema": "type1",
+            "roles": {"hypothesis": "H", "evidence": "E", "bridge": "B"},
+            "condition_labels": labels,
+            "distribution": {
+                "weights": [0.167, 0.083, 0.028, 0.194, 0.194, 0.028, 0.139, 0.167],
+            },
+        }))
+        with pytest.raises(ScenarioFormatError, match="condition_labels"):
+            load_scenario(bad)
+
+    def test_rejects_margin_for_unknown_label(self, tmp_path):
+        data = json.loads((corpus_dir() / "volume.json").read_text())
+        margins = data["distribution"]["margins"]
+        margins["A_typo"] = margins.pop("a")
+        bad = tmp_path / "volume_typo.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ScenarioFormatError, match="'A_typo'"):
+            load_scenario(bad)
+
 
 class TestSchemaEvaluation:
     def test_riemann_weil_confirms(self):

@@ -93,3 +93,7 @@ class TestSweepValues:
     def test_non_finite_numbers_rejected(self, lo, hi, step):
         with pytest.raises(ValueError, match="finite"):
             sweep.sweep_values(lo, hi, step)
+
+    def test_reversed_range_rejected(self):
+        with pytest.raises(ValueError, match="reversed"):
+            sweep.sweep_values(0.9, 0.1, 0.1)
