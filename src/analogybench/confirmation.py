@@ -234,10 +234,12 @@ def mine_naive_transitivity_counterexample(
 
     Looks for atoms A, B, C with P(B|A) > P(B) + 0.01, P(C|B) > P(C) + 0.01
     and P(C|A) < P(C) - 0.001. Samples `budget` rows of one seeded stream in
-    sample_blocks blocks (MINER_FIRST_BLOCK rows first, then doubling) and
-    stops at the first row that satisfies the three relations and passes
-    Counterexample.verify(); samples_used is that row's 1-based position in
-    the stream, the same row a single full-budget draw would give.
+    sample_blocks blocks (MINER_FIRST_BLOCK rows first, then doubling),
+    judges the raw rows with CompiledConstraints, whose sides are ratios,
+    and stops at the first row that satisfies the three relations and,
+    normalised, passes Counterexample.verify(); samples_used is that row's
+    1-based position in the stream, the same row a single full-budget draw
+    would give.
     Deterministic given the seed; returns None when the budget is exhausted
     (insufficient budget, not impossibility).
     """
@@ -285,13 +287,14 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     The rows are one seeded stream walked in sample_blocks blocks of
     LOOKAHEAD_VALUES // 8 rows, so memory stays one block whatever
     `samples` is, and the report does not depend on how the stream is cut.
-    The filter and the conclusion are evaluated block by block by
-    CompiledConstraints, with its verdict rule (the weak conditions within
-    BOUNDARY_TOLERANCE); the first FUZZ_REVERIFY_CAP filtered cases, in
-    stream order, are additionally re-checked on the scalar path as an
-    independent cross-check: the sides are built once per run by
-    transitivity_sides and each re-checked row is judged by
-    _judge_transitivity, the verdict path check_transitivity uses.
+    The filter and the conclusion are evaluated block by block on the raw
+    rows by CompiledConstraints, whose sides are ratios, with its verdict
+    rule (the weak conditions within BOUNDARY_TOLERANCE); the first
+    FUZZ_REVERIFY_CAP filtered cases, in stream order, are additionally
+    normalised and re-checked on the scalar path as an independent
+    cross-check: the sides are built once per run by transitivity_sides and
+    each re-checked row is judged by _judge_transitivity, the verdict path
+    check_transitivity uses.
     Raises ValueError when `samples` is below 1.
     """
     if samples < 1:

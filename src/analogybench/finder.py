@@ -12,13 +12,16 @@ and each block is scored with one penalty call. The search then walks the
 block batch by batch under the same rule as one draw per batch would, so
 drawing ahead changes the number of calls, not the result (see find_model).
 The first exact marginal equality P(T) = c in a set is met by construction:
-samples and descent moves are normalised per block, T-worlds to c and the
-rest to 1 - c, so the search never leaves P(T) = c.
+under it, samples and descent moves are normalised per block, T-worlds to c
+and the rest to 1 - c, so the search never leaves P(T) = c.
 
 Every probability the search evaluates goes through one kernel,
 CompiledConstraints: a constraint list compiled once into a stacked matrix
-of deduplicated 0/1 mask columns, each side evaluated over a weight vector
-or block as (W @ num) / (W @ den), with one matrix product per call. A
+of deduplicated 0/1 mask columns, each query side evaluated over a weight
+vector or block as one ratio (W @ num) / (W @ den), with one matrix product
+per call. P(target) is target over the all-ones column, so every side is
+scale-invariant and the sampled rows are scored as drawn, never normalised;
+only a refine's start, descent moves and a pinned block are normalised. A
 small exact rational grid enumerator backs the search as an oracle: it reads
 the kernel's value rows over integer weights
 (CompiledConstraints.integer_differences), shares the verdict rule
@@ -147,24 +150,24 @@ LOOKAHEAD_VALUES = 2**15
 
 
 def sample_blocks(rng: np.random.Generator, n: int, first: int, total: int):
-    """Yield `total` uniform simplex rows over n worlds as (k, n) blocks.
+    """Yield `total` uniform simplex rows over n worlds as raw (k, n) blocks.
 
-    The first block has `first` rows and each later one twice as many, while
-    a block stays within LOOKAHEAD_VALUES floats; the last block holds what
-    is left. The rows, concatenated, are exactly one
-    rng.standard_exponential((total, n)) draw normalised per row: the stream
-    does not depend on how it is cut, and each row is normalised on its own,
-    in place in the freshly drawn block, so a block costs one array and each
-    yielded block is a new array that later draws never touch.
-    Blocks are drawn lazily, so a caller that stops early draws at most one
-    block ahead.
+    A row is i.i.d. standard exponentials: normalised, it is a uniform draw
+    from the simplex, but it is yielded unnormalised, since every query side
+    of CompiledConstraints is a ratio and reads a row and its normalisation
+    alike. A caller that reports a row normalises it itself
+    (JointDistribution.from_unnormalized). The first block has `first` rows
+    and each later one twice as many, while a block stays within
+    LOOKAHEAD_VALUES floats; the last block holds what is left. The rows,
+    concatenated, are exactly one rng.standard_exponential((total, n)) draw:
+    the stream does not depend on how it is cut, and each yielded block is a
+    new array that later draws never touch. Blocks are drawn lazily, so a
+    caller that stops early draws at most one block ahead.
     """
     drawn, size = 0, first
     while drawn < total:
         count = min(size, total - drawn)
-        raw = rng.standard_exponential((count, n))
-        raw /= raw.sum(axis=1, keepdims=True)
-        yield raw
+        yield rng.standard_exponential((count, n))
         drawn += count
         if 2 * size * n <= LOOKAHEAD_VALUES:
             size *= 2
@@ -173,23 +176,28 @@ def sample_blocks(rng: np.random.Generator, n: int, first: int, total: int):
 class CompiledConstraints:
     """A constraint list compiled once into one fused mask-ratio kernel.
 
-    A side is a constant, P(target) = W @ num or P(target | given) =
-    (W @ num) / (W @ den), with num = target & given and den = given. W is one
-    weight vector (n,) or a block (k, n); a vector takes the same path as a
-    block of one row. The deduplicated 0/1 mask columns are stacked into one
-    contiguous (C, n) matrix, columns, so a call takes one matrix product for
-    all columns and rows. Every call fills one value array with a row per
-    value and a column per row of W, in one row order:
-    [constants..., mask columns..., conditional ratios...], where each
-    distinct conditional side is one ratio row, one division num / den of two
-    column rows. A constant or an unconditional side is read as is, never
-    divided. A constraint's achieved margin is then its first row minus its
-    second (prob_lt's sides swapped at compile time, equality's -|.| taken
-    after), and penalty and satisfied reduce the (m, k) margins over the
-    constraint axis without a per-constraint loop. Weights are >= 0 and num
-    is a subset of den, so den = 0 forces num = 0 and 0/0 = nan marks an
-    undefined conditional. integer_differences reads the same rows over
-    integer weights, exactly, for grid_enumerate.
+    A side is a constant or a query, and every query side is one ratio
+    (W @ num) / (W @ den): P(target | given) has num = target & given and
+    den = given, and P(target) has num = target and den = the all-ones mask.
+    So every query side is scale-invariant, and a row of W need not sum to 1:
+    any positive multiple of a row reads the same values, up to rounding in
+    the matrix product. A row of total mass 0 reads every P(target) as
+    undefined (nan); the search never builds one. W is one weight vector (n,)
+    or a block (k, n); a vector takes the same path as a block of one row.
+    The deduplicated 0/1 mask columns, the all-ones column among them when a
+    set has an unconditional side, are stacked into one contiguous (C, n)
+    matrix, columns, so a call takes one matrix product for all columns and
+    rows. Every call fills one value array with a row per value and a column
+    per row of W, in one row order: [constants..., mask columns..., ratios...],
+    where each distinct query side is one ratio row, one division num / den
+    of two column rows. A constant is read as is, never divided. A
+    constraint's achieved margin is then its first row minus its second
+    (prob_lt's sides swapped at compile time, equality's -|.| taken after),
+    and penalty and satisfied reduce the (m, k) margins over the constraint
+    axis without a per-constraint loop. Weights are >= 0 and num is a subset
+    of den, so den = 0 forces num = 0 and 0/0 = nan marks an undefined
+    conditional. integer_differences reads the same rows over integer
+    weights, exactly, for grid_enumerate.
 
     The matrix product sums a column in its own order, while
     prob.conditional's sums are correctly rounded (math.fsum), so values can
@@ -215,11 +223,11 @@ class CompiledConstraints:
             return index[key]
 
         def side(s: Side) -> tuple[int, int | None]:
-            """A side's (num, den) rows; den None for a constant or P(target)."""
+            """A side's (num, den) rows; den None for a constant."""
             if s.is_const:
                 return next(const_rows), None
             if s.given is None:
-                return column(s.target.mask), None
+                return column(s.target.mask), column(np.ones_like(s.target.mask))
             return column(s.target.mask & s.given.mask), column(s.given.mask)
 
         sides = [(side(c.lhs), side(c.rhs)) for c in self.constraints]
@@ -264,7 +272,7 @@ class CompiledConstraints:
         values[:n_consts] = self._consts
         if known > n_consts:
             np.matmul(self.columns, rows.T, out=values[n_consts:known])
-        # Each distinct conditional side is divided once, in place in its own
+        # Each distinct query side is divided once, in place in its own
         # row (the indices are in range; mode "clip" takes without a buffer).
         ratios = values[known:]
         np.take(values, self._ratio_num, axis=0, out=ratios, mode="clip")
@@ -276,24 +284,24 @@ class CompiledConstraints:
             achieved[self._equality] = -np.abs(achieved[self._equality])
         return achieved
 
-    def integer_differences(self, counts: np.ndarray, total: int):
+    def integer_differences(self, counts: np.ndarray):
         """Yield first - second of each constraint over integer weights, exactly.
 
-        counts is a (P, n) int64 block of weight vectors in units of 1 / total.
-        Each value row is then num / den + const: 0 / 1 + c for a constant c,
-        (counts @ target) / total for P(target) and (counts @ num) /
-        (counts @ den) for a conditional. For the constraint's first and
-        second rows this yields (x, y, k) with first - second = x / y + k:
-        x = fn * sd - sn * fd and y = fd * sd, int64 arrays of shape (P,)
-        (ints when both sides are constant), and k = fc - sc an exact
-        Fraction. |x| and y are at most total**2, so int64 is exact while
-        total < 2**31. y = 0 exactly where a conditional is undefined. The
-        sides are those of the achieved margin: prob_lt's are swapped, and
-        equality takes -|x / y + k|.
+        counts is a (P, n) int64 block of weight vectors, at any scale, since
+        every query side is a ratio. Each value row is then num / den + const:
+        0 / 1 + c for a constant c, counts @ mask for a mask column, and
+        (counts @ num) / (counts @ den) for a query side. For the constraint's
+        first and second rows this yields (x, y, k) with first - second =
+        x / y + k: x = fn * sd - sn * fd and y = fd * sd, int64 arrays of
+        shape (P,) (ints when both sides are constant), and k = fc - sc an
+        exact Fraction. |x| and y are at most s**2 for the largest row sum s,
+        so int64 is exact while s < 2**31. y = 0 exactly where a side is
+        undefined. The sides are those of the achieved margin: prob_lt's are
+        swapped, and equality takes -|x / y + k|.
         """
         columns = self.columns.astype(np.int64).reshape(-1, counts.shape[-1])
         parts = [(0, 1, Fraction(c)) for c in self._consts[:, 0].tolist()]
-        parts += [(mass, total, 0) for mass in (counts @ columns.T).T]
+        parts += [(mass, 1, 0) for mass in (counts @ columns.T).T]
         parts += [(parts[num][0], parts[den][0], 0)
                   for num, den in zip(self._ratio_num, self._ratio_den)]
         for f, s in zip(self._first, self._second):
@@ -476,9 +484,11 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
 
     Samples are drawn by sample_blocks in blocks of whole BATCH_SIZE batches
     (the first block is one batch, later ones double up to LOOKAHEAD_VALUES
-    floats) and each block is scored with one penalty call. The block is then
-    walked batch by batch: a batch's best sample is refined for REFINE_STEPS
-    sweeps if it beats the best penalty so far, and the search stops after
+    floats) and each block is scored with one penalty call, on its raw rows:
+    every query side is a ratio, so only the sample a refine starts from is
+    normalised. The block is then walked batch by batch: a batch's best
+    sample is refined for REFINE_STEPS sweeps if it beats the best penalty
+    so far, and the search stops after
     the first refine that leaves a satisfied model. samples_used counts whole
     batches walked, not rows drawn ahead. The first batch always refines,
     since its best sample beats the initial infinite penalty.
@@ -599,7 +609,7 @@ def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
     compiled = CompiledConstraints(cs.constraints)
     points = _compositions(resolution, n)
     ok = np.ones(len(points), dtype=bool)
-    differences = compiled.integer_differences(points, resolution)
+    differences = compiled.integer_differences(points)
     for c, (x, y, k) in zip(cs.constraints, differences):
         strict = c.kind in STRICT_KINDS
         for s in (1, -1) if c.kind == "equality" else (1,):

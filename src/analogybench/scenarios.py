@@ -453,6 +453,11 @@ def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
     constraints: list[ProbConstraint] = []
     seed = 1
     if "weights" in dist_data:
+        for key in ("margins", "constraints", "seed"):
+            if key in dist_data:
+                raise ScenarioFormatError(
+                    f"{where}: field 'distribution.{key}' is not allowed with weights"
+                )
         weights = tuple(float(x) for x in dist_data["weights"])
         if len(weights) != space.world_count:
             raise ScenarioFormatError(

@@ -2,11 +2,11 @@
 
 A bridge-prior sweep re-solves the scenario with the bridge atom's marginal
 pinned to each grid value: the constraint P(bridge) = value at margin 0,
-which find_model meets by construction, so every found model has exactly
-that prior. At an extremal value the analogy channel is degenerate:
-conditions that condition on the dead branch become inapplicable, and at
-value 0 the remaining weak condition is enforced at equality, which forces
-the direct confirmation degree to zero.
+which find_model meets by construction, so every found model has that
+prior within float rounding. At an extremal value the analogy channel is
+degenerate: conditions that condition on the dead branch become
+inapplicable, and at value 0 the remaining weak condition is enforced at
+equality, which forces the direct confirmation degree to zero.
 
 A row reads "infeasible" when find_model found no model within its budget;
 that is budget exhaustion, not a proof that the value is infeasible.

@@ -148,6 +148,16 @@ class TestCheck:
         assert out == ""
         assert "A_typo" in err
 
+    def test_solver_keys_beside_weights(self, capsys, tmp_path):
+        data = json.loads((corpus_dir() / "euler_polya.json").read_text())
+        data["distribution"]["margins"] = {"A_typo": 0.5}
+        path = tmp_path / "euler_polya_extra.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path), "--json")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "distribution.margins" in err
+
 
 class TestFindModel:
     def test_json_success(self, capsys):

@@ -252,8 +252,7 @@ def full_budget_miner(seed: int, budget: int):
         ProbConstraint("prob_lt", Side(target=c, given=a), Side(target=c),
                        margin=MINER_DISCONFIRM_MARGIN),
     ])
-    raw = np.random.default_rng(seed).standard_exponential((budget, 8))
-    weights = raw / raw.sum(axis=1, keepdims=True)
+    weights = np.random.default_rng(seed).standard_exponential((budget, 8))
     for idx in np.flatnonzero(relations.satisfied(weights)):
         dist = JointDistribution.from_unnormalized(space, weights[idx])
         if Counterexample(dist, a, b, c, samples_used=int(idx) + 1).verify():

@@ -210,9 +210,10 @@ class TestSampleBlocks:
     @pytest.mark.parametrize("total", [1, 511, 513, 100_000])
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
     def test_blocks_are_one_normalised_draw(self, total, n):
+        # The blocks are one raw draw, unnormalised: the kernel reads a row
+        # and its normalisation, a uniform simplex row, alike.
         blocks = list(sample_blocks(np.random.default_rng(total + n), n, 512, total))
         reference = np.random.default_rng(total + n).standard_exponential((total, n))
-        reference /= reference.sum(axis=1, keepdims=True)
         start, size = 0, 512
         for block in blocks:
             assert block.shape == (min(size, total - start), n)
@@ -306,7 +307,7 @@ def contradictory_set(seed: int, atoms: int) -> ConstraintSet:
 
 
 def one_batch_at_a_time(cs: ConstraintSet, config: SearchConfig):
-    """find_model as one draw and one penalty call per batch, the reference.
+    """find_model as one raw draw and one penalty call per batch, the reference.
 
     It stops on penalty <= 1e-12 and satisfied, checked after every batch
     and again at the end; find_model checks satisfied alone, after each
@@ -319,8 +320,7 @@ def one_batch_at_a_time(cs: ConstraintSet, config: SearchConfig):
     samples_used = restarts_refined = 0
     while samples_used < config.max_samples:
         count = min(finder.BATCH_SIZE, config.max_samples - samples_used)
-        raw = rng.standard_exponential((count, n))
-        weights = raw / raw.sum(axis=1, keepdims=True)
+        weights = rng.standard_exponential((count, n))
         penalties = compiled.penalty(weights)
         samples_used += count
         idx = int(np.argmin(penalties))

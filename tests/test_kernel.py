@@ -177,6 +177,20 @@ class TestFusedMargins:
                 defined = ~np.isnan(expected)
                 assert np.all(np.abs(got[defined] - expected[defined]) <= 1e-15)
 
+    # Every query side is a ratio, and scaling by a power of two is exact in
+    # float, so a scaled block reads bitwise the same values.
+    @settings(max_examples=60, deadline=None)
+    @given(cs=constraint_sets(), data=st.data(), power=st.sampled_from([-3, 5]))
+    def test_scaled_rows_read_the_same(self, cs, data, power):
+        n = cs.space.world_count
+        block = np.array(data.draw(st.lists(dyadic_rows(n), min_size=1, max_size=6)))
+        scaled = block * 2.0**power
+        compiled = CompiledConstraints(cs.constraints)
+        for w, v in ((block, scaled), (block[0], scaled[0])):
+            assert compiled.margins(v).tobytes() == compiled.margins(w).tobytes()
+            assert compiled.penalty(v).tobytes() == compiled.penalty(w).tobytes()
+            np.testing.assert_array_equal(compiled.satisfied(v), compiled.satisfied(w))
+
     def test_every_kind_on_one_point(self, ab_space):
         a, b = Proposition.atom(ab_space, "a"), Proposition.atom(ab_space, "b")
         dist = JointDistribution(ab_space, [0.5, 0.25, 0.25, 0.0])
@@ -224,8 +238,9 @@ class TestBlockPenalty:
             ProbConstraint("prob_lt", Side(target=b), Side(const=0.9)),
             ProbConstraint("cond_ge_cond", Side(target=b, given=a), Side(target=b)),
         ])
-        # a & b, b and a: three distinct masks across five query sides
-        assert len(compiled.columns) == 3
+        # a & b, b and a: three distinct masks across five query sides, and
+        # the all-ones column that P(a) and P(b) are divided by
+        assert len(compiled.columns) == 4
 
 
 def uniform_ab_case(make):
@@ -336,7 +351,7 @@ class TestIntegerDifferences:
         counts = np.rint(block * 1024).astype(np.int64)
         compiled = CompiledConstraints(cs.constraints)
         margins = compiled.margins(block)
-        differences = compiled.integer_differences(counts, 1024)
+        differences = compiled.integer_differences(counts)
         for c, margin, (x, y, k) in zip(cs.constraints, margins, differences):
             x, y = np.broadcast_to(x, margin.shape), np.broadcast_to(y, margin.shape)
             np.testing.assert_array_equal(y == 0, np.isnan(margin))

@@ -143,6 +143,19 @@ class TestCorpusLoading:
         with pytest.raises(ScenarioFormatError, match="'A_typo'"):
             load_scenario(bad)
 
+    @pytest.mark.parametrize("key, value", [
+        ("margins", {"A_typo": 0.5}),
+        ("constraints", [{"kind": "bogus"}]),
+        ("seed", "not-an-int"),
+    ])
+    def test_rejects_solver_keys_beside_weights(self, tmp_path, key, value):
+        data = json.loads((corpus_dir() / "euler_polya.json").read_text())
+        data["distribution"][key] = value
+        bad = tmp_path / "euler_polya_extra.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ScenarioFormatError, match=f"distribution.{key}"):
+            load_scenario(bad)
+
 
 class TestSchemaEvaluation:
     def test_riemann_weil_confirms(self):
