@@ -25,8 +25,9 @@ only a refine's start, descent moves and a pinned block are normalised. A
 small exact rational grid enumerator backs the search as an oracle: it reads
 the kernel's value rows over integer weights
 (CompiledConstraints.integer_differences), shares the verdict rule
-(STRICT_KINDS and _required) and decides all grid points at once in int64
-arithmetic, with one exact Fraction threshold per constraint.
+(STRICT_KINDS and _required) and decides the grid points in int64
+arithmetic, a block of GRID_CHUNK points per pass, with one exact Fraction
+threshold per constraint.
 prob.conditional is the scalar reference the tests compare against.
 
 Infeasibility is only ever reported as budget exhaustion, never as a proof.
@@ -34,7 +35,6 @@ Infeasibility is only ever reported as budget exhaustion, never as a proof.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -287,21 +287,27 @@ class CompiledConstraints:
     def integer_differences(self, counts: np.ndarray):
         """Yield first - second of each constraint over integer weights, exactly.
 
-        counts is a (P, n) int64 block of weight vectors, at any scale, since
-        every query side is a ratio. Each value row is then num / den + const:
-        0 / 1 + c for a constant c, counts @ mask for a mask column, and
-        (counts @ num) / (counts @ den) for a query side. For the constraint's
-        first and second rows this yields (x, y, k) with first - second =
-        x / y + k: x = fn * sd - sn * fd and y = fd * sd, int64 arrays of
-        shape (P,) (ints when both sides are constant), and k = fc - sc an
-        exact Fraction. |x| and y are at most s**2 for the largest row sum s,
-        so int64 is exact while s < 2**31. y = 0 exactly where a side is
-        undefined. The sides are those of the achieved margin: prob_lt's are
-        swapped, and equality takes -|x / y + k|.
+        counts is a (P, n) int64 block of nonnegative weight vectors, at any
+        scale, since every query side is a ratio. Each value row is then
+        num / den + const: 0 / 1 + c for a constant c, counts @ mask for a
+        mask column, and (counts @ num) / (counts @ den) for a query side. For
+        the constraint's first and second rows this yields (x, y, k) with
+        first - second = x / y + k: x = fn * sd - sn * fd and y = fd * sd,
+        int64 arrays of shape (P,) (ints when both sides are constant), and
+        k = fc - sc an exact Fraction. The sides are those of the achieved
+        margin: prob_lt's are swapped, and equality takes -|x / y + k|. y = 0
+        exactly where a side is undefined.
+
+        Exact while every row sum s is below 2**31. The mask sums are one
+        float64 product, columns @ counts.T (numpy's integer matmul does not
+        use BLAS), cast back to int64: every partial sum is an integer of at
+        most s < 2**53, so float64 holds it exactly. |x| and y are at most
+        s**2 < 2**62, so the products stay exact in int64. Counts beyond the
+        bound, such as Python ints, must not take this path.
         """
-        columns = self.columns.astype(np.int64).reshape(-1, counts.shape[-1])
         parts = [(0, 1, Fraction(c)) for c in self._consts[:, 0].tolist()]
-        parts += [(mass, 1, 0) for mass in (counts @ columns.T).T]
+        masses = self.columns.reshape(-1, counts.shape[-1]) @ counts.T.astype(np.float64)
+        parts += [(mass, 1, 0) for mass in masses.astype(np.int64)]
         parts += [(parts[num][0], parts[den][0], 0)
                   for num, den in zip(self._ratio_num, self._ratio_den)]
         for f, s in zip(self._first, self._second):
@@ -562,23 +568,38 @@ class GridBudgetError(ValueError):
 MAX_GRID_WORLDS = 8
 MAX_GRID_RESOLUTION = 20
 
+#: Grid points grid_enumerate decides per pass. A pass's temporaries, a few
+#: int64 rows per constraint, then stay a few tens of KiB, which the
+#: allocator reuses. Rows over a whole grid (19 448 points at 8 worlds and
+#: resolution 10) are mapped afresh on every call: about 950 page faults,
+#: a third of the call's time.
+GRID_CHUNK = 4096
+
 
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All rows of `parts` nonnegative ints summing to `total`, lexicographic.
 
-    Stars and bars: each choice of parts - 1 bar positions among
-    total + parts - 1 slots is one row; combinations come in lexicographic
-    order, and so do the rows.
+    A (comb(total + parts - 1, parts - 1), parts) int64 array, built in numpy
+    one part at a time. The prefixes of j parts are kept in lexicographic
+    order, each with the total it leaves; each prefix branches on its next
+    value 0..left, in ascending order, so the longer prefixes are in
+    lexicographic order too. The last part takes what is left. A prefix's
+    rows are contiguous in the output, one per composition of what it leaves
+    into the remaining parts, so column j is each prefix's value repeated
+    that many times.
     """
-    slots = total + parts - 1
-    count = math.comb(slots, parts - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
-        dtype=np.int64,
-        count=count * (parts - 1),
-    ).reshape(count, parts - 1)
-    edges = np.hstack([np.full((count, 1), -1), bars, np.full((count, 1), slots)])
-    return np.diff(edges, axis=1) - 1
+    out = np.empty((math.comb(total + parts - 1, parts - 1), parts), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for j in range(parts - 1):
+        branches = left + 1
+        firsts = np.repeat(np.cumsum(branches) - branches, branches)
+        value = np.arange(len(firsts), dtype=np.int64) - firsts
+        left = np.repeat(left, branches) - value
+        rest = parts - j - 2
+        completions = np.array([math.comb(r + rest, rest) for r in range(total + 1)])
+        out[:, j] = np.repeat(value, completions[left])
+    out[:, -1] = left
+    return out
 
 
 def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
@@ -587,18 +608,27 @@ def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
     Judges every point by the verdict rule of CompiledConstraints in integer
     arithmetic: strict kinds with exact strict inequality, weak kinds with
     >=, equality within its margin. Restricted to small spaces and
-    resolutions.
+    resolutions: resolution must be an int (not a bool) in
+    [1, MAX_GRID_RESOLUTION], and the space at most MAX_GRID_WORLDS worlds;
+    anything else raises GridBudgetError before any work.
 
-    All points are decided at once. With R = resolution,
+    With R = resolution, the points' counts are the compositions of R into
+    n parts, built in numpy in lexicographic order (_compositions), and are
+    decided a block of GRID_CHUNK points at a time, with no per-point loop.
     CompiledConstraints.integer_differences gives each constraint's
-    first - second as X / Y + k over the points' counts (|X|, Y <= R**2,
-    k an exact constant). The achieved margin is s * (X / Y + k) for s = 1,
+    first - second as X / Y + k over them (|X|, Y <= R**2, k an exact
+    constant); its mask sums are a float64 product, exact since every row
+    sums to R <= 20. The achieved margin is s * (X / Y + k) for s = 1,
     and the min over s in (1, -1) for equality; each sign s holds iff
     s * X >= lo[Y], where lo[Y] = floor(t * Y) + 1 for strict kinds and
     ceil(t * Y) for weak ones, with the threshold t = required - s * k one
     Fraction per constraint. Y = 0 is an undefined conditional, which fails
     its constraint.
     """
+    if isinstance(resolution, bool) or not isinstance(resolution, int):
+        raise GridBudgetError(
+            f"grid resolution must be an int, got {type(resolution).__name__}"
+        )
     n = cs.space.world_count
     if n > MAX_GRID_WORLDS:
         raise GridBudgetError(f"grid enumeration limited to {MAX_GRID_WORLDS} worlds")
@@ -608,13 +638,20 @@ def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
         )
     compiled = CompiledConstraints(cs.constraints)
     points = _compositions(resolution, n)
+    # k does not depend on the counts, so the thresholds are read once, from
+    # an empty block.
+    tests = [
+        [(s, _lower_bounds(Fraction(_required(c)) - s * k, c.kind in STRICT_KINDS, resolution))
+         for s in ((1, -1) if c.kind == "equality" else (1,))]
+        for c, (_, _, k) in zip(cs.constraints, compiled.integer_differences(points[:0]))
+    ]
     ok = np.ones(len(points), dtype=bool)
-    differences = compiled.integer_differences(points)
-    for c, (x, y, k) in zip(cs.constraints, differences):
-        strict = c.kind in STRICT_KINDS
-        for s in (1, -1) if c.kind == "equality" else (1,):
-            lo = _lower_bounds(Fraction(_required(c)) - s * k, strict, resolution)
-            ok &= s * x >= lo[y]
+    for start in range(0, len(points), GRID_CHUNK):
+        keep = ok[start:start + GRID_CHUNK]
+        differences = compiled.integer_differences(points[start:start + GRID_CHUNK])
+        for (x, y, _), signs in zip(differences, tests):
+            for s, lo in signs:
+                keep &= s * x >= lo[y]
     fractions = [Fraction(k, resolution) for k in range(resolution + 1)]
     return [[fractions[k] for k in point] for point in points[ok].tolist()]
 
@@ -624,12 +661,14 @@ def _lower_bounds(t: Fraction, strict: bool, resolution: int) -> np.ndarray:
 
     Clipped to +-(R**2 + 1), beyond every |X| <= R**2, so no verdict moves and
     int64 cannot overflow; Y = 0, an undefined conditional, gets R**2 + 1,
-    which no X reaches.
+    which no X reaches. t is first clamped to +-(R**2 + 2): past that, every
+    bound for Y >= 1 clips to the same end, so the array does not change.
     """
     limit = resolution**2 + 1
     p, q = t.numerator, t.denominator
-    lo = [limit]
-    for y in range(1, limit):
-        bound = p * y // q + 1 if strict else -(-p * y // q)
-        lo.append(min(max(bound, -limit), limit))
-    return np.array(lo, dtype=np.int64)
+    if abs(p) > (limit + 1) * q:
+        p, q = (limit + 1 if p > 0 else -limit - 1), 1
+    ys = range(1, limit)
+    bounds = [p * y // q + 1 for y in ys] if strict else [-(-p * y // q) for y in ys]
+    lo = np.array([limit, *bounds], dtype=np.int64)
+    return np.clip(lo, -limit, limit, out=lo)

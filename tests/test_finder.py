@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,7 @@ from analogybench.finder import (
     LOOKAHEAD_VALUES,
     CompiledConstraints,
     GridBudgetError,
+    _compositions,
     _marginal_pin,
     _normalise,
     _scale_move,
@@ -539,6 +542,35 @@ class TestGridEnumerate:
             grid_enumerate(small, resolution=21)
         with pytest.raises(GridBudgetError):
             grid_enumerate(small, resolution=0)
+
+    @pytest.mark.parametrize("resolution", [True, False, 10.0, 2.5, "3", None])
+    def test_resolution_must_be_an_int(self, a_gt_half, resolution):
+        # Refused before any work: a bool is not a resolution, and a float
+        # would be truncated or fail late.
+        with pytest.raises(GridBudgetError, match="must be an int"):
+            grid_enumerate(a_gt_half, resolution)
+
+
+def stars_and_bars(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Compositions of total into parts, one per choice of bar positions."""
+    slots = total + parts - 1
+    rows = []
+    for bars in itertools.combinations(range(slots), parts - 1):
+        edges = (-1, *bars, slots)
+        rows.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    return rows
+
+
+class TestCompositions:
+    @pytest.mark.parametrize("parts", range(1, 9))
+    def test_matches_stars_and_bars(self, parts):
+        for total in range(13):
+            rows = _compositions(total, parts)
+            assert rows.dtype == np.int64
+            assert rows.shape == (math.comb(total + parts - 1, parts - 1), parts)
+            expected = stars_and_bars(total, parts)
+            assert expected == sorted(expected)  # lexicographic
+            assert list(map(tuple, rows.tolist())) == expected
 
 
 def equality(lhs: Side, rhs: Side, margin: float = 0.0, label=None) -> ProbConstraint:

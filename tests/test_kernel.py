@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from analogybench import (
@@ -361,6 +362,40 @@ class TestIntegerDifferences:
                 first_minus_second = -np.abs(first_minus_second)
             assert np.all(np.abs(first_minus_second - margin[defined]) <= 1e-12)
 
+    # The mask sums are one float64 product, exact while every row sum is
+    # below 2**31; x and y stay in int64. At row sums of 2**31 - 1, (x, y, k)
+    # must equal a recomputation from the constraints in Python ints.
+    @settings(max_examples=60, deadline=None)
+    @given(cs=constraint_sets(), data=st.data())
+    def test_exact_at_the_row_sum_bound(self, cs, data):
+        n, total = cs.space.world_count, 2**31 - 1
+        cuts = st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)
+        rows = data.draw(st.lists(cuts.map(lambda c: np.diff([0, *sorted(c), total])),
+                                  min_size=1, max_size=6))
+        counts = np.array([[total] + [0] * (n - 1), *rows], dtype=np.int64)
+        exact = counts.astype(object)
+
+        def mass(mask):
+            return exact @ np.array([int(b) for b in mask], dtype=object)
+
+        def side(s: Side):
+            if s.is_const:
+                return 0, 1, Fraction(s.const)
+            if s.given is None:
+                return mass(s.target.mask), mass(np.ones(n, dtype=bool)), 0
+            return mass(s.target.mask & s.given.mask), mass(s.given.mask), 0
+
+        compiled = CompiledConstraints(cs.constraints)
+        shape = (len(counts),)
+        for c, (x, y, k) in zip(cs.constraints, compiled.integer_differences(counts)):
+            first, second = (c.rhs, c.lhs) if c.kind == "prob_lt" else (c.lhs, c.rhs)
+            (fn, fd, fc), (sn, sd, sc) = side(first), side(second)
+            assert [int(v) for v in np.broadcast_to(x, shape)] == list(
+                np.broadcast_to(fn * sd - sn * fd, shape))
+            assert [int(v) for v in np.broadcast_to(y, shape)] == list(
+                np.broadcast_to(fd * sd, shape))
+            assert k == fc - sc
+
 
 class TestGridReference:
     # Lists, not sets: grid_enumerate must keep the reference's point order.
@@ -378,3 +413,17 @@ class TestGridReference:
             checked += 1
             assert grid_enumerate(cs, 10) == reference_grid(cs, 10), scenario.name
         assert checked == 5
+
+    # Thresholds beyond +-(R**2 + 2) are clamped before the integer bounds
+    # are taken; the verdicts must not move.
+    @pytest.mark.parametrize("const", [-1e300, -7.0, -3.25, 3.25, 7.0, 1e300])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_far_thresholds_match_fraction_reference(self, kind, const):
+        space = WorldSpace(("a",))
+        a = Proposition.atom(space, "a")
+        for margin in (0.0, 5.0):
+            for lhs, rhs in ((Side(target=a), Side(const=const)),
+                             (Side(const=const), Side(target=a, given=~a | a))):
+                cs = ConstraintSet(space, [ProbConstraint(kind, lhs, rhs, margin=margin)])
+                for resolution in (1, 2, 3):
+                    assert grid_enumerate(cs, resolution) == reference_grid(cs, resolution)
