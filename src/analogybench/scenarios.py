@@ -263,24 +263,35 @@ def _assemble(old_weights: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _repair_marginal(t: np.ndarray, weights: np.ndarray, prior: float) -> np.ndarray:
-    """Adjust conditional probabilities so the new atom's marginal is exactly prior."""
-    current = float(weights @ t)
-    if current <= 0.0:
-        return np.full_like(t, prior)
-    if prior <= current:
-        return t * (prior / current)
-    if current >= 1.0:
-        return t
-    return 1.0 - (1.0 - t) * ((1.0 - prior) / (1.0 - current))
+    """Each row of t moved so that its bridge marginal t @ weights is prior.
+
+    t is one vector (n,) or a block (k, n), as in _assemble; weights sum
+    to 1. A row whose marginal is at least prior is scaled toward 0, any
+    other row's 1 - t toward 0, so the result stays in [0, 1]. A zero
+    marginal is never divided by: at prior 0 its row becomes exactly 0.
+    """
+    current = (t * weights).sum(axis=-1, keepdims=True)
+    down = current >= prior
+    part = np.where(down, current, 1.0 - current)
+    scale = np.divide(np.where(down, prior, 1.0 - prior), part,
+                      out=np.zeros_like(part), where=part > 0.0)
+    return np.where(down, t * scale, 1.0 - (1.0 - t) * scale)
 
 
 def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistribution:
     """Append a bridge atom to a distribution's space.
 
     Conservative mode preserves every old-atom joint marginal exactly: the
-    search runs over the conditional probability of the new atom given each
-    old world. Revisionary mode re-solves the full constraint set over the
-    extended space. In both modes the new atom's marginal equals spec.prior.
+    search runs over t, the conditional probability of the new atom given
+    each old world. Every t it visits, restart starts and descent moves
+    alike, goes through _repair_marginal, so the new atom's marginal is
+    spec.prior within float rounding by construction and the descent
+    minimises the constraint penalty alone. The search returns at the first
+    of 16 seeded restarts whose extension satisfies the constraints, and
+    otherwise raises InfeasibleExtensionError with the lowest-penalty
+    extension. Revisionary mode re-solves the full constraint set over the
+    extended space, with the prior pinned as an exact equality that
+    find_model meets by construction.
     """
     new_space = extended_space(dist.space, spec.new_atom)
     n_old = dist.space.world_count
@@ -316,40 +327,26 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
     compiled = CompiledConstraints(cs.constraints)
 
     def objective(t: np.ndarray):
-        """Penalty plus squared marginal error, per row of t."""
-        return compiled.penalty(_assemble(old_w, t)) + (t @ old_w - spec.prior) ** 2
+        return compiled.penalty(_assemble(old_w, t))
 
-    def extension(t: np.ndarray) -> JointDistribution:
-        """The extended distribution for t, its bridge marginal repaired to the prior."""
-        return JointDistribution(
-            new_space, _assemble(old_w, _repair_marginal(t, old_w, spec.prior))
-        )
+    def move(t: np.ndarray, signs: np.ndarray, delta) -> np.ndarray:
+        return _repair_marginal(_shift_move(t, signs, delta), old_w, spec.prior)
 
     rng = np.random.default_rng(spec.seed)
-    best_t = np.full(n_old, spec.prior if 0 < spec.prior < 1 else 0.5)
-    best_p = objective(best_t)
+    best_t = best_p = None
     for _ in range(16):  # random restarts over conditional probabilities
-        t = rng.uniform(0.02, 0.98, n_old)
-        t, p = coordinate_descent(t, objective, _shift_move, 0.25, BRIDGE_REFINE_STEPS)
-        if p < best_p:
+        t = _repair_marginal(rng.uniform(0.02, 0.98, n_old), old_w, spec.prior)
+        t, p = coordinate_descent(t, objective, move, 0.25, BRIDGE_REFINE_STEPS)
+        weights = _assemble(old_w, t)
+        if compiled.satisfied(weights):
+            return JointDistribution(new_space, weights)
+        if best_t is None or p < best_p:  # a penalty can overflow to inf
             best_t, best_p = t, p
-        if best_p < 1e-14:
-            # An objective below 1e-14 can still miss a strict margin by
-            # ~1e-8 (a squared hinge of ~1e-16), so only a satisfied
-            # extension ends the restarts; after a miss the next candidate
-            # must again come in below 1e-14.
-            extended = extension(best_t)
-            if compiled.satisfied(extended.weights):
-                return extended
-            best_p = 1e-14
-    extended = extension(best_t)
-    if not compiled.satisfied(extended.weights):
-        raise InfeasibleExtensionError(
-            "conservative extension constraints unsatisfied within budget",
-            extended,
-            float(compiled.penalty(extended.weights)),
-        )
-    return extended
+    raise InfeasibleExtensionError(
+        "conservative extension constraints unsatisfied within budget",
+        JointDistribution(new_space, _assemble(old_w, best_t)),
+        float(best_p),
+    )
 
 
 def _shift_move(t: np.ndarray, signs: np.ndarray, delta) -> np.ndarray:
@@ -396,84 +393,108 @@ PLATONIC_SOLIDS = {
 # Scenario files and the corpus
 
 
-def _parse_side(data: dict, space: WorldSpace, where: str) -> Side:
-    if "const" in data:
-        return Side(const=float(data["const"]))
-    if "target" not in data:
-        raise ScenarioFormatError(f"{where}: side needs 'const' or 'target'")
-    target = Proposition.parse(space, data["target"])
-    given = Proposition.parse(space, data["given"]) if data.get("given") else None
-    return Side(target=target, given=given)
+_TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an int", float: "a number"}
 
 
-def _parse_constraint(data: dict, space: WorldSpace, where: str) -> ProbConstraint:
+def _typed(value, kind, where: str, field: str):
+    """kind(value) when value is a kind, else ScenarioFormatError naming field.
+
+    float takes any JSON number; a JSON true or false is no kind's value.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ScenarioFormatError(f"{where}: field {field!r} must be {_TYPE_NAMES[kind]}")
+    return kind(value)
+
+
+def _parse_formula(text, space: WorldSpace, where: str, field: str) -> Proposition:
+    _typed(text, str, where, field)
     try:
-        return ProbConstraint(
-            kind=data["kind"],
-            lhs=_parse_side(data["lhs"], space, where),
-            rhs=_parse_side(data["rhs"], space, where),
-            margin=float(data.get("margin", 0.0)),
-            label=data.get("label"),
-        )
-    except KeyError as exc:
-        raise ScenarioFormatError(f"{where}: missing constraint field {exc}") from None
+        return Proposition.parse(space, text)
+    except ValueError as exc:
+        raise ScenarioFormatError(f"{where}: field {field!r}: {exc}") from None
+
+
+def _parse_side(data, space: WorldSpace, where: str, field: str) -> Side:
+    _typed(data, dict, where, field)
+    if "const" in data:
+        return Side(const=_typed(data["const"], float, where, f"{field}.const"))
+    if "target" not in data:
+        raise ScenarioFormatError(f"{where}: field {field!r} needs 'const' or 'target'")
+    target = _parse_formula(data["target"], space, where, f"{field}.target")
+    given = data.get("given")
+    if given in (None, ""):
+        return Side(target=target)
+    return Side(target=target, given=_parse_formula(given, space, where, f"{field}.given"))
+
+
+def _parse_constraint(data, space: WorldSpace, where: str, field: str) -> ProbConstraint:
+    # A missing kind, lhs or rhs reads as null and is refused by its type.
+    _typed(data, dict, where, field)
+    return ProbConstraint(
+        kind=_typed(data.get("kind"), str, where, f"{field}.kind"),
+        lhs=_parse_side(data.get("lhs"), space, where, f"{field}.lhs"),
+        rhs=_parse_side(data.get("rhs"), space, where, f"{field}.rhs"),
+        margin=_typed(data.get("margin", 0.0), float, where, f"{field}.margin"),
+        label=_typed(data.get("label", ""), str, where, f"{field}.label") or None,
+    )
 
 
 def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
-    where = source_file or data.get("name", "<scenario>")
+    """A validated Scenario; a missing or wrongly typed field raises
+    ScenarioFormatError naming the field."""
+    if not isinstance(data, dict):
+        raise ScenarioFormatError(f"{source_file or '<scenario>'}: a scenario must be an object")
+    where = source_file or str(data.get("name", "<scenario>"))
 
-    def require(key):
+    def require(key, kind):
         if key not in data:
             raise ScenarioFormatError(f"{where}: missing field {key!r}")
-        return data[key]
+        return _typed(data[key], kind, where, key)
 
-    name = require("name")
-    atoms = require("atoms")
-    if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
-        raise ScenarioFormatError(f"{where}: field 'atoms' must be a list of strings")
+    name = require("name", str)
+    atoms = [_typed(a, str, where, f"atoms[{i}]") for i, a in enumerate(require("atoms", list))]
     try:
         space = WorldSpace(tuple(atoms))
     except ValueError as exc:
         raise ScenarioFormatError(f"{where}: field 'atoms': {exc}") from None
 
-    schema = require("schema")
-    roles_data = require("roles")
+    schema = require("schema", str)
+    roles_data = require("roles", dict)
     roles = {}
     for role in ROLE_NAMES:
         if role not in roles_data:
             raise ScenarioFormatError(f"{where}: field 'roles' missing {role!r}")
-        try:
-            roles[role] = Proposition.parse(space, roles_data[role])
-        except ValueError as exc:
-            raise ScenarioFormatError(f"{where}: field 'roles.{role}': {exc}") from None
+        roles[role] = _parse_formula(roles_data[role], space, where, f"roles.{role}")
 
-    dist_data = require("distribution")
-    weights = None
-    margins: dict[str, float] = {}
-    constraints: list[ProbConstraint] = []
-    seed = 1
+    # Solver keys beside weights are refused, so a weights scenario reads
+    # every one of them at its default.
+    dist_data = require("distribution", dict)
+    weights = dist_data.get("weights")
     if "weights" in dist_data:
         for key in ("margins", "constraints", "seed"):
             if key in dist_data:
                 raise ScenarioFormatError(
                     f"{where}: field 'distribution.{key}' is not allowed with weights"
                 )
-        weights = tuple(float(x) for x in dist_data["weights"])
+        weights = _typed(dist_data["weights"], list, where, "distribution.weights")
+        weights = tuple(_typed(x, float, where, f"distribution.weights[{i}]")
+                        for i, x in enumerate(weights))
         if len(weights) != space.world_count:
             raise ScenarioFormatError(
                 f"{where}: field 'distribution.weights' needs {space.world_count} entries"
             )
-    else:
-        margins = {str(k): float(v) for k, v in dist_data.get("margins", {}).items()}
-        constraints = [
-            _parse_constraint(c, space, f"{where}: distribution.constraints[{i}]")
-            for i, c in enumerate(dist_data.get("constraints", []))
-        ]
-        seed = int(dist_data.get("seed", 1))
-        if not margins and not constraints:
-            raise ScenarioFormatError(
-                f"{where}: field 'distribution' needs weights, margins, or constraints"
-            )
+    margins = _typed(dist_data.get("margins", {}), dict, where, "distribution.margins")
+    margins = {k: _typed(v, float, where, f"distribution.margins.{k}")
+               for k, v in margins.items()}
+    constraints = _typed(dist_data.get("constraints", []), list, where,
+                         "distribution.constraints")
+    constraints = [_parse_constraint(c, space, where, f"distribution.constraints[{i}]")
+                   for i, c in enumerate(constraints)]
+    seed = _typed(dist_data.get("seed", 1), int, where, "distribution.seed")
+    if weights is None and not margins and not constraints:
+        raise ScenarioFormatError(
+            f"{where}: field 'distribution' needs weights, margins, or constraints"
+        )
 
     labels = data.get("condition_labels")
 

@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,11 +27,13 @@ from analogybench import (
     probability,
     symmetry_baseline,
 )
-from analogybench.finder import is_satisfied
+from analogybench.cli import EXIT_VALIDATION, main
+from analogybench.finder import is_satisfied, penalty
 from analogybench.scenarios import (
     PLATONIC_SOLIDS,
     InfeasibleExtensionError,
     ScenarioFormatError,
+    _repair_marginal,
     corpus_dir,
     extended_space,
 )
@@ -155,6 +159,36 @@ class TestCorpusLoading:
         bad.write_text(json.dumps(data))
         with pytest.raises(ScenarioFormatError, match=f"distribution.{key}"):
             load_scenario(bad)
+
+    @pytest.mark.parametrize("field, edit", [
+        ("roles.bridge", lambda d: d["roles"].update(bridge=5)),
+        ("distribution.constraints[0].lhs.target",
+         lambda d: d["distribution"]["constraints"][0]["lhs"].update(target=["R"])),
+        ("distribution", lambda d: d.update(distribution="weights")),
+        ("distribution.margins", lambda d: d["distribution"].update(margins=[0.05])),
+        ("distribution.margins.a", lambda d: d["distribution"]["margins"].update(a=None)),
+        ("distribution.constraints",
+         lambda d: d["distribution"].update(constraints={"kind": "prob_gt"})),
+        ("distribution.constraints[0]",
+         lambda d: d["distribution"]["constraints"].__setitem__(0, "prob_gt")),
+        ("distribution.weights[7]",
+         lambda d: d.update(distribution={"weights": [0.125] * 7 + [None]})),
+        ("distribution.seed", lambda d: d["distribution"].update(seed=1.7)),
+        ("distribution.seed", lambda d: d["distribution"].update(seed=True)),
+        ("distribution.constraints[0].label",
+         lambda d: d["distribution"]["constraints"][0].update(label=["x"])),
+    ], ids=["bridge-int", "target-list", "distribution-string", "margins-list", "margin-null",
+            "constraints-object", "constraint-string", "weight-null", "seed-float", "seed-bool",
+            "label-list"])
+    def test_rejects_wrongly_typed_field(self, tmp_path, capsys, field, edit):
+        data = json.loads((corpus_dir() / "riemann_weil.json").read_text())
+        edit(data)
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ScenarioFormatError, match=f"field '{re.escape(field)}'"):
+            load_scenario(bad)
+        assert main(["check", str(bad), "--json"]) == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
 
 
 class TestSchemaEvaluation:
@@ -401,9 +435,6 @@ class TestBridgeExtension:
         assert np.isfinite(err.value.best.weights).all()
 
     def test_planted_conservative_extensions_succeed(self):
-        # Restarts that stopped at the first objective below 1e-14 raised
-        # InfeasibleExtensionError on 3 of these 200 (seeds 71, 128, 199):
-        # each candidate missed a strict margin by 1e-8 to 1e-7.
         for seed in range(200):
             dist, spec = planted_extension(seed)
             ext = extend_with_bridge(dist, spec)
@@ -411,6 +442,22 @@ class TestBridgeExtension:
             n = dist.space.world_count
             np.testing.assert_allclose(ext.weights[:n] + ext.weights[n:], dist.weights,
                                        atol=1e-12)
+
+    def test_conservative_failure_keeps_marginals_and_prior(self, ab_dist):
+        new_space = extended_space(ab_dist.space, "g")
+        g = Proposition.atom(new_space, "g")
+        cs = ConstraintSet(new_space, [
+            ProbConstraint("prob_gt", Side(target=g), Side(const=0.5), label="g"),
+        ])
+        with pytest.raises(InfeasibleExtensionError) as err:
+            extend_with_bridge(ab_dist, BridgeSpec(new_atom="g", prior=0.3,
+                                                   likelihood_constraints=cs))
+        best = err.value.best
+        n = ab_dist.space.world_count
+        np.testing.assert_allclose(best.weights[:n] + best.weights[n:], ab_dist.weights,
+                                   rtol=0, atol=1e-12)
+        assert abs(exact_value(Side(target=g), best.weights) - Fraction(0.3)) <= 1e-15
+        assert err.value.penalty == penalty(best, cs)
 
     def test_existing_atom_rejected(self, ab_dist):
         with pytest.raises(ValueError):
@@ -433,6 +480,27 @@ class TestBridgeExtension:
             assert probability(ext, new_prop) == pytest.approx(
                 probability(dist, old_prop), abs=1e-12
             )
+
+
+class TestRepairMarginal:
+    @pytest.mark.parametrize("prior", [0.0, 0.3, 0.8, 1.0])
+    def test_rows_match_vector_calls_and_meet_the_prior(self, prior):
+        rng = np.random.default_rng(4)
+        weights = rng.dirichlet(np.ones(8))
+        weights[5] = 0.0
+        weights /= weights.sum()
+        block = rng.uniform(0.0, 1.0, (6, 8))
+        block[0] = 0.0  # marginal 0
+        block[1] = 1.0  # marginal 1 within rounding
+        block[2] = np.where(weights == 0.0, 0.7, 0.0)  # marginal 0, t not all 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            repaired = _repair_marginal(block, weights, prior)
+            rows = [_repair_marginal(t, weights, prior) for t in block]
+        for row, t in zip(repaired, rows):
+            np.testing.assert_array_equal(row, t)
+            assert abs(row @ weights - prior) <= 1e-15
+            assert ((row >= 0.0) & (row <= 1.0)).all()
 
 
 class TestBaselineAndArithmetic:
