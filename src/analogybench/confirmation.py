@@ -10,15 +10,24 @@ evaluates a sufficient condition set for transitivity over a chain X -> Y -> Z:
     (iv)  P(Z|X & !Y) >= P(Z|!Y)
     =>    P(Z|X)      > P(Z)
 
-In the limiting case in which Y entails Z, (ii) and (iv) alone suffice.
+In the limiting case in which Y entails Z, (ii) and (iv) alone suffice;
+check_corollary, which checks the entailment, is the only entry point that
+judges by them alone.
 The counterexample miner searches for naive-transitivity failures:
 X confirms Y, Y confirms Z, yet X disconfirms Z.
+
+Each verdict is written once, as a ProbConstraint list: the conditions and
+the conclusion by transitivity_constraints, the miner's three relations by
+_naive_chain. The compiled kernel (finder.CompiledConstraints) reads a list
+on sampled blocks, and _judge reads the same list on one distribution
+through the correctly rounded scalar path (prob.conditional), with the
+kernel's achieved margins and verdict rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +38,7 @@ from .finder import (
     ProbConstraint,
     Side,
     _holds,
+    _required,
     sample_blocks,
 )
 from .prob import (
@@ -128,24 +138,63 @@ def confirm(
     return ConfirmationVerdict(confirms=degree > margin, degree=degree, measure_values=measures)
 
 
-def transitivity_sides(
-    x: Proposition, y: Proposition, z: Proposition
-) -> list[tuple[str, Side, Side]]:
-    """Conditions (i)-(iv) and the conclusion over x -> y -> z as (kind, lhs, rhs)."""
+def transitivity_constraints(
+    x: Proposition, y: Proposition, z: Proposition, margin: float = 0.0
+) -> list[ProbConstraint]:
+    """Conditions (i)-(iv) and the conclusion over x -> y -> z, labelled.
+
+    (i) and (ii) must hold strictly past `margin`; (iii), (iv) and the
+    conclusion take margin 0. ProbConstraint rejects a negative or
+    non-finite margin with ValueError.
+    """
     not_y = ~y
     return [
-        ("cond_gt_prob", Side(target=z, given=y), Side(target=z)),
-        ("cond_gt_cond", Side(target=x, given=y), Side(target=x, given=not_y)),
-        ("cond_ge_cond", Side(target=z, given=x & y), Side(target=z, given=y)),
-        ("cond_ge_cond", Side(target=z, given=x & not_y), Side(target=z, given=not_y)),
-        ("cond_gt_prob", Side(target=z, given=x), Side(target=z)),
+        ProbConstraint("cond_gt_prob", Side(target=z, given=y), Side(target=z),
+                       margin=margin, label="i"),
+        ProbConstraint("cond_gt_cond", Side(target=x, given=y), Side(target=x, given=not_y),
+                       margin=margin, label="ii"),
+        ProbConstraint("cond_ge_cond", Side(target=z, given=x & y), Side(target=z, given=y),
+                       label="iii"),
+        ProbConstraint("cond_ge_cond", Side(target=z, given=x & not_y),
+                       Side(target=z, given=not_y), label="iv"),
+        ProbConstraint("cond_gt_prob", Side(target=z, given=x), Side(target=z),
+                       label="conclusion"),
     ]
 
 
-def _side_probability(dist: JointDistribution, side: Side) -> float:
+def _side_value(dist: JointDistribution, side: Side) -> float:
+    if side.is_const:
+        return side.const
     if side.given is None:
         return probability(dist, side.target)
     return conditional(dist, side.target, side.given)
+
+
+def _judge(dist: JointDistribution, constraints) -> list[ConditionResult]:
+    """One ConditionResult per constraint, on the scalar path.
+
+    The achieved margin is read as CompiledConstraints reads it (lhs - rhs,
+    prob_lt's sides swapped, -|lhs - rhs| for equality), each side through
+    prob.conditional or prob.probability, and judged by finder._holds at
+    the constraint's _required margin. A constraint with an undefined
+    conditional is inapplicable, never silently true.
+    """
+    results = []
+    for c in constraints:
+        lhs, rhs = (c.rhs, c.lhs) if c.kind == "prob_lt" else (c.lhs, c.rhs)
+        try:
+            value = _side_value(dist, lhs) - _side_value(dist, rhs)
+        except UndefinedConditionalError:
+            results.append(_INAPPLICABLE)
+            continue
+        if c.kind == "equality":
+            value = -abs(value)
+        results.append(ConditionResult(
+            holds=bool(_holds(c.kind, value, _required(c), BOUNDARY_TOLERANCE)),
+            margin=value,
+            at_boundary=abs(value) <= BOUNDARY_TOLERANCE,
+        ))
+    return results
 
 
 def check_transitivity(
@@ -154,43 +203,16 @@ def check_transitivity(
     y: Proposition,
     z: Proposition,
     margin: float = 0.0,
-    corollary_mode: bool = False,
 ) -> TransitivityReport:
     """Evaluate the four transitivity conditions and the conclusion.
 
-    Builds the sides with transitivity_sides and judges them with
-    _judge_transitivity, the verdict path that fuzz_transitivity's re-check
-    shares over sides it builds once per run. Each condition is
-    judged by the finder's verdict rule (finder._holds): (i) and (ii)
+    The list from transitivity_constraints, judged by _judge: (i) and (ii)
     strictly past `margin`, (iii) and (iv) weak (>= 0 within
-    BOUNDARY_TOLERANCE), the conclusion strictly past 0. Every side goes
-    through prob.conditional, the scalar reference. Conditions whose
-    conditionals are undefined are reported inapplicable, never silently true.
+    BOUNDARY_TOLERANCE), the conclusion strictly past 0. Conditions whose
+    conditionals are undefined are reported inapplicable. Raises ValueError
+    for a negative or non-finite margin.
     """
-    return _judge_transitivity(dist, transitivity_sides(x, y, z), margin, corollary_mode)
-
-
-def _judge_transitivity(
-    dist: JointDistribution,
-    sides: list[tuple[str, Side, Side]],
-    margin: float,
-    corollary_mode: bool = False,
-) -> TransitivityReport:
-    """check_transitivity's verdicts over a side list from transitivity_sides."""
-    results = []
-    for i, (kind, lhs, rhs) in enumerate(sides):
-        try:
-            value = _side_probability(dist, lhs) - _side_probability(dist, rhs)
-        except UndefinedConditionalError:
-            results.append(_INAPPLICABLE)
-            continue
-        required = margin if i < 2 else 0.0
-        results.append(ConditionResult(
-            holds=bool(_holds(kind, value, required, BOUNDARY_TOLERANCE)),
-            margin=value,
-            at_boundary=abs(value) <= BOUNDARY_TOLERANCE,
-        ))
-    return TransitivityReport(*results, corollary_mode=corollary_mode)
+    return TransitivityReport(*_judge(dist, transitivity_constraints(x, y, z, margin)))
 
 
 class EntailmentPreconditionError(ValueError):
@@ -207,7 +229,7 @@ def check_corollary(
     """Limiting case in which y entails z: only (ii) and (iv) are decision-relevant."""
     if not entails(y, z):
         raise EntailmentPreconditionError("corollary check requires y to entail z")
-    return check_transitivity(dist, x, y, z, margin=margin, corollary_mode=True)
+    return replace(check_transitivity(dist, x, y, z, margin), corollary_mode=True)
 
 
 @dataclass(frozen=True)
@@ -219,12 +241,22 @@ class Counterexample:
     samples_used: int
 
     def verify(self) -> bool:
-        """Independent re-computation of all three confirmation relations."""
-        d = self.distribution
-        first = confirm(d, self.x, self.y, MINER_CONFIRM_MARGIN)
-        second = confirm(d, self.y, self.z, MINER_CONFIRM_MARGIN)
-        final = conditional(d, self.z, self.x) - probability(d, self.z)
-        return first.confirms and second.confirms and final < -MINER_DISCONFIRM_MARGIN
+        """Re-computation of all three relations of _naive_chain on the scalar path."""
+        chain = _naive_chain(self.x, self.y, self.z)
+        return all(r.holds for r in _judge(self.distribution, chain))
+
+
+def _naive_chain(a: Proposition, b: Proposition, c: Proposition) -> list[ProbConstraint]:
+    """The miner's relations: a confirms b and b confirms c past
+    MINER_CONFIRM_MARGIN, and a disconfirms c past MINER_DISCONFIRM_MARGIN."""
+    return [
+        ProbConstraint("cond_gt_prob", Side(target=b, given=a), Side(target=b),
+                       margin=MINER_CONFIRM_MARGIN),
+        ProbConstraint("cond_gt_prob", Side(target=c, given=b), Side(target=c),
+                       margin=MINER_CONFIRM_MARGIN),
+        ProbConstraint("prob_lt", Side(target=c, given=a), Side(target=c),
+                       margin=MINER_DISCONFIRM_MARGIN),
+    ]
 
 
 def mine_naive_transitivity_counterexample(
@@ -235,11 +267,11 @@ def mine_naive_transitivity_counterexample(
     Looks for atoms A, B, C with P(B|A) > P(B) + 0.01, P(C|B) > P(C) + 0.01
     and P(C|A) < P(C) - 0.001. Samples `budget` rows of one seeded stream in
     sample_blocks blocks (MINER_FIRST_BLOCK rows first, then doubling),
-    judges the raw rows with CompiledConstraints, whose sides are ratios,
-    and stops at the first row that satisfies the three relations and,
-    normalised, passes Counterexample.verify(); samples_used is that row's
-    1-based position in the stream, the same row a single full-budget draw
-    would give.
+    judges the raw rows with CompiledConstraints over _naive_chain, whose
+    sides are ratios, and stops at the first row that satisfies the three
+    relations and, normalised, passes Counterexample.verify(); samples_used
+    is that row's 1-based position in the stream, the same row a single
+    full-budget draw would give.
     Deterministic given the seed; returns None when the budget is exhausted
     (insufficient budget, not impossibility).
     """
@@ -247,14 +279,7 @@ def mine_naive_transitivity_counterexample(
         return None
     space = WorldSpace(("A", "B", "C"))
     a, b, c = (Proposition.atom(space, name) for name in space.atoms)
-    relations = CompiledConstraints([
-        ProbConstraint("cond_gt_prob", Side(target=b, given=a), Side(target=b),
-                       margin=MINER_CONFIRM_MARGIN),
-        ProbConstraint("cond_gt_prob", Side(target=c, given=b), Side(target=c),
-                       margin=MINER_CONFIRM_MARGIN),
-        ProbConstraint("prob_lt", Side(target=c, given=a), Side(target=c),
-                       margin=MINER_DISCONFIRM_MARGIN),
-    ])
+    relations = CompiledConstraints(_naive_chain(a, b, c))
     rng = np.random.default_rng(seed)
     offset = 0
     for weights in sample_blocks(rng, space.world_count, MINER_FIRST_BLOCK, budget):
@@ -292,22 +317,19 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     rule (the weak conditions within BOUNDARY_TOLERANCE); the first
     FUZZ_REVERIFY_CAP filtered cases, in stream order, are additionally
     normalised and re-checked on the scalar path as an independent
-    cross-check: the sides are built once per run by transitivity_sides and
-    each re-checked row is judged by _judge_transitivity, the verdict path
-    check_transitivity uses.
+    cross-check: the constraint list is built once per run by
+    transitivity_constraints, the kernel compiles its conditions and its
+    conclusion, and each re-checked row is judged over the same list by
+    _judge, the verdict path check_transitivity uses.
     Raises ValueError when `samples` is below 1.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     space = WorldSpace(("X", "Y", "Z"))
     x, y, z = (Proposition.atom(space, name) for name in space.atoms)
-    sides = transitivity_sides(x, y, z)
-    *conditions, conclusion = sides
-    antecedent = CompiledConstraints(
-        ProbConstraint(kind, lhs, rhs, margin=0.0 if kind == "cond_ge_cond" else margin)
-        for kind, lhs, rhs in conditions
-    )
-    concluded = CompiledConstraints([ProbConstraint(*conclusion)])
+    constraints = transitivity_constraints(x, y, z, margin)
+    antecedent = CompiledConstraints(constraints[:4])
+    concluded = CompiledConstraints(constraints[4:])
     rng = np.random.default_rng(seed)
     n = space.world_count
 
@@ -320,9 +342,7 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
         min_margin = min(min_margin, margins.min(initial=math.inf))
         for row in kept[:max(FUZZ_REVERIFY_CAP - filtered, 0)]:
             dist = JointDistribution.from_unnormalized(space, row)
-            report = _judge_transitivity(dist, sides, margin)
-            if report.antecedent_holds and report.conclusion.holds:
-                reverified += 1
+            reverified += all(r.holds for r in _judge(dist, constraints))
         filtered += len(kept)
     return FuzzReport(
         samples=samples,

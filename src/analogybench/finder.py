@@ -102,6 +102,10 @@ class ConstraintSet:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if not self.constraints:
             raise ValueError("constraint set must be nonempty")
+        names = _names(self.constraints)
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"duplicate constraint name {name!r}")
         for c in self.constraints:
             for side in (c.lhs, c.rhs):
                 for prop in (side.target, side.given):
@@ -315,11 +319,8 @@ class CompiledConstraints:
             yield fn * sd - sn * fd, fd * sd, fc - sc
 
     def named_margins(self, w: np.ndarray) -> dict[str, float]:
-        """Achieved margin of one weight vector per constraint label (c<i> if none)."""
-        return {
-            c.label or f"c{i}": float(v)
-            for i, (c, v) in enumerate(zip(self.constraints, self.margins(w)))
-        }
+        """Achieved margin of one weight vector per constraint name (see _names)."""
+        return dict(zip(_names(self.constraints), self.margins(w).tolist()))
 
     def margins(self, w: np.ndarray) -> np.ndarray:
         """Achieved margin per constraint; nan when undefined.
@@ -349,6 +350,11 @@ class CompiledConstraints:
         return ok if w.ndim > 1 else ok[0]
 
 
+def _names(constraints) -> list[str]:
+    """Each constraint's label, or c<i> for an unlabelled one at index i."""
+    return [c.label or f"c{i}" for i, c in enumerate(constraints)]
+
+
 def _required(c: ProbConstraint) -> float:
     """Required achieved margin: -m for equality (|lhs-rhs| <= m), m otherwise."""
     return -c.margin if c.kind == "equality" else c.margin
@@ -368,21 +374,25 @@ def _holds(kind: str, achieved, required, tolerance: float):
     return achieved >= required - tolerance
 
 
-def penalty(dist: JointDistribution, cs: ConstraintSet) -> float:
-    """Sum of squared hinge violations; zero iff every constraint holds at its margin."""
+def _compiled(dist: JointDistribution, cs: ConstraintSet) -> CompiledConstraints:
     if dist.space != cs.space:
         raise SpaceMismatchError("distribution and constraint set use different spaces")
-    return float(CompiledConstraints(cs.constraints).penalty(dist.weights))
+    return CompiledConstraints(cs.constraints)
+
+
+def penalty(dist: JointDistribution, cs: ConstraintSet) -> float:
+    """Sum of squared hinge violations; zero iff every constraint holds at its margin."""
+    return float(_compiled(dist, cs).penalty(dist.weights))
 
 
 def achieved_margins(dist: JointDistribution, cs: ConstraintSet) -> dict[str, float]:
-    return CompiledConstraints(cs.constraints).named_margins(dist.weights)
+    return _compiled(dist, cs).named_margins(dist.weights)
 
 
 def is_satisfied(dist: JointDistribution, cs: ConstraintSet) -> bool:
     """Float verdict: strict kinds strictly past their margin, weak and
     equality kinds within BOUNDARY_TOLERANCE of it (see _holds)."""
-    return bool(CompiledConstraints(cs.constraints).satisfied(dist.weights))
+    return bool(_compiled(dist, cs).satisfied(dist.weights))
 
 
 #: Line-search step multiples along the combination of a sweep's improving moves.
@@ -485,6 +495,9 @@ BATCH_SIZE = 512
 REFINE_STEPS = 240
 
 
+# A hinge past about 1e154 squares to an infinite penalty, which find_model
+# reports as it is; it is not worth a warning.
+@np.errstate(over="ignore")
 def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     """Seeded random restarts + coordinate descent; deterministic given the seed.
 
@@ -496,8 +509,9 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     sample is refined for REFINE_STEPS sweeps if it beats the best penalty
     so far, and the search stops after
     the first refine that leaves a satisfied model. samples_used counts whole
-    batches walked, not rows drawn ahead. The first batch always refines,
-    since its best sample beats the initial infinite penalty.
+    batches walked, not rows drawn ahead. The first batch always refines, and
+    its result is the first best model, even when every penalty overflows to
+    inf.
 
     An exact marginal equality P(T) = c (see _marginal_pin; only the first
     one in the set) is met by construction: the search runs only over
@@ -529,7 +543,7 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
                 stop = start + BATCH_SIZE
                 yield block[start:stop], penalties[start:stop]
 
-    best_penalty = float("inf")
+    best_w, best_penalty = None, float("inf")
     found = False
     samples_used = 0
     restarts_refined = 0
@@ -537,17 +551,18 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     for weights, penalties in batches():
         samples_used += len(weights)
         idx = int(np.argmin(penalties))
-        if penalties[idx] < best_penalty:
-            refined, refined_penalty = coordinate_descent(
-                _normalise(weights[idx], pin), compiled.penalty, move, 0.5, REFINE_STEPS,
-            )
-            restarts_refined += 1
-            if refined_penalty < best_penalty:
-                best_penalty = refined_penalty
-                best_w = refined
-                found = bool(compiled.satisfied(best_w))
-                if found:
-                    break
+        # The first batch always refines: every penalty can overflow to inf.
+        if best_w is not None and not penalties[idx] < best_penalty:
+            continue
+        refined, refined_penalty = coordinate_descent(
+            _normalise(weights[idx], pin), compiled.penalty, move, 0.5, REFINE_STEPS,
+        )
+        restarts_refined += 1
+        if best_w is None or refined_penalty < best_penalty:
+            best_w, best_penalty = refined, refined_penalty
+            found = bool(compiled.satisfied(best_w))
+            if found:
+                break
 
     dist = JointDistribution.from_unnormalized(cs.space, best_w)
     return FindModelResult(

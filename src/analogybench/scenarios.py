@@ -26,7 +26,7 @@ with x=E, y=B, z=H).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -37,7 +37,7 @@ from .confirmation import (
     ConfirmationVerdict,
     check_transitivity,
     confirm,
-    transitivity_sides,
+    transitivity_constraints,
 )
 from .finder import (
     CompiledConstraints,
@@ -113,26 +113,19 @@ class Scenario:
     def labels(self) -> tuple[str, str, str, str]:
         return self.condition_labels or DEFAULT_LABELS[self.schema]
 
-    def condition_sides(self) -> list[tuple[str, str, Side, Side]]:
-        """The four schema conditions as (label, kind, lhs, rhs).
+    def condition_constraints(self) -> list[ProbConstraint]:
+        """Schema conditions enforced in the solve: those with a margin entry.
 
-        They are transitivity conditions (i)-(iv) with x=E, y=B, z=H.
+        They are transitivity conditions (i)-(iv) with x=E, y=B, z=H, each
+        at its scenario margin under its scenario label.
         """
-        sides = transitivity_sides(
+        conditions = transitivity_constraints(
             x=self.roles["evidence"], y=self.roles["bridge"], z=self.roles["hypothesis"]
         )
-        return [(label, *side) for label, side in zip(self.labels, sides[:4])]
-
-    def condition_constraints(self) -> list[ProbConstraint]:
-        """Schema conditions enforced in the solve: those with a margin entry."""
-        out = []
-        for label, kind, lhs, rhs in self.condition_sides():
-            if label in self.margins:
-                out.append(
-                    ProbConstraint(kind=kind, lhs=lhs, rhs=rhs,
-                                   margin=self.margins[label], label=label)
-                )
-        return out
+        return [
+            replace(c, margin=self.margins[label], label=label)
+            for label, c in zip(self.labels, conditions[:4]) if label in self.margins
+        ]
 
     def constraint_set(self) -> ConstraintSet | None:
         """Full solver constraint set; None when the scenario carries weights."""

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from analogybench import sweep
+from analogybench.finder import SearchConfig
 from analogybench.cli import (
     CSV_HEADER_COMMENT,
     EXIT_INFEASIBLE,
@@ -34,6 +35,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def riemann_variant(tmp_path, name, edit):
+    """riemann_weil written to tmp_path after edit(data) changed it."""
+    data = json.loads(Path(RIEMANN).read_text())
+    edit(data)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _overflowing_bound(data):
+    data["distribution"]["constraints"][0]["rhs"]["const"] = 1e200
+
+
+def _duplicate_label(data):
+    data["distribution"]["constraints"][1]["label"] = "nonext_lo_R"
 
 
 class TestCheck:
@@ -136,6 +154,26 @@ class TestCheck:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert "condition_labels" in err
+
+    def test_overflowing_penalty_is_budget_exhaustion(self, capsys, tmp_path):
+        # P(R) > 1e200: every squared hinge overflows to inf.
+        path = riemann_variant(tmp_path, "overflow", _overflowing_bound)
+        code, out, err = run(capsys, "check", path, "--json")
+        assert code == EXIT_INFEASIBLE
+        assert out == "" and "infeasible within budget" in err
+        code, out, _ = run(capsys, "find-model", path, "--json")
+        assert code == EXIT_INFEASIBLE
+        payload = strict_json(out)
+        assert payload["found"] is False
+        assert payload["penalty"] is None  # inf
+        assert payload["samples_used"] == SearchConfig().max_samples
+
+    def test_duplicate_constraint_label(self, capsys, tmp_path):
+        path = riemann_variant(tmp_path, "duplicate", _duplicate_label)
+        for command in ("check", "find-model"):
+            code, out, err = run(capsys, command, path, "--json")
+            assert code == EXIT_VALIDATION
+            assert out == "" and "duplicate constraint name 'nonext_lo_R'" in err
 
     def test_margin_for_unknown_label(self, capsys, tmp_path):
         data = json.loads((corpus_dir() / "volume.json").read_text())

@@ -26,8 +26,9 @@ from analogybench.confirmation import (
     MINER_CONFIRM_MARGIN,
     MINER_DISCONFIRM_MARGIN,
     Counterexample,
-    _judge_transitivity,
-    transitivity_sides,
+    TransitivityReport,
+    _judge,
+    transitivity_constraints,
 )
 from analogybench.finder import CompiledConstraints, ProbConstraint, Side
 
@@ -325,36 +326,43 @@ class TestJudgeTransitivity:
         weights=st.lists(dyadic_joint(), min_size=1, max_size=4),
         masks=st.lists(st.integers(1, 254), min_size=3, max_size=3),
         margin=st.sampled_from([0.0, 1e-6, 0.125]),
-        corollary_mode=st.booleans(),
     )
     @example(  # no mass on y: (i) and (iii) are undefined
         weights=[np.array([0.5, 0.5, 0, 0, 0, 0, 0, 0])],
         masks=[0b10101010, 0b11001100, 0b11110000],
         margin=0.0,
-        corollary_mode=False,
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_check_transitivity(self, weights, masks, margin, corollary_mode):
+    def test_matches_check_transitivity(self, weights, masks, margin):
         space = WorldSpace(("x", "y", "z"))
         x, y, z = (Proposition(space, [(m >> k) & 1 for k in range(8)]) for m in masks)
-        sides = transitivity_sides(x, y, z)  # built once, judged for every joint
+        constraints = transitivity_constraints(x, y, z, margin)  # built once, judged for every joint
         for w in weights:
             dist = JointDistribution(space, w)
-            assert _judge_transitivity(dist, sides, margin, corollary_mode) == (
-                check_transitivity(dist, x, y, z, margin, corollary_mode))
+            assert TransitivityReport(*_judge(dist, constraints)) == (
+                check_transitivity(dist, x, y, z, margin))
 
     def test_fuzz_builds_the_sides_once(self, monkeypatch):
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args)
-            return transitivity_sides(*args)
+            return transitivity_constraints(*args, **kwargs)
 
-        monkeypatch.setattr(confirmation, "transitivity_sides", counted)
+        monkeypatch.setattr(confirmation, "transitivity_constraints", counted)
         report = fuzz_transitivity(samples=20_000, seed=3, margin=1e-6)
         assert report.filtered > FUZZ_REVERIFY_CAP
         assert report.reverified == FUZZ_REVERIFY_CAP
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("margin", [-0.1, float("nan")])
+    def test_negative_or_nan_margin_rejected(self, xyz_space, margin):
+        x, y, z = (Proposition.atom(xyz_space, name) for name in xyz_space.atoms)
+        dist = JointDistribution.uniform(xyz_space)
+        with pytest.raises(ValueError, match="margin"):
+            check_transitivity(dist, x, y, z, margin)
+        with pytest.raises(ValueError, match="margin"):
+            check_corollary(dist, x, y & z, z, margin)
 
 
 class TestFuzz:

@@ -19,6 +19,7 @@ from analogybench import (
     sample_simplex,
 )
 from analogybench import finder
+from analogybench.prob import SpaceMismatchError
 from analogybench.finder import (
     LOOKAHEAD_VALUES,
     CompiledConstraints,
@@ -124,6 +125,22 @@ class TestConstraintValidation:
         with pytest.raises(ValueError, match="finite"):
             Side(const=const)
 
+    @pytest.mark.parametrize("labels", [("pa", "pa"), ("c1", None)])
+    def test_duplicate_names_rejected(self, ab_space, labels):
+        # Achieved margins are keyed by label, or c<i> for an unlabelled
+        # constraint at index i; two equal keys would hide a margin.
+        a = Proposition.atom(ab_space, "a")
+        constraints = [ProbConstraint("prob_gt", Side(target=a), Side(const=0.1 * i), label=label)
+                       for i, label in enumerate(labels)]
+        with pytest.raises(ValueError, match=f"duplicate constraint name '{labels[0]}'"):
+            ConstraintSet(space=ab_space, constraints=constraints)
+
+    @pytest.mark.parametrize("wrapper", [penalty, achieved_margins, is_satisfied])
+    def test_wrappers_check_the_space(self, ab_space, a_gt_half, wrapper):
+        other = JointDistribution.uniform(WorldSpace(("c", "d")))
+        with pytest.raises(SpaceMismatchError):
+            wrapper(other, a_gt_half)
+
 
 class TestPenalty:
     def test_zero_when_satisfied(self, ab_space, a_gt_half):
@@ -201,6 +218,18 @@ class TestFindModel:
         assert result.penalty > 0.0
         # best-found distribution still reported
         assert result.distribution.weights.sum() == pytest.approx(1.0)
+
+    def test_overflowing_penalties_exhaust_budget(self, ab_space):
+        # Every squared hinge overflows to inf, so no refine beats the first;
+        # the first batch's refine is still the reported model.
+        a = Proposition.atom(ab_space, "a")
+        cs = ConstraintSet(ab_space, [ProbConstraint("prob_gt", Side(target=a), Side(const=1e200))])
+        result = find_model(cs, SearchConfig(seed=1, max_samples=1_500))
+        assert not result.found
+        assert result.penalty == math.inf
+        assert result.samples_used == 1_500
+        assert result.restarts_refined == 1
+        assert result.achieved_margins["c0"] < -1e199
 
     def test_deterministic_given_seed(self, a_gt_half):
         a = find_model(a_gt_half, SearchConfig(seed=7, max_samples=2_000))

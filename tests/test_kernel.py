@@ -17,6 +17,7 @@ from analogybench import (
     load_corpus,
     penalty,
 )
+from analogybench.confirmation import _judge
 from analogybench.prob import UndefinedConditionalError, conditional, probability
 from analogybench.finder import (
     ALL_KINDS,
@@ -177,6 +178,11 @@ class TestFusedMargins:
                 np.testing.assert_array_equal(np.isnan(got), np.isnan(expected))
                 defined = ~np.isnan(expected)
                 assert np.all(np.abs(got[defined] - expected[defined]) <= 1e-15)
+            # The scalar judge reads the same achieved margins on the scalar
+            # path, exactly, and is inapplicable exactly where they are nan.
+            judged = _judge(dist, cs.constraints)
+            np.testing.assert_array_equal([r.margin for r in judged], expected)
+            assert [not r.applicable for r in judged] == np.isnan(expected).tolist()
 
     # Every query side is a ratio, and scaling by a power of two is exact in
     # float, so a scaled block reads bitwise the same values.
