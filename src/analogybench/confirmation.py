@@ -19,9 +19,11 @@ X confirms Y, Y confirms Z, yet X disconfirms Z.
 Each verdict is written once, as a ProbConstraint list: the conditions and
 the conclusion by transitivity_constraints, the miner's three relations by
 _naive_chain. The compiled kernel (finder.CompiledConstraints) reads a list
-on sampled blocks, and _judge reads the same list on one distribution
-through the correctly rounded scalar path (prob.conditional), with the
-kernel's achieved margins and verdict rule.
+on sampled blocks, and _judge reads the same compiled rows on one
+distribution with correctly rounded (math.fsum) sums
+(CompiledConstraints.scalar_margins), judged by the kernel's verdict rule.
+prob.conditional and prob.probability stay the independent reference, read
+by confirm.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from .finder import (
     BOUNDARY_TOLERANCE,
     LOOKAHEAD_VALUES,
     CompiledConstraints,
+    ConstraintSet,
     ProbConstraint,
     Side,
-    _holds,
-    _required,
+    _compiled,
     sample_blocks,
 )
 from .prob import (
@@ -162,39 +164,22 @@ def transitivity_constraints(
     ]
 
 
-def _side_value(dist: JointDistribution, side: Side) -> float:
-    if side.is_const:
-        return side.const
-    if side.given is None:
-        return probability(dist, side.target)
-    return conditional(dist, side.target, side.given)
+def _judge(dist: JointDistribution, compiled: CompiledConstraints) -> list[ConditionResult]:
+    """One ConditionResult per constraint of a compiled list, on one distribution.
 
-
-def _judge(dist: JointDistribution, constraints) -> list[ConditionResult]:
-    """One ConditionResult per constraint, on the scalar path.
-
-    The achieved margin is read as CompiledConstraints reads it (lhs - rhs,
-    prob_lt's sides swapped, -|lhs - rhs| for equality), each side through
-    prob.conditional or prob.probability, and judged by finder._holds at
-    the constraint's _required margin. A constraint with an undefined
-    conditional is inapplicable, never silently true.
+    The achieved margins are compiled.scalar_margins(dist), the kernel's
+    rows read with correctly rounded sums, each judged against the kernel's
+    verdict floor. A constraint with an undefined conditional (a nan margin)
+    is inapplicable, never silently true.
     """
-    results = []
-    for c in constraints:
-        lhs, rhs = (c.rhs, c.lhs) if c.kind == "prob_lt" else (c.lhs, c.rhs)
-        try:
-            value = _side_value(dist, lhs) - _side_value(dist, rhs)
-        except UndefinedConditionalError:
-            results.append(_INAPPLICABLE)
-            continue
-        if c.kind == "equality":
-            value = -abs(value)
-        results.append(ConditionResult(
-            holds=bool(_holds(c.kind, value, _required(c), BOUNDARY_TOLERANCE)),
-            margin=value,
-            at_boundary=abs(value) <= BOUNDARY_TOLERANCE,
-        ))
-    return results
+    return [
+        _INAPPLICABLE if math.isnan(margin) else ConditionResult(
+            holds=margin >= floor,
+            margin=margin,
+            at_boundary=abs(margin) <= BOUNDARY_TOLERANCE,
+        )
+        for margin, floor in zip(compiled.scalar_margins(dist), compiled._floor[:, 0].tolist())
+    ]
 
 
 def check_transitivity(
@@ -206,13 +191,15 @@ def check_transitivity(
 ) -> TransitivityReport:
     """Evaluate the four transitivity conditions and the conclusion.
 
-    The list from transitivity_constraints, judged by _judge: (i) and (ii)
-    strictly past `margin`, (iii) and (iv) weak (>= 0 within
+    The list from transitivity_constraints, compiled and judged by _judge:
+    (i) and (ii) strictly past `margin`, (iii) and (iv) weak (>= 0 within
     BOUNDARY_TOLERANCE), the conclusion strictly past 0. Conditions whose
     conditionals are undefined are reported inapplicable. Raises ValueError
-    for a negative or non-finite margin.
+    for a negative or non-finite margin, and SpaceMismatchError when x, y or
+    z is over another space than dist.
     """
-    return TransitivityReport(*_judge(dist, transitivity_constraints(x, y, z, margin)))
+    constraints = ConstraintSet(dist.space, transitivity_constraints(x, y, z, margin))
+    return TransitivityReport(*_judge(dist, _compiled(dist, constraints)))
 
 
 class EntailmentPreconditionError(ValueError):
@@ -241,9 +228,10 @@ class Counterexample:
     samples_used: int
 
     def verify(self) -> bool:
-        """Re-computation of all three relations of _naive_chain on the scalar path."""
-        chain = _naive_chain(self.x, self.y, self.z)
-        return all(r.holds for r in _judge(self.distribution, chain))
+        """Re-computation of all three relations of _naive_chain by _judge."""
+        dist = self.distribution
+        chain = ConstraintSet(dist.space, _naive_chain(self.x, self.y, self.z))
+        return all(r.holds for r in _judge(dist, _compiled(dist, chain)))
 
 
 def _naive_chain(a: Proposition, b: Proposition, c: Proposition) -> list[ProbConstraint]:
@@ -269,7 +257,8 @@ def mine_naive_transitivity_counterexample(
     sample_blocks blocks (MINER_FIRST_BLOCK rows first, then doubling),
     judges the raw rows with CompiledConstraints over _naive_chain, whose
     sides are ratios, and stops at the first row that satisfies the three
-    relations and, normalised, passes Counterexample.verify(); samples_used
+    relations and, normalised, holds them by _judge over the same compiled
+    list, the check Counterexample.verify() makes; samples_used
     is that row's 1-based position in the stream, the same row a single
     full-budget draw would give.
     Deterministic given the seed; returns None when the budget is exhausted
@@ -284,15 +273,9 @@ def mine_naive_transitivity_counterexample(
     offset = 0
     for weights in sample_blocks(rng, space.world_count, MINER_FIRST_BLOCK, budget):
         for idx in np.flatnonzero(relations.satisfied(weights)):
-            candidate = Counterexample(
-                distribution=JointDistribution.from_unnormalized(space, weights[idx]),
-                x=a,
-                y=b,
-                z=c,
-                samples_used=offset + int(idx) + 1,
-            )
-            if candidate.verify():
-                return candidate
+            dist = JointDistribution.from_unnormalized(space, weights[idx])
+            if all(r.holds for r in _judge(dist, relations)):
+                return Counterexample(dist, a, b, c, samples_used=offset + int(idx) + 1)
         offset += len(weights)
     return None
 
@@ -316,11 +299,11 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     rows by CompiledConstraints, whose sides are ratios, with its verdict
     rule (the weak conditions within BOUNDARY_TOLERANCE); the first
     FUZZ_REVERIFY_CAP filtered cases, in stream order, are additionally
-    normalised and re-checked on the scalar path as an independent
-    cross-check: the constraint list is built once per run by
-    transitivity_constraints, the kernel compiles its conditions and its
-    conclusion, and each re-checked row is judged over the same list by
-    _judge, the verdict path check_transitivity uses.
+    normalised and re-checked with correctly rounded sums as a cross-check
+    of the block kernel's rounding: the constraint list is built once per
+    run by transitivity_constraints, the kernel compiles its conditions and
+    its conclusion, and each re-checked row is judged over both compiled
+    lists by _judge, the verdict path check_transitivity uses.
     Raises ValueError when `samples` is below 1.
     """
     if samples < 1:
@@ -342,7 +325,7 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
         min_margin = min(min_margin, margins.min(initial=math.inf))
         for row in kept[:max(FUZZ_REVERIFY_CAP - filtered, 0)]:
             dist = JointDistribution.from_unnormalized(space, row)
-            reverified += all(r.holds for r in _judge(dist, constraints))
+            reverified += all(r.holds for k in (antecedent, concluded) for r in _judge(dist, k))
         filtered += len(kept)
     return FuzzReport(
         samples=samples,

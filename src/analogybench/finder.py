@@ -27,8 +27,10 @@ the kernel's value rows over integer weights
 (CompiledConstraints.integer_differences), shares the verdict rule
 (STRICT_KINDS and _required) and decides the grid points in int64
 arithmetic, a block of GRID_CHUNK points per pass, with one exact Fraction
-threshold per constraint.
-prob.conditional is the scalar reference the tests compare against.
+threshold per constraint. The same rows are read on one distribution with
+correctly rounded math.fsum sums (CompiledConstraints.scalar_margins), which
+confirmation's scalar judge reads; prob.conditional stays the independent
+reference the tests compare against.
 
 Infeasibility is only ever reported as budget exhaustion, never as a proof.
 """
@@ -38,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -206,7 +209,8 @@ class CompiledConstraints:
     The matrix product sums a column in its own order, while
     prob.conditional's sums are correctly rounded (math.fsum), so values can
     differ from prob.conditional in the last bits; same-seed search results
-    depend on those bits.
+    depend on those bits. scalar_margins reads the same rows on one
+    distribution with math.fsum sums.
     """
 
     def __init__(self, constraints):
@@ -235,6 +239,9 @@ class CompiledConstraints:
             return column(s.target.mask & s.given.mask), column(s.given.mask)
 
         sides = [(side(c.lhs), side(c.rhs)) for c in self.constraints]
+        # One 0/1 byte per world selects a column's weights for scalar_margins;
+        # None marks the all-ones column.
+        self._selectors = [None if all(key) else key for key in index]
         known = len(consts) + len(masks)
         ratios: dict[tuple[int, int], int] = {}
 
@@ -258,17 +265,21 @@ class CompiledConstraints:
         self._equality = [i for i, c in enumerate(self.constraints) if c.kind == "equality"]
         required = [_required(c) for c in self.constraints]
         self._required = np.array(required)[:, None]
-        # _holds in one comparison: a > r iff a >= the next float above r.
+        # The verdict rule: a constraint holds iff its achieved margin is >=
+        # its floor. Strict kinds need achieved > required, which is
+        # achieved >= the next float above required; cond_ge_cond and
+        # equality need achieved >= required - BOUNDARY_TOLERANCE. A nan
+        # (undefined) margin never holds.
         self._floor = np.array([
-            np.nextafter(r, np.inf) if c.kind in STRICT_KINDS else r - BOUNDARY_TOLERANCE
+            math.nextafter(r, math.inf) if c.kind in STRICT_KINDS else r - BOUNDARY_TOLERANCE
             for c, r in zip(self.constraints, required)
         ])[:, None]
 
     def _achieved(self, w: np.ndarray) -> np.ndarray:
         """Achieved margin per constraint and row of w, as an (m, k) array.
 
-        The signed slack _holds judges: lhs - rhs, rhs - lhs for prob_lt,
-        -|lhs - rhs| for equality; nan when undefined.
+        The signed slack the verdict rule judges: lhs - rhs, rhs - lhs for
+        prob_lt, -|lhs - rhs| for equality; nan when undefined.
         """
         rows = w.reshape(-1, w.shape[-1])
         n_consts, known = len(self._consts), self._known
@@ -280,10 +291,12 @@ class CompiledConstraints:
         # row (the indices are in range; mode "clip" takes without a buffer).
         ratios = values[known:]
         np.take(values, self._ratio_num, axis=0, out=ratios, mode="clip")
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # Two constant sides near the float limit can differ by more than it:
+        # that margin is infinite, as it is, without an overflow warning.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             ratios /= values[self._ratio_den]
-        achieved = values[self._first]
-        achieved -= values[self._second]
+            achieved = values[self._first]
+            achieved -= values[self._second]
         if self._equality:
             achieved[self._equality] = -np.abs(achieved[self._equality])
         return achieved
@@ -330,22 +343,52 @@ class CompiledConstraints:
         achieved = self._achieved(w)
         return achieved if w.ndim > 1 else achieved[:, 0]
 
+    def scalar_margins(self, dist: JointDistribution) -> list[float]:
+        """Achieved margin per constraint on one distribution; nan when undefined.
+
+        The value rows of margins, read with correctly rounded sums: each
+        mask column is the math.fsum of the weights it selects, except the
+        all-ones column, which reads 1.0, the total a JointDistribution has
+        by contract. So P(target) is target's mass undivided, as
+        prob.probability reads it, P(target | given) is one division of two
+        fsums, as in prob.conditional, and a ratio over a column of mass 0
+        is nan. A side reads bitwise as those functions do, save a side
+        whose given, or whose unconditional target, is every world: there
+        the reference reads the fsum of all weights, which may miss 1.0 by
+        a few ulps, and this reads 1.0. The sides are those of margins:
+        prob_lt's swapped, and equality's -|.| taken after.
+        """
+        weights = dist.weights.tolist()
+        values = self._consts[:, 0].tolist()
+        values += [1.0 if key is None else math.fsum(compress(weights, key))
+                   for key in self._selectors]
+        values += [values[num] / values[den] if values[den] else math.nan
+                   for num, den in zip(self._ratio_num.tolist(), self._ratio_den.tolist())]
+        achieved = [values[f] - values[s]
+                    for f, s in zip(self._first.tolist(), self._second.tolist())]
+        for i in self._equality:
+            achieved[i] = -abs(achieved[i])
+        return achieved
+
     def penalty(self, w: np.ndarray):
         """Sum of squared hinges, per row of w.
 
         An undefined conditional counts as a hinge of sqrt(UNDEFINED_PENALTY).
+        A hinge past about 1e154 squares to an infinite penalty, which is
+        returned as it is, without an overflow warning.
         """
         achieved = self._achieved(w)
-        hinges = np.subtract(self._required, achieved, out=achieved)
-        np.maximum(hinges, 0.0, out=hinges)
-        hinges[np.isnan(hinges)] = np.sqrt(UNDEFINED_PENALTY)
-        # Summed over the constraint axis: for a block of k > 1 rows that
-        # adds one constraint at a time, in order, for every row.
-        total = np.square(hinges, out=hinges).sum(axis=0)
+        with np.errstate(over="ignore"):
+            hinges = np.subtract(self._required, achieved, out=achieved)
+            np.maximum(hinges, 0.0, out=hinges)
+            hinges[np.isnan(hinges)] = np.sqrt(UNDEFINED_PENALTY)
+            # Summed over the constraint axis: for a block of k > 1 rows that
+            # adds one constraint at a time, in order, for every row.
+            total = np.square(hinges, out=hinges).sum(axis=0)
         return total if w.ndim > 1 else total[0]
 
     def satisfied(self, w: np.ndarray):
-        """Whether every constraint holds by the _holds rule, per row of w."""
+        """Whether every constraint holds by the verdict rule, per row of w."""
         ok = (self._achieved(w) >= self._floor).all(axis=0)
         return ok if w.ndim > 1 else ok[0]
 
@@ -358,20 +401,6 @@ def _names(constraints) -> list[str]:
 def _required(c: ProbConstraint) -> float:
     """Required achieved margin: -m for equality (|lhs-rhs| <= m), m otherwise."""
     return -c.margin if c.kind == "equality" else c.margin
-
-
-def _holds(kind: str, achieved, required, tolerance: float):
-    """The verdict rule on an achieved margin, float or exact.
-
-    required is the constraint's _required margin. Strict kinds need
-    achieved > required; cond_ge_cond and equality need
-    achieved >= required - tolerance, with tolerance 0 in exact arithmetic.
-    An undefined (nan) margin never holds. grid_enumerate applies the same
-    rule in integers.
-    """
-    if kind in STRICT_KINDS:
-        return achieved > required
-    return achieved >= required - tolerance
 
 
 def _compiled(dist: JointDistribution, cs: ConstraintSet) -> CompiledConstraints:
@@ -391,7 +420,7 @@ def achieved_margins(dist: JointDistribution, cs: ConstraintSet) -> dict[str, fl
 
 def is_satisfied(dist: JointDistribution, cs: ConstraintSet) -> bool:
     """Float verdict: strict kinds strictly past their margin, weak and
-    equality kinds within BOUNDARY_TOLERANCE of it (see _holds)."""
+    equality kinds within BOUNDARY_TOLERANCE of it."""
     return bool(_compiled(dist, cs).satisfied(dist.weights))
 
 
@@ -495,9 +524,6 @@ BATCH_SIZE = 512
 REFINE_STEPS = 240
 
 
-# A hinge past about 1e154 squares to an infinite penalty, which find_model
-# reports as it is; it is not worth a warning.
-@np.errstate(over="ignore")
 def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     """Seeded random restarts + coordinate descent; deterministic given the seed.
 

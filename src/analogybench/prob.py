@@ -4,15 +4,12 @@ A space with n atoms has 2**n worlds; world index bit k encodes the truth of
 atom k. Distributions are dense weight vectors over worlds. All types are
 immutable after construction and all operations are pure functions.
 
-probability and conditional are the scalar reference. Each sum of selected
-weights is correctly rounded (math.fsum): the float nearest the exact sum,
-whatever numpy's summation order. The sum runs at Python level over a weight
-list and a mask each object caches on its first query, so its cost grows
-with the number of worlds, where a numpy sum costs about the same up to a few
-hundred. Measured per conditional call (Xeon, Python 3.11, numpy 2.4), this
-is 0.4x a numpy sum at 3 atoms and 0.7x at 6 (64 worlds), but 1.4x at 7 and
-3x at 10; every scalar query in the CLI and the corpus has 3 atoms. The
-cached weight list also takes 32 bytes per world beside the array's 8. The
+probability and conditional are the scalar reference, independent of the
+compiled kernel in finder: confirm, the CLI's confirmation degrees and the
+tests read them. Each sum of selected weights is correctly rounded
+(math.fsum): the float nearest the exact sum, whatever numpy's summation
+order. The sum runs at Python level, over the weights as a list and the mask
+as one 0/1 byte per world, so its cost grows with the number of worlds; the
 batched kernel in finder serves the larger spaces.
 """
 
@@ -98,7 +95,7 @@ class WorldSpace:
 class Proposition:
     """A boolean formula over atoms, evaluated as a set of worlds."""
 
-    __slots__ = ("space", "mask", "text", "_bits")
+    __slots__ = ("space", "mask", "text")
 
     def __init__(self, space: WorldSpace, mask: np.ndarray, text: str | None = None):
         mask = np.asarray(mask, dtype=bool)
@@ -109,10 +106,6 @@ class Proposition:
         self.space = space
         self.mask = mask
         self.text = text
-        # The mask as an int with one byte, 0 or 1, per world, built on the
-        # first scalar query: parsing and the generators build many
-        # propositions that are never summed over.
-        self._bits = None
 
     @classmethod
     def atom(cls, space: WorldSpace, name: str) -> "Proposition":
@@ -185,7 +178,7 @@ def _eval_node(node: tuple, space: WorldSpace) -> np.ndarray:
 class JointDistribution:
     """Nonnegative weights over worlds summing to one."""
 
-    __slots__ = ("space", "weights", "_floats")
+    __slots__ = ("space", "weights")
 
     def __init__(self, space: WorldSpace, weights):
         w = np.asarray(weights, dtype=np.float64)
@@ -203,7 +196,6 @@ class JointDistribution:
         w.flags.writeable = False
         self.space = space
         self.weights = w
-        self._floats = None  # weights.tolist(), built on the first scalar query
 
     @classmethod
     def uniform(cls, space: WorldSpace) -> "JointDistribution":
@@ -232,54 +224,27 @@ def _require_same_space(a: WorldSpace, b: WorldSpace) -> None:
         raise SpaceMismatchError(f"world spaces differ: {a.atoms} vs {b.atoms}")
 
 
-def _floats(dist: JointDistribution) -> list[float]:
-    if dist._floats is None:
-        dist._floats = dist.weights.tolist()
-    return dist._floats
-
-
-def _bits(a: Proposition) -> int:
-    if a._bits is None:
-        a._bits = int.from_bytes(a.mask.tobytes(), "little")
-    return a._bits
-
-
-def _selected_sum(dist: JointDistribution, bits: int) -> float:
-    """Correctly rounded sum of the weights whose world byte in bits is 1.
-
-    One byte per world makes `&` of two masks' ints the int of their
-    conjunction, and to_bytes gives compress its 0/1 selector.
-    """
-    return fsum(compress(_floats(dist), bits.to_bytes(dist.space.world_count, "little")))
-
-
 def probability(dist: JointDistribution, a: Proposition) -> float:
-    """Sum of weights of the worlds in a's extension, correctly rounded.
-
-    Python-level work that grows with the number of worlds; faster than a
-    numpy sum up to 6 atoms and slower from 7 (see the module docstring).
-    """
+    """Sum of weights of the worlds in a's extension, correctly rounded."""
     _require_same_space(dist.space, a.space)
-    return _selected_sum(dist, _bits(a))
+    return fsum(compress(dist.weights.tolist(), a.mask.tobytes()))
 
 
 def conditional(dist: JointDistribution, a: Proposition, given: Proposition) -> float:
     """P(a | given); raises UndefinedConditionalError when P(given) = 0.
 
     Numerator and denominator are each a correctly rounded sum, as in
-    probability, and the quotient is one float division. The work is
-    Python-level and grows with the number of worlds; faster than numpy sums
-    up to 6 atoms and slower from 7 (see the module docstring).
+    probability, and the quotient is one float division.
     """
     _require_same_space(dist.space, a.space)
     _require_same_space(dist.space, given.space)
-    given_bits = _bits(given)
-    denom = _selected_sum(dist, given_bits)
+    weights = dist.weights.tolist()
+    denom = fsum(compress(weights, given.mask.tobytes()))
     if denom <= 0.0:
         raise UndefinedConditionalError(
             f"conditioning on zero-probability event {given!r}"
         )
-    return _selected_sum(dist, _bits(a) & given_bits) / denom
+    return fsum(compress(weights, (a.mask & given.mask).tobytes())) / denom
 
 
 def entails(a: Proposition, b: Proposition) -> bool:

@@ -490,6 +490,10 @@ def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
         )
 
     labels = data.get("condition_labels")
+    baseline = data.get("baseline")
+    if baseline is not None:
+        baseline = {k: _typed(v, float, where, f"baseline.{k}")
+                    for k, v in _typed(baseline, dict, where, "baseline").items()}
 
     return Scenario(
         name=name,
@@ -501,8 +505,8 @@ def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
         weights=weights,
         seed=seed,
         condition_labels=tuple(labels) if isinstance(labels, list) else labels,
-        baseline=data.get("baseline"),
-        notes=data.get("notes", ""),
+        baseline=baseline,
+        notes=_typed(data.get("notes", ""), str, where, "notes"),
         source_file=source_file,
     )
 

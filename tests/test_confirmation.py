@@ -31,6 +31,7 @@ from analogybench.confirmation import (
     transitivity_constraints,
 )
 from analogybench.finder import CompiledConstraints, ProbConstraint, Side
+from analogybench.prob import SpaceMismatchError
 
 
 class TestConfirm:
@@ -149,6 +150,28 @@ class TestCheckTransitivity:
         assert math.isnan(report.cond_i.margin)
         assert not report.cond_i.holds
         assert not report.antecedent_holds
+
+    def test_tautological_bridge_is_no_confirmation(self):
+        # P(H | B | !B) and P(H) are one row of the kernel: the margin of (i)
+        # is exactly 0 on every joint, never a rounding difference.
+        space = WorldSpace(("E", "B", "H"))
+        e, b, h = (Proposition.atom(space, name) for name in space.atoms)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            dist = JointDistribution.from_unnormalized(space, rng.standard_exponential(8))
+            report = check_transitivity(dist, e, b | ~b, h)
+            assert report.cond_i.margin == 0.0
+            assert not report.cond_i.holds
+
+    def test_other_space_of_the_same_size_rejected(self, xyz_space):
+        x, y, z = (Proposition.atom(xyz_space, name) for name in xyz_space.atoms)
+        other = JointDistribution.uniform(WorldSpace(("p", "q", "r")))
+        with pytest.raises(SpaceMismatchError):
+            check_transitivity(other, x, y, z)
+        with pytest.raises(SpaceMismatchError):
+            check_corollary(other, x, y & z, z)
+        with pytest.raises(SpaceMismatchError):
+            Counterexample(other, x, y, z, samples_used=1).verify()
 
     def test_conclusion_direction_is_strictly_greater(self, xyz_space):
         dist = JointDistribution.uniform(xyz_space)
@@ -336,10 +359,11 @@ class TestJudgeTransitivity:
     def test_matches_check_transitivity(self, weights, masks, margin):
         space = WorldSpace(("x", "y", "z"))
         x, y, z = (Proposition(space, [(m >> k) & 1 for k in range(8)]) for m in masks)
-        constraints = transitivity_constraints(x, y, z, margin)  # built once, judged for every joint
+        # built and compiled once, judged for every joint
+        compiled = CompiledConstraints(transitivity_constraints(x, y, z, margin))
         for w in weights:
             dist = JointDistribution(space, w)
-            assert TransitivityReport(*_judge(dist, constraints)) == (
+            assert TransitivityReport(*_judge(dist, compiled)) == (
                 check_transitivity(dist, x, y, z, margin))
 
     def test_fuzz_builds_the_sides_once(self, monkeypatch):

@@ -184,6 +184,22 @@ class TestPenalty:
         assert penalty(near, cs) == 0.0
         assert penalty(far, cs) > 0.0
 
+    def test_overflow_is_inf_without_a_warning(self, ab_space):
+        # A hinge near 1e200 squares past the float limit; two constants near
+        # it differ by more than the limit. The suite turns a RuntimeWarning
+        # into an error, so a warning would fail these calls.
+        a = Proposition.atom(ab_space, "a")
+        dist = JointDistribution.uniform(ab_space)
+        huge = ConstraintSet(ab_space, [
+            ProbConstraint("prob_gt", Side(target=a), Side(const=1e200))])
+        assert penalty(dist, huge) == math.inf
+        assert not is_satisfied(dist, huge)
+        apart = ConstraintSet(ab_space, [
+            ProbConstraint("prob_gt", Side(const=1e308), Side(const=-1e308))])
+        assert penalty(dist, apart) == 0.0
+        assert is_satisfied(dist, apart)
+        assert achieved_margins(dist, apart) == {"c0": math.inf}
+
 
 class TestFindModel:
     def test_easy_constraint(self, a_gt_half):

@@ -21,8 +21,8 @@ from analogybench.confirmation import _judge
 from analogybench.prob import UndefinedConditionalError, conditional, probability
 from analogybench.finder import (
     ALL_KINDS,
+    STRICT_KINDS,
     CompiledConstraints,
-    _holds,
     _required,
     is_satisfied,
 )
@@ -95,6 +95,20 @@ def required(c: ProbConstraint) -> float:
     return -c.margin if c.kind == "equality" else c.margin
 
 
+def _holds(kind: str, achieved, required, tolerance: float):
+    """The verdict rule on an achieved margin, float or exact.
+
+    required is the constraint's _required margin. Strict kinds need
+    achieved > required; cond_ge_cond and equality need
+    achieved >= required - tolerance, with tolerance 0 in exact arithmetic.
+    An undefined (nan) margin never holds. CompiledConstraints applies it as
+    one comparison with its floor, grid_enumerate in integers.
+    """
+    if kind in STRICT_KINDS:
+        return achieved > required
+    return achieved >= required - tolerance
+
+
 def exact_verdicts(cs: ConstraintSet, points: list[tuple[int, ...]]) -> np.ndarray:
     """Per grid point (in counts of 1/RESOLUTION), whether grid_enumerate keeps it."""
     kept = {tuple(int(f * RESOLUTION) for f in p) for p in grid_enumerate(cs, RESOLUTION)}
@@ -159,6 +173,14 @@ def scalar_margin(c: ProbConstraint, dist: JointDistribution) -> float:
         return float("nan")
 
 
+def reads_the_total(cs: ConstraintSet) -> bool:
+    """Whether some side's given, or some unconditional target, is every world."""
+    return any(
+        (s.target if s.given is None else s.given).mask.all()
+        for c in cs.constraints for s in (c.lhs, c.rhs) if not s.is_const
+    )
+
+
 class TestFusedMargins:
     # Dyadic weights k/1024 make every mask sum exact in float, so the fused
     # kernel and the scalar reference divide the same numbers.
@@ -180,7 +202,26 @@ class TestFusedMargins:
                 assert np.all(np.abs(got[defined] - expected[defined]) <= 1e-15)
             # The scalar judge reads the same achieved margins on the scalar
             # path, exactly, and is inapplicable exactly where they are nan.
-            judged = _judge(dist, cs.constraints)
+            judged = _judge(dist, compiled)
+            np.testing.assert_array_equal([r.margin for r in judged], expected)
+            assert [not r.applicable for r in judged] == np.isnan(expected).tolist()
+
+    # On raw exponential rows, normalised, the kernel's matrix product
+    # rounds in its own order, but _judge reads the kernel's rows with fsum
+    # sums, as the reference does, so the margins agree exactly. A given of
+    # every world, or an unconditional target of every world, reads 1.0 in
+    # the kernel and the fsum of all weights in the reference, so such sets
+    # are left out.
+    @settings(max_examples=80, deadline=None)
+    @given(cs=constraint_sets().filter(lambda cs: not reads_the_total(cs)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_judge_matches_scalar_reference_on_raw_rows(self, cs, seed):
+        compiled = CompiledConstraints(cs.constraints)
+        rows = np.random.default_rng(seed).standard_exponential((4, cs.space.world_count))
+        for row in rows:
+            dist = JointDistribution.from_unnormalized(cs.space, row)
+            expected = [scalar_margin(c, dist) for c in cs.constraints]
+            judged = _judge(dist, compiled)
             np.testing.assert_array_equal([r.margin for r in judged], expected)
             assert [not r.applicable for r in judged] == np.isnan(expected).tolist()
 

@@ -177,9 +177,12 @@ class TestCorpusLoading:
         ("distribution.seed", lambda d: d["distribution"].update(seed=True)),
         ("distribution.constraints[0].label",
          lambda d: d["distribution"]["constraints"][0].update(label=["x"])),
+        ("notes", lambda d: d.update(notes=5)),
+        ("baseline", lambda d: d.update(baseline="x")),
+        ("baseline.delta", lambda d: d.update(baseline={"source_quotient": 0.95, "delta": "x"})),
     ], ids=["bridge-int", "target-list", "distribution-string", "margins-list", "margin-null",
             "constraints-object", "constraint-string", "weight-null", "seed-float", "seed-bool",
-            "label-list"])
+            "label-list", "notes-int", "baseline-string", "baseline-value-string"])
     def test_rejects_wrongly_typed_field(self, tmp_path, capsys, field, edit):
         data = json.loads((corpus_dir() / "riemann_weil.json").read_text())
         edit(data)
@@ -458,6 +461,17 @@ class TestBridgeExtension:
                                    rtol=0, atol=1e-12)
         assert abs(exact_value(Side(target=g), best.weights) - Fraction(0.3)) <= 1e-15
         assert err.value.penalty == penalty(best, cs)
+
+    def test_conservative_overflowing_penalty_is_infeasible(self, ab_dist):
+        # Every penalty of P(g) > 1e200 overflows to inf, without a warning.
+        new_space = extended_space(ab_dist.space, "g")
+        g = Proposition.atom(new_space, "g")
+        cs = ConstraintSet(new_space, [
+            ProbConstraint("prob_gt", Side(target=g), Side(const=1e200))])
+        with pytest.raises(InfeasibleExtensionError) as err:
+            extend_with_bridge(ab_dist, BridgeSpec(new_atom="g", prior=0.3,
+                                                   likelihood_constraints=cs))
+        assert err.value.penalty == float("inf")
 
     def test_existing_atom_rejected(self, ab_dist):
         with pytest.raises(ValueError):
