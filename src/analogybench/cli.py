@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .confirmation import (
@@ -26,9 +27,9 @@ from .confirmation import (
     fuzz_transitivity,
     mine_naive_transitivity_counterexample,
 )
-from .finder import SearchConfig, find_model
+from .finder import SearchConfig
 from .formula import FormulaError
-from .prob import JointDistribution, Proposition, probability, conditional
+from .prob import JointDistribution, Proposition
 from .scenarios import Scenario, evaluate_schema, load_scenario
 from .sweep import (
     SWEEP_MAX_SAMPLES,
@@ -64,39 +65,31 @@ def _print_json(report: dict) -> None:
     print(json.dumps(_finite_or_null(report), sort_keys=True, allow_nan=False))
 
 
-def _condition_dict(cond) -> dict:
-    return {
-        "holds": cond.holds,
-        "margin": cond.margin,
-        "applicable": cond.applicable,
-        "at_boundary": cond.at_boundary,
-    }
-
-
 def _schema_report_dict(report) -> dict:
-    return {
-        "scenario": report.scenario,
-        "schema": report.schema,
-        "conditions": {k: _condition_dict(c) for k, c in report.conditions.items()},
-        "bridge_prior": report.bridge_prior,
-        "extremality_flags": list(report.extremality_flags),
-        "degenerate": report.degenerate,
-        "schema_confirms": report.schema_confirms,
-        "overall": None
-        if report.overall is None
-        else {
-            "confirms": report.overall.confirms,
-            "degree": report.overall.degree,
-            "measures": report.overall.measure_values,
-        },
-    }
+    """asdict(report), with overall's measure_values under the report key `measures`."""
+    fields = asdict(report)
+    if fields["overall"] is not None:
+        fields["overall"]["measures"] = fields["overall"].pop("measure_values")
+    return fields
+
+
+def _distribution_dict(dist: JointDistribution) -> dict:
+    return {"atoms": list(dist.space.atoms), "weights": dist.weights.tolist()}
+
+
+def _print_worlds(dist: JointDistribution, width: int) -> None:
+    """One line per world: its atoms, negated where false, and its weight."""
+    for world, weight in enumerate(dist.weights):
+        desc = dist.space.world_description(world)
+        bits = " ".join(f"{'' if v else '!'}{a}" for a, v in desc.items())
+        print(f"  {bits:{width}s} {weight:.6f}")
 
 
 def _fmt_margin(value: float) -> str:
     return "   n/a" if math.isnan(value) else f"{value:+.4f}"
 
 
-def _print_schema_table(report, dist: JointDistribution) -> None:
+def _print_schema_table(report) -> None:
     print(f"scenario: {report.scenario} ({report.schema})")
     print(f"bridge prior: {report.bridge_prior:.4f}")
     if report.degenerate:
@@ -156,15 +149,12 @@ def cmd_check(args) -> int:
                     "margins": scenario.margins,
                 },
                 "solver": None if result is None else _solver_dict(result),
-                "distribution": {
-                    "atoms": list(scenario.space.atoms),
-                    "weights": [float(w) for w in dist.weights],
-                },
+                "distribution": _distribution_dict(dist),
                 "schema_report": _schema_report_dict(report),
             }
         )
     else:
-        _print_schema_table(report, dist)
+        _print_schema_table(report)
         print(f"  elapsed: {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK
 
@@ -174,29 +164,19 @@ def cmd_find_model(args) -> int:
     if scenario.weights is not None:
         print("error: scenario carries explicit weights; nothing to solve", file=sys.stderr)
         return EXIT_VALIDATION
-    cs = scenario.constraint_set()
-    result = find_model(cs, SearchConfig(seed=args.seed if args.seed is not None else scenario.seed))
-    payload = {
-        "version": REPORT_VERSION,
-        "command": "find-model",
-        "config": {"scenario_file": args.scenario, "seed": result.seed},
-        **_solver_dict(result),
-        "distribution": {
-            "atoms": list(scenario.space.atoms),
-            "weights": [float(w) for w in result.distribution.weights],
-        },
-    }
+    dist, result = _solve_scenario(scenario, args.seed)
     if args.json:
-        _print_json(payload)
+        _print_json({
+            "version": REPORT_VERSION,
+            "command": "find-model",
+            "config": {"scenario_file": args.scenario, "seed": result.seed},
+            **_solver_dict(result),
+            "distribution": _distribution_dict(dist),
+        })
     else:
         print(f"found: {result.found} (penalty {result.penalty:.3e}, "
               f"{result.samples_used} samples)")
-        for atom_values, weight in zip(
-            range(scenario.space.world_count), result.distribution.weights
-        ):
-            desc = scenario.space.world_description(atom_values)
-            bits = " ".join(f"{'' if v else '!'}{a}" for a, v in desc.items())
-            print(f"  {bits:30s} {weight:.6f}")
+        _print_worlds(dist, 30)
         for label, margin in result.achieved_margins.items():
             print(f"  {label}: achieved {_fmt_margin(margin)}")
     return EXIT_OK if result.found else EXIT_INFEASIBLE
@@ -231,7 +211,7 @@ def _counterexample_scenario_dict(ce) -> dict:
         "atoms": list(ce.distribution.space.atoms),
         "schema": "type1",
         "roles": {"hypothesis": "C", "evidence": "A", "bridge": "B"},
-        "distribution": {"weights": [float(w) for w in ce.distribution.weights]},
+        "distribution": {"weights": ce.distribution.weights.tolist()},
         "notes": "Machine-mined distribution over which A confirms B and B confirms C "
                  "while A disconfirms C; the schema conditions mirror the transitivity "
                  "conditions, so at least one must fail here.",
@@ -249,48 +229,36 @@ def cmd_counterexample(args) -> int:
         )
         return EXIT_NOT_FOUND
     d = ce.distribution
-    first = confirm(d, ce.x, ce.y)
-    second = confirm(d, ce.y, ce.z)
-    final_degree = conditional(d, ce.z, ce.x) - probability(d, ce.z)
+    first, second, final = (confirm(d, e, h).degree
+                            for e, h in ((ce.x, ce.y), (ce.y, ce.z), (ce.x, ce.z)))
     trans = check_transitivity(d, ce.x, ce.y, ce.z)
     failing = [k for k, c in trans.conditions.items() if not c.holds]
-    payload = {
-        "version": REPORT_VERSION,
-        "command": "counterexample",
-        "config": {"seed": args.seed, "budget": args.budget},
-        "samples_used": ce.samples_used,
-        "distribution": {
-            "atoms": list(d.space.atoms),
-            "weights": [float(w) for w in d.weights],
-        },
-        "confirmations": {
-            "A_confirms_B": first.degree,
-            "B_confirms_C": second.degree,
-            "A_to_C_degree": final_degree,
-        },
-        "failing_conditions": failing,
-        "verified": ce.verify(),
-    }
     if args.json:
-        _print_json(payload)
+        _print_json({
+            "version": REPORT_VERSION,
+            "command": "counterexample",
+            "config": {"seed": args.seed, "budget": args.budget},
+            "samples_used": ce.samples_used,
+            "distribution": _distribution_dict(d),
+            "confirmations": {
+                "A_confirms_B": first,
+                "B_confirms_C": second,
+                "A_to_C_degree": final,
+            },
+            "failing_conditions": failing,
+            "verified": ce.verify(),
+        })
     else:
         print(f"counterexample found after {ce.samples_used} samples")
-        for w_idx, weight in enumerate(d.weights):
-            desc = d.space.world_description(w_idx)
-            bits = " ".join(f"{'' if v else '!'}{a}" for a, v in desc.items())
-            print(f"  {bits:12s} {weight:.6f}")
-        print(f"  P(B|A) - P(B) = {first.degree:+.4f}")
-        print(f"  P(C|B) - P(C) = {second.degree:+.4f}")
-        print(f"  P(C|A) - P(C) = {final_degree:+.4f}")
+        _print_worlds(d, 12)
+        print(f"  P(B|A) - P(B) = {first:+.4f}")
+        print(f"  P(C|B) - P(C) = {second:+.4f}")
+        print(f"  P(C|A) - P(C) = {final:+.4f}")
         print(f"  failing transitivity conditions: {', '.join(failing)}")
     if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                json.dump(_counterexample_scenario_dict(ce), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error writing {args.output}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.output, "w") as fh:
+            json.dump(_counterexample_scenario_dict(ce), fh, indent=2, sort_keys=True)
+            fh.write("\n")
     return EXIT_OK
 
 
@@ -350,12 +318,8 @@ def cmd_sweep(args) -> int:
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error writing {args.output}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.output, "w") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -19,9 +19,12 @@ X confirms Y, Y confirms Z, yet X disconfirms Z.
 Each verdict is written once, as a ProbConstraint list: the conditions and
 the conclusion by transitivity_constraints, the miner's three relations by
 _naive_chain. The compiled kernel (finder.CompiledConstraints) reads a list
-on sampled blocks, and _judge reads the same compiled rows on one
-distribution with correctly rounded (math.fsum) sums
-(CompiledConstraints.scalar_margins), judged by the kernel's verdict rule.
+on sampled blocks, and on one distribution it reads the same rows with
+correctly rounded (math.fsum) sums (CompiledConstraints.scalar_margins),
+judged by the kernel's verdict rule: per constraint by _judge for
+check_transitivity's report, and as one boolean by
+CompiledConstraints.scalar_satisfied where only the verdict is read (the fuzz
+re-check, the miner and Counterexample.verify).
 prob.conditional and prob.probability stay the independent reference, read
 by confirm.
 """
@@ -228,10 +231,11 @@ class Counterexample:
     samples_used: int
 
     def verify(self) -> bool:
-        """Re-computation of all three relations of _naive_chain by _judge."""
+        """Re-computation of all three relations of _naive_chain, judged on
+        the compiled rows' correctly rounded sums (scalar_satisfied)."""
         dist = self.distribution
         chain = ConstraintSet(dist.space, _naive_chain(self.x, self.y, self.z))
-        return all(r.holds for r in _judge(dist, _compiled(dist, chain)))
+        return _compiled(dist, chain).scalar_satisfied(dist)
 
 
 def _naive_chain(a: Proposition, b: Proposition, c: Proposition) -> list[ProbConstraint]:
@@ -257,8 +261,8 @@ def mine_naive_transitivity_counterexample(
     sample_blocks blocks (MINER_FIRST_BLOCK rows first, then doubling),
     judges the raw rows with CompiledConstraints over _naive_chain, whose
     sides are ratios, and stops at the first row that satisfies the three
-    relations and, normalised, holds them by _judge over the same compiled
-    list, the check Counterexample.verify() makes; samples_used
+    relations and, normalised, holds them by scalar_satisfied over the same
+    compiled list, the check Counterexample.verify() makes; samples_used
     is that row's 1-based position in the stream, the same row a single
     full-budget draw would give.
     Deterministic given the seed; returns None when the budget is exhausted
@@ -274,7 +278,7 @@ def mine_naive_transitivity_counterexample(
     for weights in sample_blocks(rng, space.world_count, MINER_FIRST_BLOCK, budget):
         for idx in np.flatnonzero(relations.satisfied(weights)):
             dist = JointDistribution.from_unnormalized(space, weights[idx])
-            if all(r.holds for r in _judge(dist, relations)):
+            if relations.scalar_satisfied(dist):
                 return Counterexample(dist, a, b, c, samples_used=offset + int(idx) + 1)
         offset += len(weights)
     return None
@@ -303,7 +307,8 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     of the block kernel's rounding: the constraint list is built once per
     run by transitivity_constraints, the kernel compiles its conditions and
     its conclusion, and each re-checked row is judged over both compiled
-    lists by _judge, the verdict path check_transitivity uses.
+    lists by scalar_satisfied, the verdict rule check_transitivity's _judge
+    applies to the same margins.
     Raises ValueError when `samples` is below 1.
     """
     if samples < 1:
@@ -325,7 +330,7 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
         min_margin = min(min_margin, margins.min(initial=math.inf))
         for row in kept[:max(FUZZ_REVERIFY_CAP - filtered, 0)]:
             dist = JointDistribution.from_unnormalized(space, row)
-            reverified += all(r.holds for k in (antecedent, concluded) for r in _judge(dist, k))
+            reverified += antecedent.scalar_satisfied(dist) and concluded.scalar_satisfied(dist)
         filtered += len(kept)
     return FuzzReport(
         samples=samples,

@@ -392,6 +392,14 @@ class CompiledConstraints:
         ok = (self._achieved(w) >= self._floor).all(axis=0)
         return ok if w.ndim > 1 else ok[0]
 
+    def scalar_satisfied(self, dist: JointDistribution) -> bool:
+        """Whether every constraint holds by the verdict rule on one distribution.
+
+        satisfied's twin over scalar_margins: a nan (undefined) margin fails
+        its floor, so it never holds.
+        """
+        return all(m >= f for m, f in zip(self.scalar_margins(dist), self._floor[:, 0].tolist()))
+
 
 def _names(constraints) -> list[str]:
     """Each constraint's label, or c<i> for an unlabelled one at index i."""

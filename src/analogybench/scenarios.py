@@ -26,6 +26,7 @@ with x=E, y=B, z=H).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -392,11 +393,19 @@ _TYPE_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an int"
 def _typed(value, kind, where: str, field: str):
     """kind(value) when value is a kind, else ScenarioFormatError naming field.
 
-    float takes any JSON number; a JSON true or false is no kind's value.
+    float takes any finite JSON number: json reads NaN, Infinity and -Infinity,
+    and an integer past the float range, all of which are refused here. A
+    JSON true or false is no kind's value.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ScenarioFormatError(f"{where}: field {field!r} must be {_TYPE_NAMES[kind]}")
-    return kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:
+        value = math.inf
+    if kind is float and not math.isfinite(value):
+        raise ScenarioFormatError(f"{where}: field {field!r} must be a finite number")
+    return value
 
 
 def _parse_formula(text, space: WorldSpace, where: str, field: str) -> Proposition:
@@ -494,6 +503,13 @@ def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
     if baseline is not None:
         baseline = {k: _typed(v, float, where, f"baseline.{k}")
                     for k, v in _typed(baseline, dict, where, "baseline").items()}
+        # The keys are symmetry_baseline's arguments.
+        keys = ("source_quotient", "delta")
+        missing = [k for k in keys if k not in baseline]
+        unknown = [k for k in baseline if k not in keys]
+        if missing or unknown:
+            raise ScenarioFormatError(f"{where}: field 'baseline' needs exactly {list(keys)}"
+                                      f" (missing {missing}, unknown {unknown})")
 
     return Scenario(
         name=name,

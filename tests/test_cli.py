@@ -330,6 +330,15 @@ class TestCounterexample:
         payload = json.loads(out)
         assert payload["schema_report"]["schema_confirms"] is None
 
+    def test_unwritable_output_is_an_io_error(self, capsys, tmp_path):
+        # The report goes to stdout before the file is written; main reports
+        # the failed write as it reports every I/O error.
+        target = tmp_path / "missing" / "mined.json"
+        code, out, err = run(capsys, "counterexample", "--seed", "1", "--output", str(target))
+        assert code == EXIT_IO
+        assert out.startswith("counterexample found after")
+        assert err.startswith("error: ") and str(target) in err
+
 
 class TestSweep:
     def test_bridge_prior_sweep_csv(self, capsys, tmp_path):
@@ -350,6 +359,14 @@ class TestSweep:
         assert first[0] == "0.0"
         assert first[1] == "ok"
         assert float(first[-1]) == 0.0  # degenerate endpoint: degree exactly 0
+
+    def test_unwritable_output_is_an_io_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run(capsys, "sweep", RIEMANN, "--param", "P(G)",
+                             "--range", "0:1:0.5", "--output", str(target))
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
 
     def test_margin_sweep_to_stdout(self, capsys):
         code, out, err = run(

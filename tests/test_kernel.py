@@ -225,6 +225,20 @@ class TestFusedMargins:
             np.testing.assert_array_equal([r.margin for r in judged], expected)
             assert [not r.applicable for r in judged] == np.isnan(expected).tolist()
 
+    # scalar_satisfied is the verdict of _judge's results as one boolean, a
+    # nan margin failing; on dyadic rows every sum is exact, so the block
+    # kernel's satisfied reads the same verdict.
+    @settings(max_examples=80, deadline=None)
+    @given(cs=constraint_sets(), data=st.data())
+    def test_scalar_satisfied_is_the_judged_verdict(self, cs, data):
+        compiled = CompiledConstraints(cs.constraints)
+        for row in data.draw(st.lists(dyadic_rows(cs.space.world_count), min_size=1,
+                                      max_size=6)):
+            dist = JointDistribution(cs.space, row)
+            verdict = compiled.scalar_satisfied(dist)
+            assert verdict is all(r.holds for r in _judge(dist, compiled))
+            assert verdict == compiled.satisfied(row)
+
     # Every query side is a ratio, and scaling by a power of two is exact in
     # float, so a scaled block reads bitwise the same values.
     @settings(max_examples=60, deadline=None)

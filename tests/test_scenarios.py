@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from fractions import Fraction
@@ -189,6 +190,48 @@ class TestCorpusLoading:
         bad = tmp_path / "typed.json"
         bad.write_text(json.dumps(data))
         with pytest.raises(ScenarioFormatError, match=f"field '{re.escape(field)}'"):
+            load_scenario(bad)
+        assert main(["check", str(bad), "--json"]) == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
+
+    # json.loads reads NaN, Infinity and -Infinity, and an integer literal
+    # past the float range, which float() cannot convert.
+    @pytest.mark.parametrize("field, edit", [
+        ("distribution.constraints[0].rhs.const",
+         lambda d: d["distribution"]["constraints"][0]["rhs"].update(const=math.inf)),
+        ("distribution.constraints[1].margin",
+         lambda d: d["distribution"]["constraints"][1].update(margin=-math.inf)),
+        ("distribution.margins.a", lambda d: d["distribution"]["margins"].update(a=math.nan)),
+        ("distribution.weights[3]",
+         lambda d: d.update(distribution={"weights": [0.125] * 3 + [math.nan] + [0.125] * 4})),
+        ("baseline.delta", lambda d: d.update(baseline={"source_quotient": 0.95,
+                                                        "delta": math.inf})),
+        ("baseline.source_quotient", lambda d: d.update(baseline={"source_quotient": 10**400,
+                                                                  "delta": 0.1})),
+    ], ids=["const-inf", "margin-neg-inf", "margins-nan", "weight-nan", "baseline-inf",
+            "baseline-huge-int"])
+    def test_rejects_non_finite_number(self, tmp_path, capsys, field, edit):
+        data = json.loads((corpus_dir() / "riemann_weil.json").read_text())
+        edit(data)
+        bad = tmp_path / "non_finite.json"
+        bad.write_text(json.dumps(data))
+        message = f"field '{re.escape(field)}' must be a finite number"
+        with pytest.raises(ScenarioFormatError, match=message):
+            load_scenario(bad)
+        assert main(["check", str(bad), "--json"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and re.search(message, err)
+
+    @pytest.mark.parametrize("baseline, named", [
+        ({"source_quotient": 0.95}, "missing ['delta']"),
+        ({"source_quotient": 0.95, "delta": 0.1, "gamma": 0.2}, "unknown ['gamma']"),
+    ], ids=["missing", "unknown"])
+    def test_baseline_needs_exactly_its_keys(self, tmp_path, capsys, baseline, named):
+        data = json.loads((corpus_dir() / "volume.json").read_text())
+        data["baseline"] = baseline
+        bad = tmp_path / "baseline.json"
+        bad.write_text(json.dumps(data))
+        with pytest.raises(ScenarioFormatError, match=re.escape(named)):
             load_scenario(bad)
         assert main(["check", str(bad), "--json"]) == EXIT_VALIDATION
         assert capsys.readouterr().out == ""
