@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Commands:
-  check <file> [--json] [--seed N]                  evaluate a scenario file
-  find-model <file> [--seed N]                      solve a scenario's constraints
-  fuzz-theorem --samples N --seed N --margin X      fuzz the transitivity theorem
-  counterexample --seed N --budget N [--output F]   mine a naive-transitivity failure
-  sweep <file> --param P(<bridge>)|margins.<label> --range lo:hi:step [--output F]
+  check <file> [--json] [--seed N]                           evaluate a scenario file
+  find-model <file> [--json] [--seed N]                      solve a scenario's constraints
+  fuzz-theorem --samples N --seed N --margin X [--json]      fuzz the transitivity theorem
+  counterexample --seed N --budget N [--json] [--output F]   mine a naive-transitivity failure
+  sweep <file> --param P(<bridge>)|margins.<label> --range lo:hi:step [--seed N] [--output F]
 
 Exit codes: 0 completed, 2 validation/parse error, 3 infeasible constraints,
 4 counterexample not found, 5 I/O error, 1 unexpected error.
@@ -18,25 +18,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
 
+# Each command imports the modules it computes with, so --version, --help and
+# usage errors answer before numpy loads.
 from . import __version__
-from .confirmation import (
-    check_transitivity,
-    confirm,
-    fuzz_transitivity,
-    mine_naive_transitivity_counterexample,
-)
-from .finder import SearchConfig
-from .formula import FormulaError
-from .prob import JointDistribution, Proposition
-from .scenarios import Scenario, evaluate_schema, load_scenario
-from .sweep import (
-    SWEEP_MAX_SAMPLES,
-    sweep_bridge_prior,
-    sweep_condition_margin,
-    sweep_values,
-)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -67,17 +52,19 @@ def _print_json(report: dict) -> None:
 
 def _schema_report_dict(report) -> dict:
     """asdict(report), with overall's measure_values under the report key `measures`."""
+    from dataclasses import asdict
+
     fields = asdict(report)
     if fields["overall"] is not None:
         fields["overall"]["measures"] = fields["overall"].pop("measure_values")
     return fields
 
 
-def _distribution_dict(dist: JointDistribution) -> dict:
+def _distribution_dict(dist) -> dict:
     return {"atoms": list(dist.space.atoms), "weights": dist.weights.tolist()}
 
 
-def _print_worlds(dist: JointDistribution, width: int) -> None:
+def _print_worlds(dist, width: int) -> None:
     """One line per world: its atoms, negated where false, and its weight."""
     for world, weight in enumerate(dist.weights):
         desc = dist.space.world_description(world)
@@ -118,7 +105,9 @@ def _solver_dict(result) -> dict:
     }
 
 
-def _solve_scenario(scenario: Scenario, seed: int | None):
+def _solve_scenario(scenario, seed: int | None):
+    from .finder import SearchConfig
+
     config = None
     if seed is not None and scenario.weights is None:
         config = SearchConfig(seed=seed)
@@ -126,6 +115,8 @@ def _solve_scenario(scenario: Scenario, seed: int | None):
 
 
 def cmd_check(args) -> int:
+    from .scenarios import evaluate_schema, load_scenario
+
     scenario = load_scenario(args.scenario)
     started = time.perf_counter()
     dist, result = _solve_scenario(scenario, args.seed)
@@ -160,6 +151,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_find_model(args) -> int:
+    from .scenarios import load_scenario
+
     scenario = load_scenario(args.scenario)
     if scenario.weights is not None:
         print("error: scenario carries explicit weights; nothing to solve", file=sys.stderr)
@@ -183,6 +176,8 @@ def cmd_find_model(args) -> int:
 
 
 def cmd_fuzz_theorem(args) -> int:
+    from .confirmation import fuzz_transitivity
+
     report = fuzz_transitivity(args.samples, args.seed, args.margin)
     payload = {
         "version": REPORT_VERSION,
@@ -219,6 +214,8 @@ def _counterexample_scenario_dict(ce) -> dict:
 
 
 def cmd_counterexample(args) -> int:
+    from .confirmation import check_transitivity, confirm, mine_naive_transitivity_counterexample
+
     if args.budget < 1:
         raise ValueError("budget must be >= 1")
     ce = mine_naive_transitivity_counterexample(args.seed, args.budget)
@@ -263,6 +260,8 @@ def cmd_counterexample(args) -> int:
 
 
 def _parse_range(text: str) -> list[float]:
+    from .sweep import sweep_values
+
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("range must be lo:hi:step")
@@ -270,8 +269,11 @@ def _parse_range(text: str) -> list[float]:
     return sweep_values(lo, hi, step)
 
 
-def _denotes(space, text: str, prop: Proposition) -> bool:
+def _denotes(space, text: str, prop) -> bool:
     """Whether formula text, parsed over space, denotes the proposition."""
+    from .formula import FormulaError
+    from .prob import Proposition
+
     try:
         return Proposition.parse(space, text) == prop
     except FormulaError:
@@ -279,6 +281,10 @@ def _denotes(space, text: str, prop: Proposition) -> bool:
 
 
 def cmd_sweep(args) -> int:
+    from .finder import SearchConfig
+    from .scenarios import load_scenario
+    from .sweep import SWEEP_MAX_SAMPLES, sweep_bridge_prior, sweep_condition_margin
+
     scenario = load_scenario(args.scenario)
     values = _parse_range(args.range)
     config = None

@@ -41,6 +41,7 @@ from .confirmation import (
     transitivity_constraints,
 )
 from .finder import (
+    ALL_KINDS,
     CompiledConstraints,
     ConstraintSet,
     FindModelResult,
@@ -408,6 +409,14 @@ def _typed(value, kind, where: str, field: str):
     return value
 
 
+def _margin(value, where: str, field: str) -> float:
+    """A solver margin: a finite number >= 0, else ScenarioFormatError naming field."""
+    value = _typed(value, float, where, field)
+    if value < 0:
+        raise ScenarioFormatError(f"{where}: field {field!r} must be >= 0")
+    return value
+
+
 def _parse_formula(text, space: WorldSpace, where: str, field: str) -> Proposition:
     _typed(text, str, where, field)
     try:
@@ -432,11 +441,16 @@ def _parse_side(data, space: WorldSpace, where: str, field: str) -> Side:
 def _parse_constraint(data, space: WorldSpace, where: str, field: str) -> ProbConstraint:
     # A missing kind, lhs or rhs reads as null and is refused by its type.
     _typed(data, dict, where, field)
+    kind = _typed(data.get("kind"), str, where, f"{field}.kind")
+    if kind not in ALL_KINDS:
+        raise ScenarioFormatError(
+            f"{where}: field '{field}.kind' must be one of {sorted(ALL_KINDS)}, not {kind!r}"
+        )
     return ProbConstraint(
-        kind=_typed(data.get("kind"), str, where, f"{field}.kind"),
+        kind=kind,
         lhs=_parse_side(data.get("lhs"), space, where, f"{field}.lhs"),
         rhs=_parse_side(data.get("rhs"), space, where, f"{field}.rhs"),
-        margin=_typed(data.get("margin", 0.0), float, where, f"{field}.margin"),
+        margin=_margin(data.get("margin", 0.0), where, f"{field}.margin"),
         label=_typed(data.get("label", ""), str, where, f"{field}.label") or None,
     )
 
@@ -486,7 +500,7 @@ def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
                 f"{where}: field 'distribution.weights' needs {space.world_count} entries"
             )
     margins = _typed(dist_data.get("margins", {}), dict, where, "distribution.margins")
-    margins = {k: _typed(v, float, where, f"distribution.margins.{k}")
+    margins = {k: _margin(v, where, f"distribution.margins.{k}")
                for k, v in margins.items()}
     constraints = _typed(dist_data.get("constraints", []), list, where,
                          "distribution.constraints")

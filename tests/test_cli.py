@@ -1,10 +1,11 @@
+import argparse
 import json
 import shlex
 from pathlib import Path
 
 import pytest
 
-from analogybench import sweep
+from analogybench import cli, sweep
 from analogybench.finder import SearchConfig
 from analogybench.cli import (
     CSV_HEADER_COMMENT,
@@ -465,3 +466,20 @@ class TestReadmeExamples:
         argv = [str(ROOT / a) if a.startswith("src/") else a for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == EXIT_OK, err
+
+
+class TestModuleDocstring:
+    def test_usage_line_names_every_option(self):
+        """Each command's line in the module docstring names each of its options."""
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        lines = {line.split()[0]: line for line in cli.__doc__.splitlines()
+                 if line.startswith("  ")}
+        assert set(lines) == set(commands)
+        for name, subparser in commands.items():
+            words = lines[name].replace("[", " ").replace("]", " ").split()
+            for action in subparser._actions:
+                if action.dest != "help":
+                    for option in action.option_strings:
+                        assert option in words, (name, option)

@@ -1,0 +1,97 @@
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import analogybench
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: The public names, by the module that defines each.
+PUBLIC = {
+    "prob": ("JointDistribution", "Proposition", "SpaceMismatchError",
+             "UndefinedConditionalError", "WorldSpace", "conditional", "entails",
+             "is_non_extremal", "probability"),
+    "confirmation": ("ConfirmationVerdict", "TransitivityReport", "check_corollary",
+                     "check_transitivity", "confirm", "fuzz_transitivity",
+                     "mine_naive_transitivity_counterexample"),
+    "finder": ("ConstraintSet", "ProbConstraint", "SearchConfig", "Side", "find_model",
+               "grid_enumerate", "penalty", "sample_simplex"),
+    "scenarios": ("BridgeSpec", "Scenario", "SchemaReport", "euler_characteristic",
+                  "evaluate_schema", "extend_with_bridge", "load_corpus", "load_scenario",
+                  "symmetry_baseline"),
+}
+
+# Run in a fresh interpreter, since this one has imported every module: import
+# the package, then run the CLI as `python -m analogybench.cli` does for each
+# argv, and report after each step whether numpy has been loaded.
+START_UP = """
+import contextlib, io, json, runpy, sys
+import analogybench
+steps = [("import analogybench", None, "numpy" in sys.modules,
+          sorted(set(analogybench.__all__) - set(dir(analogybench))))]
+for argv in (["--version"], ["--help"], ["no-such-command"]):
+    sys.argv = ["analogybench", *argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_module("analogybench.cli", run_name="__main__")
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    steps.append((" ".join(argv), code, "numpy" in sys.modules, []))
+print(json.dumps(steps))
+"""
+
+
+class TestNamespace:
+    def test_all_is_the_public_names(self):
+        assert sorted(analogybench.__all__) == sorted(n for names in PUBLIC.values()
+                                                      for n in names)
+        assert len(analogybench.__all__) == 33
+
+    def test_each_name_is_its_modules_object(self):
+        for module, names in PUBLIC.items():
+            defining = importlib.import_module(f"analogybench.{module}")
+            for name in names:
+                assert getattr(analogybench, name) is getattr(defining, name), name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from analogybench import *", namespace)
+        for name in analogybench.__all__:
+            assert namespace[name] is getattr(analogybench, name)
+
+    def test_dir_lists_the_public_names(self):
+        assert set(analogybench.__all__) <= set(dir(analogybench))
+        assert "__version__" in dir(analogybench)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            analogybench.no_such_name
+        assert not hasattr(analogybench, "no_such_name")
+
+    def test_submodule_import_returns_the_module(self):
+        from analogybench import sweep
+        assert isinstance(sweep, types.ModuleType)
+        assert sweep is sys.modules["analogybench.sweep"]
+
+
+class TestStartUp:
+    def test_version_help_and_usage_errors_load_no_numpy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", START_UP], capture_output=True,
+                             text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        steps = json.loads(run.stdout)
+        assert steps == [
+            ["import analogybench", None, False, []],
+            ["--version", 0, False, []],
+            ["--help", 0, False, []],
+            ["no-such-command", 2, False, []],
+        ]

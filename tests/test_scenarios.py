@@ -181,9 +181,15 @@ class TestCorpusLoading:
         ("notes", lambda d: d.update(notes=5)),
         ("baseline", lambda d: d.update(baseline="x")),
         ("baseline.delta", lambda d: d.update(baseline={"source_quotient": 0.95, "delta": "x"})),
+        ("distribution.margins.a", lambda d: d["distribution"]["margins"].update(a=-0.1)),
+        ("distribution.constraints[0].margin",
+         lambda d: d["distribution"]["constraints"][0].update(margin=-0.1)),
+        ("distribution.constraints[0].kind",
+         lambda d: d["distribution"]["constraints"][0].update(kind="prob_gte")),
     ], ids=["bridge-int", "target-list", "distribution-string", "margins-list", "margin-null",
             "constraints-object", "constraint-string", "weight-null", "seed-float", "seed-bool",
-            "label-list", "notes-int", "baseline-string", "baseline-value-string"])
+            "label-list", "notes-int", "baseline-string", "baseline-value-string",
+            "margins-negative", "margin-negative", "kind-unknown"])
     def test_rejects_wrongly_typed_field(self, tmp_path, capsys, field, edit):
         data = json.loads((corpus_dir() / "riemann_weil.json").read_text())
         edit(data)
