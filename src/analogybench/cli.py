@@ -105,21 +105,22 @@ def _solver_dict(result) -> dict:
     }
 
 
-def _solve_scenario(scenario, seed: int | None):
-    from .finder import SearchConfig
+def _load_scenario(args):
+    """The scenario file of args, with --seed, when given, in place of its seed."""
+    from dataclasses import replace
 
-    config = None
-    if seed is not None and scenario.weights is None:
-        config = SearchConfig(seed=seed)
-    return scenario.solve(config)
+    from .scenarios import load_scenario
+
+    scenario = load_scenario(args.scenario)
+    return scenario if args.seed is None else replace(scenario, seed=args.seed)
 
 
 def cmd_check(args) -> int:
-    from .scenarios import evaluate_schema, load_scenario
+    from .scenarios import evaluate_schema
 
-    scenario = load_scenario(args.scenario)
+    scenario = _load_scenario(args)
     started = time.perf_counter()
-    dist, result = _solve_scenario(scenario, args.seed)
+    dist, result = scenario.solve()
     if result is not None and not result.found:
         print(
             f"error: constraints of {scenario.name} infeasible within budget "
@@ -151,13 +152,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_find_model(args) -> int:
-    from .scenarios import load_scenario
-
-    scenario = load_scenario(args.scenario)
+    scenario = _load_scenario(args)
     if scenario.weights is not None:
         print("error: scenario carries explicit weights; nothing to solve", file=sys.stderr)
         return EXIT_VALIDATION
-    dist, result = _solve_scenario(scenario, args.seed)
+    dist, result = scenario.solve()
     if args.json:
         _print_json({
             "version": REPORT_VERSION,
@@ -281,15 +280,10 @@ def _denotes(space, text: str, prop) -> bool:
 
 
 def cmd_sweep(args) -> int:
-    from .finder import SearchConfig
-    from .scenarios import load_scenario
-    from .sweep import SWEEP_MAX_SAMPLES, sweep_bridge_prior, sweep_condition_margin
+    from .sweep import sweep_bridge_prior, sweep_condition_margin
 
-    scenario = load_scenario(args.scenario)
+    scenario = _load_scenario(args)
     values = _parse_range(args.range)
-    config = None
-    if args.seed is not None:
-        config = SearchConfig(seed=args.seed, max_samples=SWEEP_MAX_SAMPLES)
     if args.param.startswith("P(") and args.param.endswith(")"):
         bridge = scenario.roles["bridge"]
         if not _denotes(scenario.space, args.param[2:-1], bridge):
@@ -299,10 +293,10 @@ def cmd_sweep(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_VALIDATION
-        rows = sweep_bridge_prior(scenario, values, config)
+        rows = sweep_bridge_prior(scenario, values)
     elif args.param.startswith("margins."):
         label = args.param.split(".", 1)[1]
-        rows = sweep_condition_margin(scenario, label, values, config)
+        rows = sweep_condition_margin(scenario, label, values)
     else:
         print(
             f"error: unsupported sweep parameter {args.param!r}; "
@@ -331,6 +325,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a seed is an int >= 0, as numpy's generators require."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="analogybench",
@@ -343,24 +348,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="evaluate a scenario file")
     p.add_argument("scenario")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("find-model", help="solve a scenario's constraint set")
     p.add_argument("scenario")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_find_model)
 
     p = sub.add_parser("fuzz-theorem", help="fuzz the transitivity theorem")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--margin", type=float, default=1e-6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fuzz_theorem)
 
     p = sub.add_parser("counterexample", help="mine a naive-transitivity failure")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--budget", type=int, default=100_000)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", default=None,
@@ -372,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, help="P(<bridge-atom>) or margins.<label>")
     p.add_argument("--range", required=True, help="lo:hi:step")
     p.add_argument("--output", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_sweep)
     return parser
 

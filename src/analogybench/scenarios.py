@@ -52,6 +52,7 @@ from .finder import (
     find_model,
 )
 from .prob import (
+    InvalidDistributionError,
     JointDistribution,
     Proposition,
     UndefinedConditionalError,
@@ -495,10 +496,10 @@ def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
         weights = _typed(dist_data["weights"], list, where, "distribution.weights")
         weights = tuple(_typed(x, float, where, f"distribution.weights[{i}]")
                         for i, x in enumerate(weights))
-        if len(weights) != space.world_count:
-            raise ScenarioFormatError(
-                f"{where}: field 'distribution.weights' needs {space.world_count} entries"
-            )
+        try:
+            JointDistribution(space, weights)
+        except InvalidDistributionError as exc:
+            raise ScenarioFormatError(f"{where}: field 'distribution.weights': {exc}") from None
     margins = _typed(dist_data.get("margins", {}), dict, where, "distribution.margins")
     margins = {k: _margin(v, where, f"distribution.margins.{k}")
                for k, v in margins.items()}
@@ -507,6 +508,8 @@ def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
     constraints = [_parse_constraint(c, space, where, f"distribution.constraints[{i}]")
                    for i, c in enumerate(constraints)]
     seed = _typed(dist_data.get("seed", 1), int, where, "distribution.seed")
+    if seed < 0:
+        raise ScenarioFormatError(f"{where}: field 'distribution.seed' must be >= 0")
     if weights is None and not margins and not constraints:
         raise ScenarioFormatError(
             f"{where}: field 'distribution' needs weights, margins, or constraints"

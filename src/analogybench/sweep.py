@@ -1,12 +1,15 @@
 """Parameter sweeps over scenarios: forced bridge marginals and condition margins.
 
-A bridge-prior sweep re-solves the scenario with the bridge atom's marginal
-pinned to each grid value: the constraint P(bridge) = value at margin 0,
-which find_model meets by construction, so every found model has that
-prior within float rounding. At an extremal value the analogy channel is
-degenerate: conditions that condition on the dead branch become
-inapplicable, and at value 0 the remaining weak condition is enforced at
-equality, which forces the direct confirmation degree to zero.
+Each sweep row re-solves a variant of the scenario through Scenario.solve. A
+bridge-prior row adds the pin P(bridge) = value at margin 0 to the
+scenario's constraints, in place of those that mention the bridge atom;
+find_model meets the pin by construction, so every found model has that
+prior within float rounding. A condition-margin row replaces one condition's
+margin. The scenario's seed, which `sweep --seed` replaces, seeds each
+re-solve. At an extremal prior the analogy channel is degenerate:
+conditions that condition on the dead branch become inapplicable, and at
+value 0 the remaining weak condition is enforced at equality, which forces
+the direct confirmation degree to zero.
 
 A row reads "infeasible" when find_model found no model within its budget;
 that is budget exhaustion, not a proof that the value is infeasible.
@@ -19,11 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .finder import ConstraintSet, ProbConstraint, SearchConfig, Side, find_model
-from .prob import JointDistribution, Proposition
+from .finder import ProbConstraint, SearchConfig, Side
+from .prob import JointDistribution
 from .scenarios import Scenario, SchemaReport, evaluate_schema
 
-#: Sample budget of each sweep row's re-solve, by default and under `sweep --seed`.
+#: Sample budget of each sweep row's re-solve, unless a config is passed.
 SWEEP_MAX_SAMPLES = 20_000
 
 
@@ -33,7 +36,6 @@ class SweepRow:
     status: str  # "ok" | "infeasible" (no model found within the search budget)
     condition_margins: dict[str, float]  # nan = inapplicable
     degree: float | None
-    schema_confirms: bool | None
 
 
 def sweep_values(lo: float, hi: float, step: float) -> list[float]:
@@ -52,11 +54,12 @@ def sweep_values(lo: float, hi: float, step: float) -> list[float]:
     return values
 
 
-def _bridge_atom(scenario: Scenario) -> str:
+def _bridge_index(scenario: Scenario) -> int:
+    """The index of the atom that the bridge role denotes."""
     bridge = scenario.roles["bridge"]
-    for name in scenario.space.atoms:
+    for k, name in enumerate(scenario.space.atoms):
         if np.array_equal(bridge.mask, scenario.space.atom_mask(name)):
-            return name
+            return k
     raise ValueError("bridge-prior sweeps need the bridge role to be a single atom")
 
 
@@ -80,18 +83,16 @@ def _ok_row(value: float, report: SchemaReport) -> SweepRow:
         status="ok",
         condition_margins={k: c.margin for k, c in report.conditions.items()},
         degree=None if report.overall is None else report.overall.degree,
-        schema_confirms=report.schema_confirms,
     )
 
 
-def _solve_row(scenario: Scenario, value: float, cs: ConstraintSet,
-               config: SearchConfig) -> SweepRow:
+def _solve_row(variant: Scenario, value: float, config: SearchConfig) -> SweepRow:
     """The row for one re-solve: the schema report of a found model, or
     "infeasible" when none is found within the budget."""
-    result = find_model(cs, config)
+    dist, result = variant.solve(config)
     if not result.found:
-        return SweepRow(value, "infeasible", {}, None, None)
-    return _ok_row(value, evaluate_schema(scenario, result.distribution))
+        return SweepRow(value, "infeasible", {}, None)
+    return _ok_row(value, evaluate_schema(variant, dist))
 
 
 def _degenerate_endpoint(scenario: Scenario, bridge_mask: np.ndarray, value: float) -> SweepRow:
@@ -107,34 +108,32 @@ def _degenerate_endpoint(scenario: Scenario, bridge_mask: np.ndarray, value: flo
     return _ok_row(value, evaluate_schema(scenario, dist))
 
 
+def _search_config(scenario: Scenario, config: SearchConfig | None) -> SearchConfig:
+    """config, or the scenario's seed at the sweep budget; a scenario with
+    fixed weights has nothing to re-solve."""
+    if scenario.weights is not None:
+        raise ValueError("scenario carries fixed weights; nothing to re-solve")
+    return config or SearchConfig(seed=scenario.seed, max_samples=SWEEP_MAX_SAMPLES)
+
+
 def sweep_bridge_prior(
     scenario: Scenario,
     values: list[float],
     config: SearchConfig | None = None,
 ) -> list[SweepRow]:
     """Re-solve the scenario with the bridge marginal pinned to each value."""
-    if scenario.weights is not None:
-        raise ValueError("scenario carries fixed weights; nothing to re-solve")
-    atom = _bridge_atom(scenario)
-    k = scenario.space.index(atom)
-    bridge_mask = scenario.space.atom_mask(atom)
-    bridge_prop = Proposition.atom(scenario.space, atom)
-    base_config = config or SearchConfig(seed=scenario.seed, max_samples=SWEEP_MAX_SAMPLES)
-
+    config = _search_config(scenario, config)
+    k = _bridge_index(scenario)
+    bridge = scenario.roles["bridge"]
+    kept = tuple(c for c in scenario.extra_constraints if not _constraint_mentions_atom(c, k))
     rows = []
     for value in values:
         if value in (0.0, 1.0):
-            rows.append(_degenerate_endpoint(scenario, bridge_mask, value))
+            rows.append(_degenerate_endpoint(scenario, bridge.mask, value))
             continue
-        constraints = scenario.condition_constraints()
-        constraints += [
-            c for c in scenario.extra_constraints if not _constraint_mentions_atom(c, k)
-        ]
-        constraints.append(ProbConstraint(
-            "equality", Side(target=bridge_prop), Side(const=value), label="bridge_prior_pin"
-        ))
-        cs = ConstraintSet(space=scenario.space, constraints=constraints)
-        rows.append(_solve_row(scenario, value, cs, base_config))
+        pin = ProbConstraint("equality", Side(target=bridge), Side(const=value),
+                             label="bridge_prior_pin")
+        rows.append(_solve_row(replace(scenario, extra_constraints=kept + (pin,)), value, config))
     return rows
 
 
@@ -145,13 +144,10 @@ def sweep_condition_margin(
     config: SearchConfig | None = None,
 ) -> list[SweepRow]:
     """Re-solve the scenario with one condition's margin swept over a grid."""
-    if scenario.weights is not None:
-        raise ValueError("scenario carries fixed weights; nothing to re-solve")
+    config = _search_config(scenario, config)
     if label not in scenario.labels:
         raise ValueError(f"unknown condition label {label!r}; have {scenario.labels}")
-    cfg = config or SearchConfig(seed=scenario.seed, max_samples=SWEEP_MAX_SAMPLES)
-    rows = []
-    for value in values:
-        variant = replace(scenario, margins={**scenario.margins, label: value})
-        rows.append(_solve_row(variant, value, variant.constraint_set(), cfg))
-    return rows
+    return [
+        _solve_row(replace(scenario, margins={**scenario.margins, label: value}), value, config)
+        for value in values
+    ]

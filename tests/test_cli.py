@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from analogybench import cli, sweep
+from analogybench import cli, scenarios
 from analogybench.finder import SearchConfig
 from analogybench.cli import (
     CSV_HEADER_COMMENT,
@@ -70,6 +70,11 @@ class TestCheck:
         assert "analogical verdict" in out
         # timing only ever goes to stderr, keeping stdout reproducible
         assert "elapsed" not in out
+
+    def test_table_withholds_the_verdict_when_a_condition_fails(self, capsys):
+        code, out, _ = run(capsys, "check", str(corpus_dir() / "euler_polya.json"))
+        assert code == EXIT_OK
+        assert "  analogical verdict: withheld\n" in out
 
     def test_json_output(self, capsys):
         code, out, err = run(capsys, "check", RIEMANN, "--json")
@@ -387,6 +392,35 @@ class TestSweep:
         assert code == EXIT_OK
         assert len(out.splitlines()) == 3
 
+    @pytest.mark.parametrize("param", ["P(Bstar)", "margins.a"])
+    def test_fixed_weights_scenario_is_refused(self, capsys, param):
+        code, out, err = run(capsys, "sweep", str(corpus_dir() / "euler_polya.json"),
+                             "--param", param, "--range", "0:1:0.5")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "fixed weights" in err
+
+    def test_unknown_margin_label_is_refused(self, capsys):
+        code, out, err = run(capsys, "sweep", RIEMANN, "--param", "margins.z",
+                             "--range", "0:0.1:0.05")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "'z'" in err
+
+    def test_bridge_prior_needs_an_atom_bridge(self, capsys):
+        path = str(corpus_dir() / "variants" / "riemann_weil_entailing.json")
+        code, out, err = run(capsys, "sweep", path, "--param", "P(G & R)", "--range", "0:1:0.5")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "single atom" in err
+
+    def test_non_positive_step_rejected(self, capsys):
+        code, out, err = run(capsys, "sweep", RIEMANN, "--param", "margins.a",
+                             "--range", "0:1:0")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "positive" in err
+
     def test_unknown_param(self, capsys):
         code, out, err = run(
             capsys, "sweep", RIEMANN, "--param", "nonsense", "--range", "0:1:0.5",
@@ -411,13 +445,13 @@ class TestSweep:
                                             ("margins.a", "0.05:0.06:0.01")])
     def test_seed_keeps_the_default_budget(self, capsys, monkeypatch, param, grid):
         budgets = []
-        find_model = sweep.find_model
+        find_model = scenarios.find_model
 
         def spy(cs, config):
             budgets.append(config.max_samples)
             return find_model(cs, config)
 
-        monkeypatch.setattr(sweep, "find_model", spy)
+        monkeypatch.setattr(scenarios, "find_model", spy)
         code, _, _ = run(capsys, "sweep", RIEMANN, "--param", param, "--range", grid,
                          "--seed", "3")
         assert code == EXIT_OK
@@ -445,6 +479,35 @@ class TestSweep:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert "finite" in err
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("argv", [
+        ["check", RIEMANN],
+        ["find-model", RIEMANN],
+        ["sweep", RIEMANN, "--param", "margins.a", "--range", "0:0.1:0.05"],
+        ["fuzz-theorem", "--samples", "5"],
+        ["counterexample", "--budget", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "-1"])
+        assert exc.value.code == 2  # argparse usage error
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --seed" in err
+
+    def test_seed_replaces_the_files_seed(self, capsys, tmp_path):
+        """--seed 3 prints what the file prints with its distribution.seed at 3."""
+        path = tmp_path / "riemann_weil.json"
+        data = json.loads(Path(RIEMANN).read_text())
+        commands = (["check", str(path), "--json"],
+                    ["sweep", str(path), "--param", "P(G)", "--range", "0:1:0.25"])
+        path.write_text(json.dumps(data))
+        seeded = [run(capsys, *argv, "--seed", "3")[:2] for argv in commands]
+        data["distribution"]["seed"] = 3
+        path.write_text(json.dumps(data))
+        assert [run(capsys, *argv)[:2] for argv in commands] == seeded
 
 
 def readme_cli_examples() -> list[list[str]]:

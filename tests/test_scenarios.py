@@ -176,6 +176,10 @@ class TestCorpusLoading:
          lambda d: d.update(distribution={"weights": [0.125] * 7 + [None]})),
         ("distribution.seed", lambda d: d["distribution"].update(seed=1.7)),
         ("distribution.seed", lambda d: d["distribution"].update(seed=True)),
+        ("distribution.seed", lambda d: d["distribution"].update(seed=-1)),
+        ("distribution.weights", lambda d: d.update(distribution={"weights": [0.25] * 8})),
+        ("distribution.weights",
+         lambda d: d.update(distribution={"weights": [0.5, -0.25] + [0.125] * 6})),
         ("distribution.constraints[0].label",
          lambda d: d["distribution"]["constraints"][0].update(label=["x"])),
         ("notes", lambda d: d.update(notes=5)),
@@ -188,6 +192,7 @@ class TestCorpusLoading:
          lambda d: d["distribution"]["constraints"][0].update(kind="prob_gte")),
     ], ids=["bridge-int", "target-list", "distribution-string", "margins-list", "margin-null",
             "constraints-object", "constraint-string", "weight-null", "seed-float", "seed-bool",
+            "seed-negative", "weights-sum", "weights-negative",
             "label-list", "notes-int", "baseline-string", "baseline-value-string",
             "margins-negative", "margin-negative", "kind-unknown"])
     def test_rejects_wrongly_typed_field(self, tmp_path, capsys, field, edit):

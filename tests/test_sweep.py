@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from analogybench import SearchConfig, evaluate_schema, find_model
-from analogybench import sweep
+from analogybench import scenarios, sweep
 from analogybench.scenarios import corpus_dir, load_scenario
 from analogybench.sweep import sweep_bridge_prior, sweep_condition_margin
 
@@ -30,7 +30,7 @@ def prior_grid(riemann):
         return result
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "find_model", recording)
+        mp.setattr(scenarios, "find_model", recording)
         rows = {
             seed: sweep_bridge_prior(riemann, PRIORS, SearchConfig(seed=seed, max_samples=20_000))
             for seed in SEEDS
