@@ -50,16 +50,6 @@ def _print_json(report: dict) -> None:
     print(json.dumps(_finite_or_null(report), sort_keys=True, allow_nan=False))
 
 
-def _schema_report_dict(report) -> dict:
-    """asdict(report), with overall's measure_values under the report key `measures`."""
-    from dataclasses import asdict
-
-    fields = asdict(report)
-    if fields["overall"] is not None:
-        fields["overall"]["measures"] = fields["overall"].pop("measure_values")
-    return fields
-
-
 def _distribution_dict(dist) -> dict:
     return {"atoms": list(dist.space.atoms), "weights": dist.weights.tolist()}
 
@@ -116,6 +106,8 @@ def _load_scenario(args):
 
 
 def cmd_check(args) -> int:
+    from dataclasses import asdict
+
     from .scenarios import evaluate_schema
 
     scenario = _load_scenario(args)
@@ -137,12 +129,12 @@ def cmd_check(args) -> int:
                 "command": "check",
                 "config": {
                     "scenario_file": args.scenario,
-                    "seed": None if result is None else result.seed,
+                    "seed": None if result is None else scenario.seed,
                     "margins": scenario.margins,
                 },
                 "solver": None if result is None else _solver_dict(result),
                 "distribution": _distribution_dict(dist),
-                "schema_report": _schema_report_dict(report),
+                "schema_report": asdict(report),
             }
         )
     else:
@@ -154,14 +146,13 @@ def cmd_check(args) -> int:
 def cmd_find_model(args) -> int:
     scenario = _load_scenario(args)
     if scenario.weights is not None:
-        print("error: scenario carries explicit weights; nothing to solve", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("scenario carries explicit weights; nothing to solve")
     dist, result = scenario.solve()
     if args.json:
         _print_json({
             "version": REPORT_VERSION,
             "command": "find-model",
-            "config": {"scenario_file": args.scenario, "seed": result.seed},
+            "config": {"scenario_file": args.scenario, "seed": scenario.seed},
             **_solver_dict(result),
             "distribution": _distribution_dict(dist),
         })
@@ -287,23 +278,15 @@ def cmd_sweep(args) -> int:
     if args.param.startswith("P(") and args.param.endswith(")"):
         bridge = scenario.roles["bridge"]
         if not _denotes(scenario.space, args.param[2:-1], bridge):
-            print(
-                f"error: {scenario.name} sweeps only its bridge prior "
-                f"P({bridge.text}), not {args.param!r}",
-                file=sys.stderr,
-            )
-            return EXIT_VALIDATION
+            raise ValueError(f"{scenario.name} sweeps only its bridge prior "
+                             f"P({bridge.text}), not {args.param!r}")
         rows = sweep_bridge_prior(scenario, values)
     elif args.param.startswith("margins."):
         label = args.param.split(".", 1)[1]
         rows = sweep_condition_margin(scenario, label, values)
     else:
-        print(
-            f"error: unsupported sweep parameter {args.param!r}; "
-            "use P(<bridge-atom>) or margins.<label>",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
+        raise ValueError(f"unsupported sweep parameter {args.param!r}; "
+                         "use P(<bridge-atom>) or margins.<label>")
     labels = scenario.labels
     lines = [CSV_HEADER_COMMENT]
     lines.append(

@@ -38,7 +38,6 @@ import numpy as np
 
 from .finder import (
     BOUNDARY_TOLERANCE,
-    LOOKAHEAD_VALUES,
     CompiledConstraints,
     ConstraintSet,
     ProbConstraint,
@@ -61,9 +60,6 @@ from .prob import (
 MINER_CONFIRM_MARGIN = 0.01
 MINER_DISCONFIRM_MARGIN = 0.001
 
-#: Rows in the miner's first sample block; later blocks double.
-MINER_FIRST_BLOCK = 512
-
 #: Most filtered fuzz cases re-checked through check_transitivity.
 FUZZ_REVERIFY_CAP = 500
 
@@ -72,7 +68,7 @@ FUZZ_REVERIFY_CAP = 500
 class ConfirmationVerdict:
     confirms: bool
     degree: float  # difference measure P(h|e) - P(h)
-    measure_values: dict[str, float] = field(default_factory=dict)
+    measures: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -140,7 +136,7 @@ def confirm(
             measures["log_likelihood"] = math.log(like / unlike)
     except UndefinedConditionalError:
         pass
-    return ConfirmationVerdict(confirms=degree > margin, degree=degree, measure_values=measures)
+    return ConfirmationVerdict(confirms=degree > margin, degree=degree, measures=measures)
 
 
 def transitivity_constraints(
@@ -258,13 +254,13 @@ def mine_naive_transitivity_counterexample(
 
     Looks for atoms A, B, C with P(B|A) > P(B) + 0.01, P(C|B) > P(C) + 0.01
     and P(C|A) < P(C) - 0.001. Samples `budget` rows of one seeded stream in
-    sample_blocks blocks (MINER_FIRST_BLOCK rows first, then doubling),
-    judges the raw rows with CompiledConstraints over _naive_chain, whose
-    sides are ratios, and stops at the first row that satisfies the three
-    relations and, normalised, holds them by scalar_satisfied over the same
-    compiled list, the check Counterexample.verify() makes; samples_used
-    is that row's 1-based position in the stream, the same row a single
-    full-budget draw would give.
+    sample_blocks blocks, judges the raw rows with CompiledConstraints over
+    _naive_chain, whose sides are ratios, and stops at the first row that
+    satisfies the three relations and, normalised, holds them by
+    scalar_satisfied over the same compiled list, the check
+    Counterexample.verify() makes; samples_used is that row's 1-based
+    position in the stream, the same row a single full-budget draw would
+    give.
     Deterministic given the seed; returns None when the budget is exhausted
     (insufficient budget, not impossibility).
     """
@@ -275,7 +271,7 @@ def mine_naive_transitivity_counterexample(
     relations = CompiledConstraints(_naive_chain(a, b, c))
     rng = np.random.default_rng(seed)
     offset = 0
-    for weights in sample_blocks(rng, space.world_count, MINER_FIRST_BLOCK, budget):
+    for weights in sample_blocks(rng, space.world_count, budget):
         for idx in np.flatnonzero(relations.satisfied(weights)):
             dist = JointDistribution.from_unnormalized(space, weights[idx])
             if relations.scalar_satisfied(dist):
@@ -296,9 +292,9 @@ class FuzzReport:
 def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     """Sample 3-atom distributions, filter those satisfying (i)-(iv), verify (v).
 
-    The rows are one seeded stream walked in sample_blocks blocks of
-    LOOKAHEAD_VALUES // 8 rows, so memory stays one block whatever
-    `samples` is, and the report does not depend on how the stream is cut.
+    The rows are one seeded stream walked in sample_blocks blocks, the
+    solver's and the miner's, so memory stays one block whatever `samples`
+    is, and the report does not depend on how the stream is cut.
     The filter and the conclusion are evaluated block by block on the raw
     rows by CompiledConstraints, whose sides are ratios, with its verdict
     rule (the weak conditions within BOUNDARY_TOLERANCE); the first
@@ -319,11 +315,10 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     antecedent = CompiledConstraints(constraints[:4])
     concluded = CompiledConstraints(constraints[4:])
     rng = np.random.default_rng(seed)
-    n = space.world_count
 
     filtered = violations = reverified = 0
     min_margin = math.inf
-    for weights in sample_blocks(rng, n, LOOKAHEAD_VALUES // n, samples):
+    for weights in sample_blocks(rng, space.world_count, samples):
         kept = weights[antecedent.satisfied(weights)]
         (margins,) = concluded.margins(kept)
         violations += int(np.count_nonzero(margins <= 0.0))

@@ -8,9 +8,10 @@ line search along their improving combination in a second.
 
 Restarts are sampled ahead in blocks of batches (sample_blocks): the first
 block is one batch, each later block doubles, up to LOOKAHEAD_VALUES floats,
-and each block is scored with one penalty call. The search then walks the
-block batch by batch under the same rule as one draw per batch would, so
-drawing ahead changes the number of calls, not the result (see find_model).
+and each block is scored with one penalty call; the fuzz harness and the
+miner walk the same blocks. The search then walks the block batch by batch
+under the same rule as one draw per batch would, so drawing ahead changes
+the number of calls, not the result (see find_model).
 The first exact marginal equality P(T) = c in a set is met by construction:
 under it, samples and descent moves are normalised per block, T-worlds to c
 and the rest to 1 - c, so the search never leaves P(T) = c.
@@ -138,7 +139,6 @@ class FindModelResult:
     achieved_margins: dict[str, float]
     samples_used: int
     restarts_refined: int
-    seed: int
 
 
 def sample_simplex(space: WorldSpace, seed: int) -> JointDistribution:
@@ -148,30 +148,34 @@ def sample_simplex(space: WorldSpace, seed: int) -> JointDistribution:
     return JointDistribution.from_unnormalized(space, raw)
 
 
+#: Samples per batch: find_model refines the best sample of each batch, and
+#: every sample_blocks stream starts with a block of this many rows.
+BATCH_SIZE = 512
+
 #: Most floats one look-ahead block of sample_blocks holds, unless its first
 #: block alone is larger. A block's penalty call holds one value array, a row
 #: per mask column, constant and conditional side for every sampled row, and
 #: the (constraints, rows) margins: several times the block itself on large
-#: constraint sets. fuzz_transitivity walks blocks of this size too.
+#: constraint sets.
 LOOKAHEAD_VALUES = 2**15
 
 
-def sample_blocks(rng: np.random.Generator, n: int, first: int, total: int):
+def sample_blocks(rng: np.random.Generator, n: int, total: int):
     """Yield `total` uniform simplex rows over n worlds as raw (k, n) blocks.
 
     A row is i.i.d. standard exponentials: normalised, it is a uniform draw
     from the simplex, but it is yielded unnormalised, since every query side
     of CompiledConstraints is a ratio and reads a row and its normalisation
     alike. A caller that reports a row normalises it itself
-    (JointDistribution.from_unnormalized). The first block has `first` rows
-    and each later one twice as many, while a block stays within
+    (JointDistribution.from_unnormalized). The first block has BATCH_SIZE
+    rows and each later one twice as many, while a block stays within
     LOOKAHEAD_VALUES floats; the last block holds what is left. The rows,
     concatenated, are exactly one rng.standard_exponential((total, n)) draw:
     the stream does not depend on how it is cut, and each yielded block is a
     new array that later draws never touch. Blocks are drawn lazily, so a
     caller that stops early draws at most one block ahead.
     """
-    drawn, size = 0, first
+    drawn, size = 0, BATCH_SIZE
     while drawn < total:
         count = min(size, total - drawn)
         yield rng.standard_exponential((count, n))
@@ -525,9 +529,6 @@ def _scale_move(w: np.ndarray, signs: np.ndarray, delta, pin=None) -> np.ndarray
     return _normalise(w * (1.0 + delta) ** signs, pin)
 
 
-#: Samples per batch: find_model refines the best sample of each batch.
-BATCH_SIZE = 512
-
 #: Coordinate-descent sweeps per refine.
 REFINE_STEPS = 240
 
@@ -569,7 +570,7 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
         return _scale_move(w, signs, delta, pin)
 
     def batches():
-        for block in sample_blocks(rng, n, BATCH_SIZE, config.max_samples):
+        for block in sample_blocks(rng, n, config.max_samples):
             if pin is not None:
                 block = _normalise(block, pin)
             penalties = compiled.penalty(block)
@@ -606,7 +607,6 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
         achieved_margins=compiled.named_margins(dist.weights),
         samples_used=samples_used,
         restarts_refined=restarts_refined,
-        seed=config.seed,
     )
 
 

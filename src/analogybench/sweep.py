@@ -29,6 +29,11 @@ from .scenarios import Scenario, SchemaReport, evaluate_schema
 #: Sample budget of each sweep row's re-solve, unless a config is passed.
 SWEEP_MAX_SAMPLES = 20_000
 
+#: Most values sweep_values returns: each row is a re-solve, so a grid past
+#: this (or a step below the spacing of floats, which never reaches hi) is
+#: refused before any row runs.
+MAX_SWEEP_ROWS = 10_000
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -39,7 +44,11 @@ class SweepRow:
 
 
 def sweep_values(lo: float, hi: float, step: float) -> list[float]:
-    """Grid lo, lo+step, ... capped at hi; a step larger than the range gives [lo]."""
+    """Grid lo, lo+step, ... capped at hi; a step larger than the range gives [lo].
+
+    Raises ValueError for a non-finite or reversed range, a step that is not
+    positive, and a grid of more than MAX_SWEEP_ROWS values.
+    """
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise ValueError("sweep range bounds and step must be finite numbers")
     if step <= 0:
@@ -49,6 +58,9 @@ def sweep_values(lo: float, hi: float, step: float) -> list[float]:
     values = []
     v = lo
     while v <= hi + 1e-12:
+        if len(values) == MAX_SWEEP_ROWS:
+            raise ValueError(f"sweep range {lo}:{hi}:{step} has more than "
+                             f"{MAX_SWEEP_ROWS} rows; use a larger step")
         values.append(round(v, 12))
         v += step
     return values

@@ -88,6 +88,7 @@ class TestCheck:
         assert report["schema_confirms"] is True
         assert set(report["conditions"]) == {"a", "b", "c", "d"}
         assert report["overall"]["degree"] >= 0.01
+        assert set(report["overall"]["measures"]) == {"difference", "ratio", "log_likelihood"}
 
     def test_json_reproducible(self, capsys):
         _, first, _ = run(capsys, "check", RIEMANN, "--json", "--seed", "1")
@@ -259,17 +260,10 @@ class TestFindModel:
         assert code == EXIT_VALIDATION
         assert "finite" in err
 
-    def test_weights_scenario_rejected(self, capsys, tmp_path):
-        path = tmp_path / "fixed.json"
-        path.write_text(json.dumps({
-            "name": "fixed",
-            "atoms": ["A", "B"],
-            "schema": "type1",
-            "roles": {"hypothesis": "A", "evidence": "B", "bridge": "A & B"},
-            "distribution": {"weights": [0.25, 0.25, 0.25, 0.25]},
-        }))
-        code, out, err = run(capsys, "find-model", str(path))
-        assert code == EXIT_VALIDATION
+    def test_weights_scenario_rejected(self, capsys):
+        code, out, err = run(capsys, "find-model", str(corpus_dir() / "euler_polya.json"))
+        assert (code, out, err) == (
+            EXIT_VALIDATION, "", "error: scenario carries explicit weights; nothing to solve\n")
 
 
 class TestFuzzTheorem:
@@ -422,17 +416,15 @@ class TestSweep:
         assert "positive" in err
 
     def test_unknown_param(self, capsys):
-        code, out, err = run(
-            capsys, "sweep", RIEMANN, "--param", "nonsense", "--range", "0:1:0.5",
-        )
-        assert code == EXIT_VALIDATION
+        code, out, err = run(capsys, "sweep", RIEMANN, "--param", "bogus", "--range", "0:1:0.5")
+        assert (code, out, err) == (EXIT_VALIDATION, "", "error: unsupported sweep parameter "
+                                    "'bogus'; use P(<bridge-atom>) or margins.<label>\n")
 
     @pytest.mark.parametrize("param", ["P(R)", "P(nonsense)", "P(G |)", "P(G & W)"])
     def test_prior_of_anything_but_the_bridge_is_rejected(self, capsys, param):
         code, out, err = run(capsys, "sweep", RIEMANN, "--param", param, "--range", "0:1:0.5")
-        assert code == EXIT_VALIDATION
-        assert out == ""
-        assert "P(G)" in err
+        assert (code, out, err) == (EXIT_VALIDATION, "", "error: riemann_weil sweeps only its "
+                                    f"bridge prior P(G), not {param!r}\n")
 
     def test_any_formula_for_the_bridge_is_accepted(self, capsys):
         _, expected, _ = run(capsys, "sweep", RIEMANN, "--param", "P(G)", "--range", "0:1:0.5")
@@ -480,6 +472,17 @@ class TestSweep:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("grid", ["1:2:1e-17", "0:1:1e-9"])
+    def test_grid_past_the_row_bound_rejected(self, capsys, monkeypatch, grid):
+        def no_solve(*args):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr(scenarios, "find_model", no_solve)
+        code, out, err = run(capsys, "sweep", RIEMANN, "--param", "P(G)", "--range", grid)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "more than 10000 rows" in err
+
 
 class TestSeedFlag:
     @pytest.mark.parametrize("argv", [
@@ -496,6 +499,15 @@ class TestSeedFlag:
         out, err = capsys.readouterr()
         assert out == ""
         assert "argument --seed" in err
+
+    @pytest.mark.parametrize("command", ["check", "find-model"])
+    @pytest.mark.parametrize("seed,expected", [([], 2), (["--seed", "5"], 5)])
+    def test_json_reports_the_seed_that_ran(self, capsys, command, seed, expected):
+        # volume.json carries distribution.seed 2
+        path = str(corpus_dir() / "volume.json")
+        code, out, _ = run(capsys, command, path, "--json", *seed)
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["seed"] == expected
 
     def test_seed_replaces_the_files_seed(self, capsys, tmp_path):
         """--seed 3 prints what the file prints with its distribution.seed at 3."""

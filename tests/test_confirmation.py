@@ -19,7 +19,7 @@ from analogybench import (
     mine_naive_transitivity_counterexample,
     probability,
 )
-from analogybench import confirmation
+from analogybench import confirmation, finder
 from analogybench.confirmation import (
     EntailmentPreconditionError,
     FUZZ_REVERIFY_CAP,
@@ -44,9 +44,9 @@ class TestConfirm:
         )
         assert verdict.confirms
         assert verdict.degree == pytest.approx(0.25)
-        assert verdict.measure_values["difference"] == pytest.approx(0.25)
-        assert verdict.measure_values["ratio"] == pytest.approx(1.5)
-        assert verdict.measure_values["log_likelihood"] > 0.0
+        assert verdict.measures["difference"] == pytest.approx(0.25)
+        assert verdict.measures["ratio"] == pytest.approx(1.5)
+        assert verdict.measures["log_likelihood"] > 0.0
 
     def test_irrelevant_evidence(self, ab_space):
         dist = JointDistribution.uniform(ab_space)
@@ -286,11 +286,12 @@ def full_budget_miner(seed: int, budget: int):
 
 class TestMinerBlocks:
     # Every counterexample of seeds 1-50 lies in the first 65 rows, so a first
-    # block of one row is needed to put some of them in later blocks.
+    # block of one row is needed to put some of them in later blocks:
+    # sample_blocks reads finder.BATCH_SIZE when it is called.
     @pytest.mark.parametrize("first_block", [1, 512])
     @pytest.mark.parametrize("budget", [1, 3, 7, 511, 512, 513, 100_000])
     def test_matches_full_budget_draw(self, budget, first_block, monkeypatch):
-        monkeypatch.setattr(confirmation, "MINER_FIRST_BLOCK", first_block)
+        monkeypatch.setattr(finder, "BATCH_SIZE", first_block)
         outcomes = []
         for seed in range(1, 51):
             ce = mine_naive_transitivity_counterexample(seed, budget)
@@ -390,10 +391,12 @@ class TestJudgeTransitivity:
 
 
 class TestFuzz:
-    # Blocks hold LOOKAHEAD_VALUES // 8 = 4 096 rows: one row, one short of a
-    # block, one past it, and several blocks with the reverification cap
-    # reached in the middle of one.
-    @pytest.mark.parametrize("samples", [1, 4_095, 4_097, 20_000])
+    # Blocks double from BATCH_SIZE = 512 rows to LOOKAHEAD_VALUES // 8 = 4 096:
+    # one row, either side of the first block's end, one past the start of
+    # the first 4 096-row block (512 + 1 024 + 2 048 = 3 584), two inside it,
+    # and several blocks with the reverification cap reached in the middle
+    # of one.
+    @pytest.mark.parametrize("samples", [1, 511, 513, 3_585, 4_095, 4_097, 20_000])
     def test_blocks_match_one_draw(self, samples):
         report = fuzz_transitivity(samples=samples, seed=11, margin=1e-6)
         filtered, violations, reverified, conclusion = fuzz_one_draw(samples, 11, 1e-6)

@@ -260,9 +260,9 @@ class TestSampleBlocks:
     def test_blocks_are_one_normalised_draw(self, total, n):
         # The blocks are one raw draw, unnormalised: the kernel reads a row
         # and its normalisation, a uniform simplex row, alike.
-        blocks = list(sample_blocks(np.random.default_rng(total + n), n, 512, total))
+        blocks = list(sample_blocks(np.random.default_rng(total + n), n, total))
         reference = np.random.default_rng(total + n).standard_exponential((total, n))
-        start, size = 0, 512
+        start, size = 0, finder.BATCH_SIZE
         for block in blocks:
             assert block.shape == (min(size, total - start), n)
             assert block.size <= LOOKAHEAD_VALUES
@@ -272,12 +272,12 @@ class TestSampleBlocks:
         assert start == total
 
     def test_first_block_larger_than_the_cap_is_kept(self):
-        n = 2 * LOOKAHEAD_VALUES // 512
-        sizes = [len(b) for b in sample_blocks(np.random.default_rng(0), n, 512, 1300)]
+        n = 2 * LOOKAHEAD_VALUES // finder.BATCH_SIZE
+        sizes = [len(b) for b in sample_blocks(np.random.default_rng(0), n, 1300)]
         assert sizes == [512, 512, 276]
 
     def test_earlier_block_unchanged_by_next_draw(self):
-        blocks = sample_blocks(np.random.default_rng(3), 4, 8, 100)
+        blocks = sample_blocks(np.random.default_rng(3), 4, 2_000)
         first = next(blocks)
         kept = first.copy()
         second = next(blocks)
@@ -286,10 +286,10 @@ class TestSampleBlocks:
 
     def test_drawn_lazily(self):
         rng = np.random.default_rng(0)
-        blocks = sample_blocks(rng, 4, 8, 10**9)
-        assert [len(next(blocks)), len(next(blocks))] == [8, 16]
+        blocks = sample_blocks(rng, 4, 10**9)
+        assert [len(next(blocks)), len(next(blocks))] == [512, 1_024]
         reference = np.random.default_rng(0)
-        reference.standard_exponential((24, 4))
+        reference.standard_exponential((1_536, 4))
         assert rng.standard_exponential() == reference.standard_exponential()
 
 

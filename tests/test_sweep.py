@@ -97,3 +97,17 @@ class TestSweepValues:
     def test_reversed_range_rejected(self):
         with pytest.raises(ValueError, match="reversed"):
             sweep.sweep_values(0.9, 0.1, 0.1)
+
+    @pytest.mark.parametrize("lo,hi,step", [
+        (1.0, 2.0, 1e-17),  # below the spacing of floats: lo + step == lo
+        (0.0, 1.0, 1e-9),
+        (0.0, 1.0, 1e-4),  # 10 001 values
+    ])
+    def test_more_rows_than_the_bound_rejected(self, lo, hi, step):
+        with pytest.raises(ValueError, match=f"more than {sweep.MAX_SWEEP_ROWS} rows"):
+            sweep.sweep_values(lo, hi, step)
+
+    def test_grid_at_the_bound_kept(self):
+        values = sweep.sweep_values(0.0, 0.9999, 1e-4)
+        assert len(values) == sweep.MAX_SWEEP_ROWS == 10_000
+        assert values[:3] == [0.0, 0.0001, 0.0002] and values[-1] == 0.9999
