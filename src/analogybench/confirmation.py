@@ -24,7 +24,10 @@ correctly rounded (math.fsum) sums (CompiledConstraints.scalar_margins),
 judged by the kernel's verdict rule: per constraint by _judge for
 check_transitivity's report, and as one boolean by
 CompiledConstraints.scalar_satisfied where only the verdict is read (the fuzz
-re-check, the miner and Counterexample.verify).
+re-check, the miner and Counterexample.verify). The scalar judge reads a
+distribution's weights as a plain list; the fuzz re-check normalises its
+rows as one block and judges each over one compiled list of all five
+constraints.
 prob.conditional and prob.probability stay the independent reference, read
 by confirm.
 """
@@ -50,8 +53,10 @@ from .prob import (
     Proposition,
     UndefinedConditionalError,
     WorldSpace,
+    check_weights,
     conditional,
     entails,
+    normalised,
     probability,
 )
 
@@ -177,7 +182,7 @@ def _judge(dist: JointDistribution, compiled: CompiledConstraints) -> list[Condi
             margin=margin,
             at_boundary=abs(margin) <= BOUNDARY_TOLERANCE,
         )
-        for margin, floor in zip(compiled.scalar_margins(dist), compiled._floor[:, 0].tolist())
+        for margin, floor in zip(compiled.scalar_margins(dist.weights.tolist()), compiled._floors)
     ]
 
 
@@ -231,7 +236,7 @@ class Counterexample:
         the compiled rows' correctly rounded sums (scalar_satisfied)."""
         dist = self.distribution
         chain = ConstraintSet(dist.space, _naive_chain(self.x, self.y, self.z))
-        return _compiled(dist, chain).scalar_satisfied(dist)
+        return _compiled(dist, chain).scalar_satisfied(dist.weights.tolist())
 
 
 def _naive_chain(a: Proposition, b: Proposition, c: Proposition) -> list[ProbConstraint]:
@@ -274,7 +279,7 @@ def mine_naive_transitivity_counterexample(
     for weights in sample_blocks(rng, space.world_count, budget):
         for idx in np.flatnonzero(relations.satisfied(weights)):
             dist = JointDistribution.from_unnormalized(space, weights[idx])
-            if relations.scalar_satisfied(dist):
+            if relations.scalar_satisfied(dist.weights.tolist()):
                 return Counterexample(dist, a, b, c, samples_used=offset + int(idx) + 1)
         offset += len(weights)
     return None
@@ -299,12 +304,16 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     rows by CompiledConstraints, whose sides are ratios, with its verdict
     rule (the weak conditions within BOUNDARY_TOLERANCE); the first
     FUZZ_REVERIFY_CAP filtered cases, in stream order, are additionally
-    normalised and re-checked with correctly rounded sums as a cross-check
-    of the block kernel's rounding: the constraint list is built once per
-    run by transitivity_constraints, the kernel compiles its conditions and
-    its conclusion, and each re-checked row is judged over both compiled
-    lists by scalar_satisfied, the verdict rule check_transitivity's _judge
-    applies to the same margins.
+    re-checked with correctly rounded sums as a cross-check of the block
+    kernel's rounding. The constraint list is built once per run by
+    transitivity_constraints and compiled three times: its conditions and
+    its conclusion for the blocks, and all five for the re-check. The kept
+    rows to re-check are normalised as one block by prob.normalised, the
+    bits from_unnormalized gives row by row, and checked once by
+    prob.check_weights, JointDistribution's rules. Each row, as a list, is
+    then judged once over the five-constraint list by scalar_satisfied, the
+    verdict rule check_transitivity's _judge applies to the same margins;
+    reverified counts the rows that hold.
     Raises ValueError when `samples` is below 1.
     """
     if samples < 1:
@@ -314,6 +323,7 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     constraints = transitivity_constraints(x, y, z, margin)
     antecedent = CompiledConstraints(constraints[:4])
     concluded = CompiledConstraints(constraints[4:])
+    checks = CompiledConstraints(constraints)
     rng = np.random.default_rng(seed)
 
     filtered = violations = reverified = 0
@@ -323,9 +333,10 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
         (margins,) = concluded.margins(kept)
         violations += int(np.count_nonzero(margins <= 0.0))
         min_margin = min(min_margin, margins.min(initial=math.inf))
-        for row in kept[:max(FUZZ_REVERIFY_CAP - filtered, 0)]:
-            dist = JointDistribution.from_unnormalized(space, row)
-            reverified += antecedent.scalar_satisfied(dist) and concluded.scalar_satisfied(dist)
+        if filtered < FUZZ_REVERIFY_CAP:
+            head = normalised(kept[:FUZZ_REVERIFY_CAP - filtered])
+            check_weights(head)
+            reverified += sum(map(checks.scalar_satisfied, head.tolist()))
         filtered += len(kept)
     return FuzzReport(
         samples=samples,

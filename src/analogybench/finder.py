@@ -274,10 +274,18 @@ class CompiledConstraints:
         # achieved >= the next float above required; cond_ge_cond and
         # equality need achieved >= required - BOUNDARY_TOLERANCE. A nan
         # (undefined) margin never holds.
-        self._floor = np.array([
+        self._floors = [
             math.nextafter(r, math.inf) if c.kind in STRICT_KINDS else r - BOUNDARY_TOLERANCE
             for c, r in zip(self.constraints, required)
-        ])[:, None]
+        ]
+        self._floor = np.array(self._floors)[:, None]
+        # The plan as Python lists, so that the one-row readers,
+        # scalar_margins and integer_differences, convert no array: the
+        # constants, the (num, den) of each ratio row and the (first,
+        # second) of each constraint, beside _selectors and _floors.
+        self._const_list = consts
+        self._ratio_pairs = list(ratios)
+        self._side_pairs = list(zip(first, second))
 
     def _achieved(self, w: np.ndarray) -> np.ndarray:
         """Achieved margin per constraint and row of w, as an (m, k) array.
@@ -326,12 +334,11 @@ class CompiledConstraints:
         s**2 < 2**62, so the products stay exact in int64. Counts beyond the
         bound, such as Python ints, must not take this path.
         """
-        parts = [(0, 1, Fraction(c)) for c in self._consts[:, 0].tolist()]
+        parts = [(0, 1, Fraction(c)) for c in self._const_list]
         masses = self.columns.reshape(-1, counts.shape[-1]) @ counts.T.astype(np.float64)
         parts += [(mass, 1, 0) for mass in masses.astype(np.int64)]
-        parts += [(parts[num][0], parts[den][0], 0)
-                  for num, den in zip(self._ratio_num, self._ratio_den)]
-        for f, s in zip(self._first, self._second):
+        parts += [(parts[num][0], parts[den][0], 0) for num, den in self._ratio_pairs]
+        for f, s in self._side_pairs:
             (fn, fd, fc), (sn, sd, sc) = parts[f], parts[s]
             yield fn * sd - sn * fd, fd * sd, fc - sc
 
@@ -347,13 +354,15 @@ class CompiledConstraints:
         achieved = self._achieved(w)
         return achieved if w.ndim > 1 else achieved[:, 0]
 
-    def scalar_margins(self, dist: JointDistribution) -> list[float]:
+    def scalar_margins(self, weights: list[float]) -> list[float]:
         """Achieved margin per constraint on one distribution; nan when undefined.
 
-        The value rows of margins, read with correctly rounded sums: each
-        mask column is the math.fsum of the weights it selects, except the
-        all-ones column, which reads 1.0, the total a JointDistribution has
-        by contract. So P(target) is target's mass undivided, as
+        weights is the distribution's weights as a list of floats
+        (dist.weights.tolist(), or a row of a normalised block). The value
+        rows of margins are read with correctly rounded sums: each mask
+        column is the math.fsum of the weights it selects, except the
+        all-ones column, which reads 1.0, the total a distribution has by
+        contract. So P(target) is target's mass undivided, as
         prob.probability reads it, P(target | given) is one division of two
         fsums, as in prob.conditional, and a ratio over a column of mass 0
         is nan. A side reads bitwise as those functions do, save a side
@@ -362,14 +371,12 @@ class CompiledConstraints:
         a few ulps, and this reads 1.0. The sides are those of margins:
         prob_lt's swapped, and equality's -|.| taken after.
         """
-        weights = dist.weights.tolist()
-        values = self._consts[:, 0].tolist()
-        values += [1.0 if key is None else math.fsum(compress(weights, key))
-                   for key in self._selectors]
+        values = self._const_list + [
+            1.0 if key is None else math.fsum(compress(weights, key))
+            for key in self._selectors]
         values += [values[num] / values[den] if values[den] else math.nan
-                   for num, den in zip(self._ratio_num.tolist(), self._ratio_den.tolist())]
-        achieved = [values[f] - values[s]
-                    for f, s in zip(self._first.tolist(), self._second.tolist())]
+                   for num, den in self._ratio_pairs]
+        achieved = [values[f] - values[s] for f, s in self._side_pairs]
         for i in self._equality:
             achieved[i] = -abs(achieved[i])
         return achieved
@@ -396,13 +403,13 @@ class CompiledConstraints:
         ok = (self._achieved(w) >= self._floor).all(axis=0)
         return ok if w.ndim > 1 else ok[0]
 
-    def scalar_satisfied(self, dist: JointDistribution) -> bool:
+    def scalar_satisfied(self, weights: list[float]) -> bool:
         """Whether every constraint holds by the verdict rule on one distribution.
 
-        satisfied's twin over scalar_margins: a nan (undefined) margin fails
-        its floor, so it never holds.
+        satisfied's twin over scalar_margins, on the same list of weights: a
+        nan (undefined) margin fails its floor, so it never holds.
         """
-        return all(m >= f for m, f in zip(self.scalar_margins(dist), self._floor[:, 0].tolist()))
+        return all(m >= f for m, f in zip(self.scalar_margins(weights), self._floors))
 
 
 def _names(constraints) -> list[str]:

@@ -186,12 +186,7 @@ class JointDistribution:
             raise InvalidDistributionError(
                 f"expected {space.world_count} weights, got shape {w.shape}"
             )
-        # nan and -inf fail w >= 0, and +inf makes the total infinite; the
-        # sign check comes first so that inf - inf is never summed.
-        if not ((w >= 0).all() and isfinite(total := float(w.sum()))):
-            raise InvalidDistributionError("weights must be finite and nonnegative")
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise InvalidDistributionError(f"weights sum to {total!r}, not 1")
+        check_weights(w)
         w = w.copy()
         w.flags.writeable = False
         self.space = space
@@ -204,11 +199,7 @@ class JointDistribution:
 
     @classmethod
     def from_unnormalized(cls, space: WorldSpace, weights) -> "JointDistribution":
-        w = np.asarray(weights, dtype=np.float64)
-        total = w.sum()
-        if total <= 0:
-            raise InvalidDistributionError("cannot normalize nonpositive total mass")
-        return cls(space, w / total)
+        return cls(space, normalised(weights))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, JointDistribution):
@@ -217,6 +208,38 @@ class JointDistribution:
 
     def __repr__(self):
         return f"JointDistribution(atoms={self.space.atoms}, weights={self.weights.tolist()})"
+
+
+def check_weights(w: np.ndarray) -> None:
+    """Raise InvalidDistributionError unless every row of w, one weight vector
+    (n,) or a block (k, n), is finite, nonnegative and sums to 1 within
+    SUM_TOLERANCE: the rules JointDistribution checks its weights by."""
+    # nan and -inf fail w >= 0, and +inf makes a total infinite; the sign
+    # check comes first so that inf - inf is never summed.
+    if not (w >= 0).all():
+        raise InvalidDistributionError("weights must be finite and nonnegative")
+    for total in w.sum(axis=-1, keepdims=True).ravel().tolist():
+        if not isfinite(total):
+            raise InvalidDistributionError("weights must be finite and nonnegative")
+        if abs(total - 1.0) > SUM_TOLERANCE:
+            raise InvalidDistributionError(f"weights sum to {total!r}, not 1")
+
+
+def normalised(weights) -> np.ndarray:
+    """Each row of weights, one vector (n,) or a block (k, n), divided by its
+    own total; raises InvalidDistributionError for a row of nonpositive
+    total mass.
+
+    from_unnormalized divides one row so, and a block reads bitwise the
+    rows it gives one at a time. The result is not checked:
+    JointDistribution checks the weights it is given, and check_weights
+    checks a block by the same rules.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    totals = w.sum(axis=-1, keepdims=True)
+    if (totals <= 0).any():
+        raise InvalidDistributionError("cannot normalize nonpositive total mass")
+    return w / totals
 
 
 def _require_same_space(a: WorldSpace, b: WorldSpace) -> None:

@@ -48,13 +48,14 @@ def test_01_theorem_fuzz():
     started = time.perf_counter()
     report = fuzz_transitivity(samples=100_000, seed=1, margin=1e-6)
     elapsed = time.perf_counter() - started
-    ok = report.filtered > 100 and report.violations == 0 and elapsed <= 30.0
+    ok = (report.filtered > 100 and report.violations == 0
+          and report.reverified == min(report.filtered, 500) and elapsed <= 30.0)
     _report(
         1,
         "transitivity fuzz, 1e5 samples",
         ok,
         f"filtered={report.filtered} violations={report.violations} "
-        f"elapsed={elapsed:.1f}s",
+        f"reverified={report.reverified} elapsed={elapsed:.1f}s",
     )
 
 

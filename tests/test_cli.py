@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from analogybench import cli, scenarios
+from analogybench import (
+    JointDistribution,
+    UndefinedConditionalError,
+    cli,
+    conditional,
+    probability,
+    scenarios,
+)
 from analogybench.finder import SearchConfig
 from analogybench.cli import (
     CSV_HEADER_COMMENT,
@@ -44,6 +51,21 @@ def riemann_variant(tmp_path, name, edit):
     edit(data)
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(data))
+    return str(path)
+
+
+def no_evidence_scenario(tmp_path):
+    """euler_polya with every evidence world zeroed, written to tmp_path:
+    P(Estar) = 0, so the conditions that condition on the evidence are
+    inapplicable."""
+    scenario = json.loads((corpus_dir() / "euler_polya.json").read_text())
+    weights = scenario["distribution"]["weights"]
+    for world in (2, 3, 6, 7):  # Estar is bit 1
+        weights[world] = 0.0
+    total = sum(weights)
+    scenario["distribution"]["weights"] = [w / total for w in weights]
+    path = tmp_path / "no_evidence.json"
+    path.write_text(json.dumps(scenario))
     return str(path)
 
 
@@ -106,22 +128,47 @@ class TestCheck:
         assert payload["config"]["seed"] is None
 
     def test_undefined_margins_are_null(self, capsys, tmp_path):
-        # euler_polya with every evidence world zeroed: P(Estar) = 0, so the
-        # conditions that condition on the evidence are inapplicable.
-        scenario = json.loads((corpus_dir() / "euler_polya.json").read_text())
-        weights = scenario["distribution"]["weights"]
-        for world in (2, 3, 6, 7):  # Estar is bit 1
-            weights[world] = 0.0
-        total = sum(weights)
-        scenario["distribution"]["weights"] = [w / total for w in weights]
-        path = tmp_path / "no_evidence.json"
-        path.write_text(json.dumps(scenario))
-        code, out, _ = run(capsys, "check", str(path), "--json")
+        code, out, _ = run(capsys, "check", no_evidence_scenario(tmp_path), "--json")
         assert code == EXIT_OK
         conditions = strict_json(out)["schema_report"]["conditions"]
         inapplicable = [c for c in conditions.values() if not c["applicable"]]
         assert len(inapplicable) == 2
         assert all(c["margin"] is None for c in inapplicable)
+
+    # check reads conditions (i)-(iv) from the compiled kernel's rows with
+    # correctly rounded sums. Each reported margin, x=E, y=B, z=H, is
+    # recomputed from the reported weights with prob.conditional and
+    # prob.probability: the same float, and null exactly where the value is
+    # undefined (the last case, whose evidence has no mass).
+    @pytest.mark.parametrize("path", [*sorted(corpus_dir().rglob("*.json")), None],
+                             ids=lambda path: path.name if path else "no_evidence")
+    def test_reported_margins_are_the_scalar_reference(self, capsys, tmp_path, path):
+        inapplicable = 0 if path else 2
+        path = str(path or no_evidence_scenario(tmp_path))
+        scenario = scenarios.load_scenario(path)
+        code, out, _ = run(capsys, "check", path, "--json", "--seed", "1")
+        assert code == EXIT_OK
+        report = strict_json(out)
+        dist = JointDistribution(scenario.space, report["distribution"]["weights"])
+        x, y, z = (scenario.roles[r] for r in ("evidence", "bridge", "hypothesis"))
+
+        def value(target, given=None):
+            return probability(dist, target) if given is None else conditional(dist, target, given)
+
+        conditions = (lambda: value(z, y) - value(z),
+                      lambda: value(x, y) - value(x, ~y),
+                      lambda: value(z, x & y) - value(z, y),
+                      lambda: value(z, x & ~y) - value(z, ~y))
+        undefined = []
+        for label, condition in zip(scenario.labels, conditions):
+            try:
+                expected = condition()
+            except UndefinedConditionalError:
+                expected = None
+                undefined.append(label)
+            got = report["schema_report"]["conditions"][label]["margin"]
+            assert repr(got) == repr(expected), label
+        assert len(undefined) == inapplicable
 
     def test_solved_scenario_reports_its_seed(self, capsys):
         for argv, expected in ([RIEMANN], 1), ([RIEMANN, "--seed", "7"], 7):
@@ -276,6 +323,16 @@ class TestFuzzTheorem:
         assert payload["violations"] == 0
         assert payload["filtered"] > 0
 
+    def test_known_answer_at_the_default_flags(self, capsys):
+        # No conclusion fails among the filtered rows, and every re-checked
+        # row holds by the correctly rounded sums.
+        code, out, _ = run(capsys, "fuzz-theorem", "--json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["config"] == {"samples": 100_000, "seed": 1, "margin": 1e-6}
+        assert payload["violations"] == 0
+        assert payload["reverified"] == min(payload["filtered"], 500)
+
     def test_no_filtered_row_prints_strict_json(self, capsys):
         code, out, _ = run(capsys, "fuzz-theorem", "--samples", "5", "--json")
         assert code == EXIT_OK
@@ -293,11 +350,10 @@ class TestFuzzTheorem:
 
 class TestCounterexample:
     def test_found_and_verified(self, capsys):
-        code, out, err = run(
-            capsys, "counterexample", "--seed", "1", "--budget", "100000", "--json"
-        )
+        code, out, err = run(capsys, "counterexample", "--json")
         assert code == EXIT_OK
         payload = json.loads(out)
+        assert payload["config"] == {"seed": 1, "budget": 100_000}
         assert payload["verified"] is True
         assert payload["confirmations"]["A_confirms_B"] > 0.01
         assert payload["confirmations"]["B_confirms_C"] > 0.01

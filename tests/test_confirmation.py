@@ -31,7 +31,12 @@ from analogybench.confirmation import (
     transitivity_constraints,
 )
 from analogybench.finder import CompiledConstraints, ProbConstraint, Side
-from analogybench.prob import SpaceMismatchError
+from analogybench.prob import (
+    InvalidDistributionError,
+    SpaceMismatchError,
+    check_weights,
+    normalised,
+)
 
 
 class TestConfirm:
@@ -435,3 +440,110 @@ class TestFuzz:
         a = fuzz_transitivity(samples=2_000, seed=5, margin=1e-6)
         b = fuzz_transitivity(samples=2_000, seed=5, margin=1e-6)
         assert a == b
+
+
+def reference_verdict(dist, x, y, z, margin) -> bool:
+    """(i)-(iv) and the conclusion from prob.conditional and prob.probability:
+    (i) and (ii) past margin, (iii) and (iv) within 1e-12 of 0, the
+    conclusion past 0; False when a conditional is undefined."""
+    try:
+        i = conditional(dist, z, y) - probability(dist, z)
+        ii = conditional(dist, x, y) - conditional(dist, x, ~y)
+        iii = conditional(dist, z, x & y) - conditional(dist, z, y)
+        iv = conditional(dist, z, x & ~y) - conditional(dist, z, ~y)
+        conclusion = conditional(dist, z, x) - probability(dist, z)
+    except UndefinedConditionalError:
+        return False
+    return i > margin and ii > margin and iii >= -1e-12 and iv >= -1e-12 and conclusion > 0.0
+
+
+class TestBlockRecheck:
+    """The fuzz re-check: the kept rows normalised as one block, each judged
+    once over one compiled list of all five constraints."""
+
+    def test_block_normalisation_is_from_unnormalized(self):
+        space = WorldSpace(("X", "Y", "Z"))
+        raw = np.random.default_rng(5).standard_exponential((20_000, 8))
+        raw[::3, 2] = 0.0
+        raw[::7, 5:] = 0.0
+        expected = [JointDistribution.from_unnormalized(space, row).weights for row in raw]
+        assert normalised(raw).tobytes() == np.array(expected).tobytes()
+
+    @given(rows=st.lists(
+        st.lists(st.floats(0.0, 1e6), min_size=8, max_size=8).filter(any),
+        min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_block_normalisation_is_from_unnormalized_row_by_row(self, rows):
+        # Zeros and subnormal weights included.
+        space = WorldSpace(("X", "Y", "Z"))
+        block = normalised(np.array(rows))
+        for got, row in zip(block, rows):
+            assert got.tobytes() == JointDistribution.from_unnormalized(space, row).weights.tobytes()
+
+    @given(weights=st.lists(dyadic_joint(), min_size=1, max_size=4),
+           margin=st.sampled_from([0.0, 1e-6, 0.125]))
+    @example(  # no mass on y: (i) and (iii) are undefined
+        weights=[np.array([0.5, 0.5, 0, 0, 0, 0, 0, 0])], margin=0.0)
+    @example(  # (iii) and (iv) exactly on their floor, every condition holding
+        weights=[np.array([3, 3, 1, 3, 1, 1, 1, 3]) / 16], margin=0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_row_verdict_is_the_split_verdict(self, weights, margin):
+        space = WorldSpace(("X", "Y", "Z"))
+        x, y, z = (Proposition.atom(space, name) for name in space.atoms)
+        constraints = transitivity_constraints(x, y, z, margin)
+        checks = CompiledConstraints(constraints)
+        # The same verdict over two lists: the conditions, then the conclusion.
+        antecedent = CompiledConstraints(constraints[:4])
+        concluded = CompiledConstraints(constraints[4:])
+        for w in weights:
+            row = normalised(w).tolist()
+            verdict = checks.scalar_satisfied(row)
+            assert verdict is (antecedent.scalar_satisfied(row) and concluded.scalar_satisfied(row))
+            assert verdict == reference_verdict(JointDistribution(space, w), x, y, z, margin)
+
+    def test_weak_floor_and_undefined_rows(self):
+        space = WorldSpace(("X", "Y", "Z"))
+        x, y, z = (Proposition.atom(space, name) for name in space.atoms)
+        checks = CompiledConstraints(transitivity_constraints(x, y, z))
+        on_floor = JointDistribution(space, np.array([3, 3, 1, 3, 1, 1, 1, 3]) / 16)
+        report = check_transitivity(on_floor, x, y, z)
+        assert report.cond_iii.margin == report.cond_iv.margin == 0.0
+        assert report.antecedent_holds and report.conclusion.holds
+        assert checks.scalar_satisfied(on_floor.weights.tolist())
+        assert not checks.scalar_satisfied([0.5, 0.5, 0, 0, 0, 0, 0, 0])
+
+    def test_reverified_counts_verdicts(self, monkeypatch):
+        # At seed 3 every one of the FUZZ_REVERIFY_CAP re-checked rows holds
+        # (TestFuzz.test_scalar_reverification_agrees); rejecting every third
+        # verdict must take exactly that many off reverified.
+        judged = []
+        holds = CompiledConstraints.scalar_satisfied
+
+        def every_third_rejected(self, weights):
+            judged.append(weights)
+            return holds(self, weights) and len(judged) % 3 != 0
+
+        monkeypatch.setattr(CompiledConstraints, "scalar_satisfied", every_third_rejected)
+        report = fuzz_transitivity(samples=20_000, seed=3, margin=1e-6)
+        assert report.filtered > FUZZ_REVERIFY_CAP
+        assert len(judged) == FUZZ_REVERIFY_CAP
+        assert all(type(row) is list for row in judged)
+        assert report.reverified == FUZZ_REVERIFY_CAP - FUZZ_REVERIFY_CAP // 3
+
+    def test_zero_mass_row_rejected(self):
+        block = np.ones((3, 8))
+        block[1] = 0.0
+        with pytest.raises(InvalidDistributionError, match="nonpositive total mass"):
+            normalised(block)
+        with pytest.raises(InvalidDistributionError, match="nonpositive total mass"):
+            JointDistribution.from_unnormalized(WorldSpace(("X", "Y", "Z")), block[1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_block_checked_as_a_distribution(self, bad):
+        block = np.full((3, 8), 0.125)
+        block[2, 4] = bad
+        with pytest.raises(InvalidDistributionError,
+                           match="^weights must be finite and nonnegative$"):
+            check_weights(block)
+        with pytest.raises(InvalidDistributionError, match="^weights sum to 2.0, not 1$"):
+            check_weights(normalised(np.ones((3, 8))) * [[1], [2], [1]])

@@ -235,7 +235,7 @@ class TestFusedMargins:
         for row in data.draw(st.lists(dyadic_rows(cs.space.world_count), min_size=1,
                                       max_size=6)):
             dist = JointDistribution(cs.space, row)
-            verdict = compiled.scalar_satisfied(dist)
+            verdict = compiled.scalar_satisfied(dist.weights.tolist())
             assert verdict is all(r.holds for r in _judge(dist, compiled))
             assert verdict == compiled.satisfied(row)
 
