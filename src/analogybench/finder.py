@@ -11,7 +11,11 @@ block is one batch, each later block doubles, up to LOOKAHEAD_VALUES floats,
 and each block is scored with one penalty call; the fuzz harness and the
 miner walk the same blocks. The search then walks the block batch by batch
 under the same rule as one draw per batch would, so drawing ahead changes
-the number of calls, not the result (see find_model).
+the number of calls, not the result (see find_model). Once a search has
+refined without finding a model, it reads each later block over the
+constraints violated at its best model first (a screen) and skips, unscored,
+every batch whose screened bound proves that no row can beat the best; that
+too changes the calls, not the result.
 The first exact marginal equality P(T) = c in a set is met by construction:
 under it, samples and descent moves are normalised per block, T-worlds to c
 and the rest to 1 - c, so the search never leaves P(T) = c.
@@ -121,12 +125,21 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """A find_model run: the seed of its sample stream and its sample budget."""
+    """A find_model run: the seed of its sample stream and its sample budget.
+
+    Both are Python ints (a bool is not one): a seed >= 0, a budget >= 1.
+    """
 
     seed: int = 1
     max_samples: int = 100_000
 
     def __post_init__(self):
+        for field in ("seed", "max_samples"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{field} must be an int, got {type(value).__name__}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_samples < 1:
             raise ValueError("max_samples must be >= 1")
 
@@ -184,7 +197,59 @@ def sample_blocks(rng: np.random.Generator, n: int, total: int):
             size *= 2
 
 
-class CompiledConstraints:
+class _Plan:
+    """The value-row plan that margins and penalties are read from.
+
+    A subclass sets _consts, columns, _known, _n_values, _ratio_num,
+    _ratio_den, _first, _second, _equality and _required, laid out as
+    CompiledConstraints describes; _Screen holds a sub-plan of one.
+    """
+
+    def _achieved(self, w: np.ndarray) -> np.ndarray:
+        """Achieved margin per constraint and row of w, as an (m, k) array.
+
+        The signed slack the verdict rule judges: lhs - rhs, rhs - lhs for
+        prob_lt, -|lhs - rhs| for equality; nan when undefined.
+        """
+        rows = w.reshape(-1, w.shape[-1])
+        n_consts, known = len(self._consts), self._known
+        values = np.empty((self._n_values, len(rows)))
+        values[:n_consts] = self._consts
+        if known > n_consts:
+            np.matmul(self.columns, rows.T, out=values[n_consts:known])
+        # Each distinct query side is divided once, in place in its own
+        # row (the indices are in range; mode "clip" takes without a buffer).
+        ratios = values[known:]
+        np.take(values, self._ratio_num, axis=0, out=ratios, mode="clip")
+        # Two constant sides near the float limit can differ by more than it:
+        # that margin is infinite, as it is, without an overflow warning.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratios /= values[self._ratio_den]
+            achieved = values[self._first]
+            achieved -= values[self._second]
+        if self._equality:
+            achieved[self._equality] = -np.abs(achieved[self._equality])
+        return achieved
+
+    def penalty(self, w: np.ndarray):
+        """Sum of squared hinges, per row of w.
+
+        An undefined conditional counts as a hinge of sqrt(UNDEFINED_PENALTY).
+        A hinge past about 1e154 squares to an infinite penalty, which is
+        returned as it is, without an overflow warning.
+        """
+        achieved = self._achieved(w)
+        with np.errstate(over="ignore"):
+            hinges = np.subtract(self._required, achieved, out=achieved)
+            np.maximum(hinges, 0.0, out=hinges)
+            hinges[np.isnan(hinges)] = np.sqrt(UNDEFINED_PENALTY)
+            # Summed over the constraint axis: for a block of k > 1 rows that
+            # adds one constraint at a time, in order, for every row.
+            total = np.square(hinges, out=hinges).sum(axis=0)
+        return total if w.ndim > 1 else total[0]
+
+
+class CompiledConstraints(_Plan):
     """A constraint list compiled once into one fused mask-ratio kernel.
 
     A side is a constant or a query, and every query side is one ratio
@@ -287,31 +352,14 @@ class CompiledConstraints:
         self._ratio_pairs = list(ratios)
         self._side_pairs = list(zip(first, second))
 
-    def _achieved(self, w: np.ndarray) -> np.ndarray:
-        """Achieved margin per constraint and row of w, as an (m, k) array.
+    def screen(self, w: np.ndarray) -> _Screen:
+        """The screen over the constraints weight vector w violates (see _Screen).
 
-        The signed slack the verdict rule judges: lhs - rhs, rhs - lhs for
-        prob_lt, -|lhs - rhs| for equality; nan when undefined.
+        A constraint is violated when its squared hinge at w is positive:
+        its achieved margin is below its required one, or undefined.
         """
-        rows = w.reshape(-1, w.shape[-1])
-        n_consts, known = len(self._consts), self._known
-        values = np.empty((self._n_values, len(rows)))
-        values[:n_consts] = self._consts
-        if known > n_consts:
-            np.matmul(self.columns, rows.T, out=values[n_consts:known])
-        # Each distinct query side is divided once, in place in its own
-        # row (the indices are in range; mode "clip" takes without a buffer).
-        ratios = values[known:]
-        np.take(values, self._ratio_num, axis=0, out=ratios, mode="clip")
-        # Two constant sides near the float limit can differ by more than it:
-        # that margin is infinite, as it is, without an overflow warning.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios /= values[self._ratio_den]
-            achieved = values[self._first]
-            achieved -= values[self._second]
-        if self._equality:
-            achieved[self._equality] = -np.abs(achieved[self._equality])
-        return achieved
+        violated = ~(self._achieved(w)[:, 0] >= self._required[:, 0])
+        return _Screen(self, np.flatnonzero(violated).tolist())
 
     def integer_differences(self, counts: np.ndarray):
         """Yield first - second of each constraint over integer weights, exactly.
@@ -381,23 +429,6 @@ class CompiledConstraints:
             achieved[i] = -abs(achieved[i])
         return achieved
 
-    def penalty(self, w: np.ndarray):
-        """Sum of squared hinges, per row of w.
-
-        An undefined conditional counts as a hinge of sqrt(UNDEFINED_PENALTY).
-        A hinge past about 1e154 squares to an infinite penalty, which is
-        returned as it is, without an overflow warning.
-        """
-        achieved = self._achieved(w)
-        with np.errstate(over="ignore"):
-            hinges = np.subtract(self._required, achieved, out=achieved)
-            np.maximum(hinges, 0.0, out=hinges)
-            hinges[np.isnan(hinges)] = np.sqrt(UNDEFINED_PENALTY)
-            # Summed over the constraint axis: for a block of k > 1 rows that
-            # adds one constraint at a time, in order, for every row.
-            total = np.square(hinges, out=hinges).sum(axis=0)
-        return total if w.ndim > 1 else total[0]
-
     def satisfied(self, w: np.ndarray):
         """Whether every constraint holds by the verdict rule, per row of w."""
         ok = (self._achieved(w) >= self._floor).all(axis=0)
@@ -410,6 +441,83 @@ class CompiledConstraints:
         nan (undefined) margin fails its floor, so it never holds.
         """
         return all(m >= f for m, f in zip(self.scalar_margins(weights), self._floors))
+
+
+class _Screen(_Plan):
+    """A lower bound on the full penalty, read over some of the constraints.
+
+    A sub-plan of a CompiledConstraints, built without a second compile:
+    the kept constraints' constant, mask-column and ratio rows, renumbered
+    in the kernel's order, and their required margins, each lowered by an
+    allowance g. penalty reads the kept constraints' squared hinges against
+    the lowered margins, as a sum B per row, and bound turns B into a value
+    that no row's full penalty P, as CompiledConstraints.penalty reads it,
+    is below. Squared hinges are nonnegative, so any sub-list bounds P; the
+    allowance covers the rounding by which the two readings differ.
+
+    The allowance. Let u = 2**-53, n the worlds and w >= 0. A mask column
+    sums nonnegative terms, in whatever order and shape BLAS takes, so each
+    reading is within a factor 1 +- gamma(n - 1) of the exact sum, where
+    gamma(k) = k u / (1 - k u). A query side is one division of two such
+    sums, and its exact value lies in [0, 1], num being a subset of den; so
+    it reads within gamma(2n - 1) of it. A constant reads exactly. The
+    margin's subtraction and the hinge's required - achieved add a rounding
+    each, relative to operands at most M: the largest of |required| and the
+    sides' magnitudes, |c| for a constant c and 1 for a query side. So each
+    reading of a hinge is within (4n + 3) u M of the exact hinge, to first
+    order, and the two readings differ by less than (8n + 6) u M; g =
+    16 (n + 1) u M covers that and the rounding of required - g twice over.
+    max(., 0) is monotone, so the screen's hinge, lowered by g and then
+    rounded, is at most (1 + u) times the full kernel's. Both readings find
+    the same sides undefined, since a column sums to 0 exactly when all its
+    weights are 0, and count each as sqrt(UNDEFINED_PENALTY).
+
+    The sums. P adds the squares of all m constraints and B those of s <= m,
+    each square and addition rounding by a factor within 1 +- u, so
+    B (1 - (2m + 3) u) <= P. bound takes B (1 - (2m + 6) u): the spare 3u
+    covers its product's rounding and the squares that underflow below
+    2**-1022, each off by at most 2**-1075, far below u B once the product
+    is at least 2**-900; a smaller product reads 0. A product above 2**1000
+    reads 2**1000, which P exceeds even when B overflowed to inf: a screened
+    square, or their sum, is then near the float limit, and so is P.
+    """
+
+    def __init__(self, compiled: CompiledConstraints, keep: list[int]):
+        pairs = [compiled._side_pairs[i] for i in keep]
+        consts, known = compiled._const_list, compiled._known
+        n_consts = len(consts)
+        sides = {row for pair in pairs for row in pair}
+        ratios = sorted(row for row in sides if row >= known)
+        read = sides.union(*(compiled._ratio_pairs[row - known] for row in ratios))
+        rows = sorted(row for row in read if row < known) + ratios
+        new = {old: i for i, old in enumerate(rows)}
+        self._consts = compiled._consts[[row for row in rows if row < n_consts]]
+        self.columns = compiled.columns[
+            [row - n_consts for row in rows if n_consts <= row < known]]
+        self._known, self._n_values = len(rows) - len(ratios), len(rows)
+        self._ratio_num = np.array(
+            [new[compiled._ratio_pairs[row - known][0]] for row in ratios], dtype=int)
+        self._ratio_den = np.array(
+            [new[compiled._ratio_pairs[row - known][1]] for row in ratios], dtype=int)
+        self._first = np.array([new[f] for f, _ in pairs], dtype=int)
+        self._second = np.array([new[s] for _, s in pairs], dtype=int)
+        self._equality = [j for j, i in enumerate(keep) if i in compiled._equality]
+        required = compiled._required[keep, 0]
+        magnitude = [
+            max(abs(r), *(abs(consts[row]) if row < n_consts else 1.0 for row in pair))
+            for r, pair in zip(required.tolist(), pairs)]
+        # n is the worlds, 0 for a list with no query side, which both
+        # readings read alike.
+        n = compiled.columns.shape[-1]
+        allowance = 16 * (n + 1) * 2.0**-53 * np.array(magnitude)
+        self._required = (required - allowance)[:, None]
+        self._shrink = 1.0 - (2 * len(compiled.constraints) + 6) * 2.0**-53
+
+    def bound(self, w: np.ndarray):
+        """A value per row of a block w that the row's full penalty is never below."""
+        bounds = self.penalty(w) * self._shrink
+        bounds[bounds < 2.0**-900] = 0.0
+        return np.minimum(bounds, 2.0**1000, out=bounds)
 
 
 def _names(constraints) -> list[str]:
@@ -555,6 +663,18 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     its result is the first best model, even when every penalty overflows to
     inf.
 
+    A refine that leaves a finite best and no satisfied model keeps a
+    screen (CompiledConstraints.screen): the constraints violated at the
+    best model, a sub-plan of the compiled kernel. Each later block is read
+    over the screen first, and a batch is skipped unscored while every row's
+    screened bound is at least the best penalty. The bound (_Screen, where
+    its rounding allowance is derived) never exceeds a row's full penalty,
+    so no row of a skipped batch beats the best: the walk without the
+    screen would not refine that batch either. The first batch of a block
+    that cannot be ruled out takes the full penalty of the whole block, as
+    without the screen, so every result is the same to the bit. A search
+    whose first refine finds a model builds no screen.
+
     An exact marginal equality P(T) = c (see _marginal_pin; only the first
     one in the set) is met by construction: the search runs only over
     distributions with P(T) = c, every sampled row and every descent
@@ -576,35 +696,42 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     def move(w, signs, delta):
         return _scale_move(w, signs, delta, pin)
 
-    def batches():
-        for block in sample_blocks(rng, n, config.max_samples):
-            if pin is not None:
-                block = _normalise(block, pin)
-            penalties = compiled.penalty(block)
-            for start in range(0, len(block), BATCH_SIZE):
-                stop = start + BATCH_SIZE
-                yield block[start:stop], penalties[start:stop]
-
     best_w, best_penalty = None, float("inf")
     found = False
     samples_used = 0
     restarts_refined = 0
+    screen = None
 
-    for weights, penalties in batches():
-        samples_used += len(weights)
-        idx = int(np.argmin(penalties))
-        # The first batch always refines: every penalty can overflow to inf.
-        if best_w is not None and not penalties[idx] < best_penalty:
-            continue
-        refined, refined_penalty = coordinate_descent(
-            _normalise(weights[idx], pin), compiled.penalty, move, 0.5, REFINE_STEPS,
-        )
-        restarts_refined += 1
-        if best_w is None or refined_penalty < best_penalty:
-            best_w, best_penalty = refined, refined_penalty
-            found = bool(compiled.satisfied(best_w))
-            if found:
-                break
+    for block in sample_blocks(rng, n, config.max_samples):
+        if pin is not None:
+            block = _normalise(block, pin)
+        bounds = None if screen is None else screen.bound(block)
+        penalties = None
+        for start in range(0, len(block), BATCH_SIZE):
+            stop = start + BATCH_SIZE
+            samples_used += min(stop, len(block)) - start
+            if penalties is None:
+                # No row of this batch can beat the best: skip it unscored.
+                if bounds is not None and bounds[start:stop].min() >= best_penalty:
+                    continue
+                penalties = compiled.penalty(block)
+            idx = start + int(np.argmin(penalties[start:stop]))
+            # The first batch always refines: every penalty can overflow to inf.
+            if best_w is not None and not penalties[idx] < best_penalty:
+                continue
+            refined, refined_penalty = coordinate_descent(
+                _normalise(block[idx], pin), compiled.penalty, move, 0.5, REFINE_STEPS,
+            )
+            restarts_refined += 1
+            if best_w is None or refined_penalty < best_penalty:
+                best_w, best_penalty = refined, refined_penalty
+                found = bool(compiled.satisfied(best_w))
+                if found:
+                    break
+                if best_penalty < math.inf:
+                    screen = compiled.screen(best_w)
+        if found:
+            break
 
     dist = JointDistribution.from_unnormalized(cs.space, best_w)
     return FindModelResult(

@@ -527,6 +527,14 @@ def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
         if missing or unknown:
             raise ScenarioFormatError(f"{where}: field 'baseline' needs exactly {list(keys)}"
                                       f" (missing {missing}, unknown {unknown})")
+        # symmetry_baseline's ranges, refused here by field.
+        quotient, delta = baseline["source_quotient"], baseline["delta"]
+        if not 0.0 <= quotient <= 1.0:
+            raise ScenarioFormatError(
+                f"{where}: field 'baseline.source_quotient' must lie in [0, 1]")
+        if not 0.0 <= delta <= quotient:
+            raise ScenarioFormatError(
+                f"{where}: field 'baseline.delta' must lie in [0, source_quotient]")
 
     return Scenario(
         name=name,

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -239,6 +242,16 @@ class TestCheck:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert "A_typo" in err
+
+    def test_baseline_out_of_range(self, capsys, tmp_path):
+        data = json.loads((corpus_dir() / "volume.json").read_text())
+        data["baseline"]["delta"] = data["baseline"]["source_quotient"] + 0.01
+        path = tmp_path / "volume_delta.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path), "--json")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "field 'baseline.delta' must lie in [0, source_quotient]" in err
 
     def test_solver_keys_beside_weights(self, capsys, tmp_path):
         data = json.loads((corpus_dir() / "euler_polya.json").read_text())
@@ -576,6 +589,51 @@ class TestSeedFlag:
         data["distribution"]["seed"] = 3
         path.write_text(json.dumps(data))
         assert [run(capsys, *argv)[:2] for argv in commands] == seeded
+
+
+def _add_contradiction(data):
+    data["distribution"]["constraints"] += [
+        {"kind": "prob_gt", "lhs": {"target": "R"}, "rhs": {"const": 0.9}, "label": "above"},
+        {"kind": "prob_lt", "lhs": {"target": "R"}, "rhs": {"const": 0.1}, "label": "below"},
+    ]
+
+
+#: Stands for riemann_weil with P(R) > 0.9 and P(R) < 0.1 added, written to
+#: the test's directory: find-model runs out its budget, screening each block
+#: after its first refine.
+EXHAUSTED = "<riemann_weil with a contradiction>"
+
+
+class TestSameSeedAcrossProcesses:
+    # The in-process tests cannot vary the hash seed, so set or dict order
+    # that leaked into a report, or into the constraints an exhausted search
+    # screens, would pass them; each command runs in two processes.
+    @pytest.mark.parametrize("argv, expected", [
+        (["check", RIEMANN, "--json", "--seed", "3"], EXIT_OK),
+        (["sweep", RIEMANN, "--param", "P(G)", "--range", "0:1:0.25", "--seed", "3"], EXIT_OK),
+        (["sweep", RIEMANN, "--param", "margins.a", "--range", "0:0.1:0.05", "--seed", "3"],
+         EXIT_OK),
+        (["find-model", RIEMANN, "--json", "--seed", "3"], EXIT_OK),
+        (["counterexample", "--json", "--seed", "3"], EXIT_OK),
+        (["fuzz-theorem", "--json", "--samples", "20000", "--seed", "3"], EXIT_OK),
+        (["find-model", EXHAUSTED, "--json", "--seed", "3"], EXIT_INFEASIBLE),
+    ], ids=["check", "sweep-prior", "sweep-margin", "find-model", "counterexample",
+            "fuzz-theorem", "find-model-exhausted"])
+    def test_same_stdout_under_two_hash_seeds(self, tmp_path, argv, expected):
+        if EXHAUSTED in argv:
+            exhausted = riemann_variant(tmp_path, "exhausted", _add_contradiction)
+            argv = [exhausted if a == EXHAUSTED else a for a in argv]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                         env.get("PYTHONPATH")]))
+        outputs = []
+        for hash_seed in ("1", "2"):
+            child = subprocess.run([sys.executable, "-m", "analogybench.cli", *argv],
+                                   capture_output=True, timeout=120,
+                                   env={**env, "PYTHONHASHSEED": hash_seed})
+            assert child.returncode == expected, child.stderr
+            outputs.append(child.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 def readme_cli_examples() -> list[list[str]]:

@@ -135,6 +135,21 @@ class TestConstraintValidation:
         with pytest.raises(ValueError, match=f"duplicate constraint name '{labels[0]}'"):
             ConstraintSet(space=ab_space, constraints=constraints)
 
+    # Each is refused by name before any draw: a float budget used to fail
+    # late in numpy, a bool budget ran as one sample, and a negative or float
+    # seed raised numpy's own message.
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_samples", 2.5, "max_samples must be an int, got float"),
+        ("max_samples", True, "max_samples must be an int, got bool"),
+        ("max_samples", 0, "max_samples must be >= 1"),
+        ("seed", -1, "seed must be >= 0"),
+        ("seed", 1.5, "seed must be an int, got float"),
+        ("seed", False, "seed must be an int, got bool"),
+    ])
+    def test_search_config_refuses_by_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SearchConfig(**{field: value})
+
     @pytest.mark.parametrize("wrapper", [penalty, achieved_margins, is_satisfied])
     def test_wrappers_check_the_space(self, ab_space, a_gt_half, wrapper):
         other = JointDistribution.uniform(WorldSpace(("c", "d")))
@@ -334,24 +349,33 @@ TIGHT_PLANTED = [(seed, atoms) for atoms in (4, 5) for seed in range(20)] + [
     (seed, 6) for seed in range(10)]
 
 
-def contradictory_set(seed: int, atoms: int) -> ConstraintSet:
-    """P(a) > hi and P(a) < lo <= hi over random events, plus satisfiable filler."""
+def contradictory_set(seed: int, atoms: int, family: int = 0) -> ConstraintSet:
+    """A contradictory pair over random events, plus satisfiable filler.
+
+    family 0: P(a) > hi and P(a) < lo <= hi.
+    family 1: P(a|b) > P(a|!b) + m1 and P(a|!b) > P(a|b) + m2.
+    """
     rng = np.random.default_rng([atoms, seed, 1])
     space = WorldSpace(tuple(f"A{i}" for i in range(atoms)))
     a = _random_prop(space, rng)
-    hi = float(rng.uniform(0.4, 0.7))
-    lo = hi - float(rng.uniform(0.05, 0.3))
+    if family == 0:
+        hi = float(rng.uniform(0.4, 0.7))
+        lo = hi - float(rng.uniform(0.05, 0.3))
+        core = [ProbConstraint("prob_gt", Side(target=a), Side(const=hi), label="above"),
+                ProbConstraint("prob_lt", Side(target=a), Side(const=lo), label="below")]
+    else:
+        b = _random_prop(space, rng)
+        m1, m2 = (float(m) for m in rng.uniform(0.05, 0.25, 2))
+        given, given_not = Side(target=a, given=b), Side(target=a, given=~b)
+        core = [ProbConstraint("cond_gt_cond", given, given_not, margin=m1, label="raise"),
+                ProbConstraint("cond_gt_cond", given_not, given, margin=m2, label="lower")]
     filler = [
         ProbConstraint("cond_gt_prob", Side(target=_random_prop(space, rng),
                                             given=_random_prop(space, rng)),
                        Side(const=0.0), label=f"f{i}")
         for i in range(atoms)
     ]
-    return ConstraintSet(space, [
-        ProbConstraint("prob_gt", Side(target=a), Side(const=hi), label="above"),
-        ProbConstraint("prob_lt", Side(target=a), Side(const=lo), label="below"),
-        *filler,
-    ])
+    return ConstraintSet(space, [*core, *filler])
 
 
 def one_batch_at_a_time(cs: ConstraintSet, config: SearchConfig):
@@ -404,7 +428,49 @@ BLOCK_SETS = {
 }
 
 
+# name -> (set, REFINE_STEPS): each runs out a 20 000-sample budget and refines
+# more than once, so after each refine the screen is rebuilt and skips the
+# batches that cannot beat the new best. With two descent sweeps, the
+# planted set's first refine leaves a best that a later batch beats.
+SCREENED_SETS = {
+    "contradictory-5-family-0": (lambda: contradictory_set(0, 5, 0), 5),
+    "contradictory-5-family-1": (lambda: contradictory_set(1, 5, 1), 5),
+    "contradictory-6-family-0": (lambda: contradictory_set(3, 6, 0), 5),
+    "contradictory-6-family-1": (lambda: contradictory_set(0, 6, 1), 5),
+    "planted-miss-4": (lambda: tight_planted_set(10, 4)[0], 2),
+}
+
+
 class TestFindModelBlocks:
+    @pytest.mark.parametrize("name", sorted(SCREENED_SETS))
+    def test_screened_walk_matches_one_batch_at_a_time(self, monkeypatch, name):
+        make, refine_steps = SCREENED_SETS[name]
+        monkeypatch.setattr(finder, "REFINE_STEPS", refine_steps)
+        cs = make()
+        drawn, scored = [], []
+        sample_blocks, penalty = finder.sample_blocks, CompiledConstraints.penalty
+
+        def spy_blocks(*args):
+            for block in sample_blocks(*args):
+                drawn.append(block)
+                yield block
+
+        def spy_penalty(self, w):
+            if drawn and w is drawn[-1]:
+                scored.append(len(w))
+            return penalty(self, w)
+
+        monkeypatch.setattr(finder, "sample_blocks", spy_blocks)
+        monkeypatch.setattr(CompiledConstraints, "penalty", spy_penalty)
+        config = SearchConfig(seed=20_000, max_samples=20_000)
+        result = find_model(cs, config)
+        got = (result.found, result.samples_used, result.restarts_refined,
+               repr(result.penalty), result.distribution.weights.tobytes())
+        assert got == one_batch_at_a_time(cs, config)
+        assert not result.found and result.restarts_refined > 1
+        # Most blocks are skipped unscored, the first always scored.
+        assert scored[0] == finder.BATCH_SIZE and 2 * len(scored) < len(drawn)
+
     @pytest.mark.parametrize("name", sorted(BLOCK_SETS))
     @pytest.mark.parametrize("budget", [1, 511, 512, 513, 5_000])
     def test_matches_one_batch_at_a_time(self, monkeypatch, name, budget):

@@ -1,5 +1,6 @@
 """The compiled evaluation kernel and the verdict rule it shares with the grid."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,9 +22,14 @@ from analogybench.confirmation import _judge
 from analogybench.prob import UndefinedConditionalError, conditional, probability
 from analogybench.finder import (
     ALL_KINDS,
+    BATCH_SIZE,
+    MAX_GRID_RESOLUTION,
+    MAX_GRID_WORLDS,
     STRICT_KINDS,
     CompiledConstraints,
+    _normalise,
     _required,
+    _Screen,
     is_satisfied,
 )
 
@@ -116,20 +122,25 @@ def exact_verdicts(cs: ConstraintSet, points: list[tuple[int, ...]]) -> np.ndarr
 
 
 @st.composite
-def constraint_sets(draw, atoms=st.integers(2, 4), dyadic=False, constants_only=False):
+def constraint_sets(draw, atoms=st.integers(2, 4), dyadic=False, constants_only=False,
+                    constants=st.floats(-0.5, 1.5), empty=False):
     """Random constraint sets; dyadic ones use only P(target) and k/8 constants.
 
     Over a dyadic grid every side of a dyadic set is exact in float, so the
     float and the exact verdicts must agree even at the boundary. Other sets
-    draw constants in [-0.5, 1.5] and margins up to 0.3 or 1e-6, mostly not
-    dyadic; a constant on both sides or a conditional on an event of mass 0
-    is allowed. A constants_only set has no query side at all.
+    draw constants from `constants`, by default in [-0.5, 1.5], and margins
+    up to 0.3 or 1e-6, mostly not dyadic; a constant on both sides or a
+    conditional on an event of mass 0 is allowed. A constants_only set has
+    no query side at all; with empty, a proposition is the empty set half
+    the time, which many worlds would almost never draw.
     """
     space = WorldSpace(tuple(f"a{i}" for i in range(draw(atoms))))
     n = space.world_count
     eighths = st.integers(0, RESOLUTION).map(lambda k: k / RESOLUTION)
 
     def prop():
+        if empty and draw(st.booleans()):
+            return Proposition(space, np.zeros(n, dtype=bool))
         return Proposition(space, np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
 
     def side():
@@ -137,7 +148,7 @@ def constraint_sets(draw, atoms=st.integers(2, 4), dyadic=False, constants_only=
             "const", "prob", "cond"]
         form = draw(st.sampled_from(forms))
         if form == "const":
-            return Side(const=draw(eighths if dyadic else st.floats(-0.5, 1.5)))
+            return Side(const=draw(eighths if dyadic else constants))
         if form == "prob":
             return Side(target=prop())
         return Side(target=prop(), given=prop())
@@ -488,3 +499,78 @@ class TestGridReference:
                 cs = ConstraintSet(space, [ProbConstraint(kind, lhs, rhs, margin=margin)])
                 for resolution in (1, 2, 3):
                     assert grid_enumerate(cs, resolution) == reference_grid(cs, resolution)
+
+
+class TestScreenBound:
+    # Squared hinges are nonnegative, so a sub-list's penalty bounds the full
+    # one from below; the screen's allowance covers the rounding by which its
+    # reading of the sub-list differs from the full kernel's. The blocks are
+    # raw exponential rows, at least a batch of them as find_model scores,
+    # or those rows pinned as find_model pins them (a pin at 0 or 1 empties
+    # a block, so its conditionals are undefined). Constants reach +-1e300,
+    # and a given may be empty, an undefined side on every row. At 32 and 64
+    # worlds BLAS may sum a sub-list's columns to other last bits.
+    @settings(max_examples=100, deadline=None)
+    @given(cs=constraint_sets(atoms=st.sampled_from([2, 5, 6]), empty=True,
+                              constants=st.floats(-1e300, 1e300) | st.floats(-1.5, 1.5)),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_full_penalty_is_at_least_the_screened_bound(self, cs, data, seed):
+        n = cs.space.world_count
+        rng = np.random.default_rng(seed)
+        block = rng.standard_exponential((int(rng.integers(BATCH_SIZE, 2 * BATCH_SIZE)), n))
+        if data.draw(st.booleans(), label="pinned"):
+            mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(
+                lambda m: any(m) and not all(m)), label="pin mask")
+            mass = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), label="pin mass")
+            block = _normalise(block, (np.array(mask), mass))
+        compiled = CompiledConstraints(cs.constraints)
+        keep = [i for i in range(len(cs.constraints)) if data.draw(st.booleans())]
+        full = compiled.penalty(block)
+        # A screen kept at a row holds every positive hinge of that row, so
+        # there the bound comes within rounding of the full penalty.
+        screens = [compiled.screen(row) for row in block[::64]]
+        for screen in [_Screen(compiled, keep), *screens]:
+            bound = screen.bound(block)
+            assert bound.shape == full.shape
+            assert np.all(full >= bound)
+
+
+    def test_bound_holds_where_the_two_readings_differ(self):
+        # Over 64 worlds BLAS sums the screen's two columns, a and the
+        # all-ones one, to other last bits than the full kernel's fourteen,
+        # so the two read some margins differently. The filler holds on
+        # every row, so the screened pair carries the whole penalty, and the
+        # allowance alone keeps the bound below it.
+        space = WorldSpace(tuple(f"A{i}" for i in range(6)))
+        rng = np.random.default_rng(6)
+        a, *events = (Proposition(space, rng.random(64) < 0.5) for _ in range(13))
+        compiled = CompiledConstraints([
+            ProbConstraint("prob_gt", Side(target=a), Side(const=0.6)),
+            ProbConstraint("prob_lt", Side(target=a), Side(const=0.4)),
+            *(ProbConstraint("cond_ge_cond", Side(target=t, given=g), Side(const=0.0))
+              for t, g in zip(events[::2], events[1::2])),
+        ])
+        block = rng.standard_exponential((BATCH_SIZE, 64))
+        screen = _Screen(compiled, [0, 1])
+        assert compiled.columns.shape[0] == 14 and screen.columns.shape[0] == 2
+        assert screen._achieved(block).tobytes() != compiled._achieved(block)[:2].tobytes()
+        assert np.all(compiled.penalty(block) >= screen.bound(block))
+
+
+class TestGridBudgetEdge:
+    # The largest grid grid_enumerate allows: 8 worlds at resolution 20,
+    # 888 030 points. P(a) > 0.975 keeps exactly the comb(23, 3) points with
+    # all weight on the four a-worlds. The float 0.95 lies just below 19/20,
+    # so P(a) > 0.95 also keeps the 4 * comb(22, 3) points at P(a) = 19/20.
+    @pytest.mark.parametrize("bound, expected", [
+        (0.975, math.comb(23, 3)),
+        (0.95, math.comb(23, 3) + 4 * math.comb(22, 3)),
+    ])
+    def test_exact_grid_at_the_budget_edge(self, bound, expected):
+        space = WorldSpace(("a", "b", "c"))
+        assert space.world_count == MAX_GRID_WORLDS == 8 and MAX_GRID_RESOLUTION == 20
+        a = Proposition.atom(space, "a")
+        cs = ConstraintSet(space, [ProbConstraint("prob_gt", Side(target=a), Side(const=bound))])
+        points = grid_enumerate(cs, MAX_GRID_RESOLUTION)
+        assert len(points) == expected
+        assert all(sum(w for w, t in zip(p, a.mask) if t) > bound for p in points)

@@ -185,6 +185,12 @@ class TestCorpusLoading:
         ("notes", lambda d: d.update(notes=5)),
         ("baseline", lambda d: d.update(baseline="x")),
         ("baseline.delta", lambda d: d.update(baseline={"source_quotient": 0.95, "delta": "x"})),
+        ("baseline.source_quotient",
+         lambda d: d.update(baseline={"source_quotient": 1.5, "delta": 0.1})),
+        ("baseline.source_quotient",
+         lambda d: d.update(baseline={"source_quotient": -0.25, "delta": 0.0})),
+        ("baseline.delta", lambda d: d.update(baseline={"source_quotient": 0.5, "delta": 0.75})),
+        ("baseline.delta", lambda d: d.update(baseline={"source_quotient": 0.5, "delta": -0.1})),
         ("distribution.margins.a", lambda d: d["distribution"]["margins"].update(a=-0.1)),
         ("distribution.constraints[0].margin",
          lambda d: d["distribution"]["constraints"][0].update(margin=-0.1)),
@@ -194,6 +200,8 @@ class TestCorpusLoading:
             "constraints-object", "constraint-string", "weight-null", "seed-float", "seed-bool",
             "seed-negative", "weights-sum", "weights-negative",
             "label-list", "notes-int", "baseline-string", "baseline-value-string",
+            "baseline-quotient-above-1", "baseline-quotient-negative",
+            "baseline-delta-above-quotient", "baseline-delta-negative",
             "margins-negative", "margin-negative", "kind-unknown"])
     def test_rejects_wrongly_typed_field(self, tmp_path, capsys, field, edit):
         data = json.loads((corpus_dir() / "riemann_weil.json").read_text())
