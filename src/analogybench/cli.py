@@ -206,8 +206,6 @@ def _counterexample_scenario_dict(ce) -> dict:
 def cmd_counterexample(args) -> int:
     from .confirmation import check_transitivity, confirm, mine_naive_transitivity_counterexample
 
-    if args.budget < 1:
-        raise ValueError("budget must be >= 1")
     ce = mine_naive_transitivity_counterexample(args.seed, args.budget)
     if ce is None:
         print(

@@ -268,9 +268,10 @@ def mine_naive_transitivity_counterexample(
     give.
     Deterministic given the seed; returns None when the budget is exhausted
     (insufficient budget, not impossibility).
+    Raises ValueError when `budget` is below 1.
     """
-    if budget <= 0:
-        return None
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     space = WorldSpace(("A", "B", "C"))
     a, b, c = (Proposition.atom(space, name) for name in space.atoms)
     relations = CompiledConstraints(_naive_chain(a, b, c))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -48,6 +49,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def table_and_report(capsys, *argv):
+    """The lines argv prints as a table, and the report it prints with --json."""
+    code, table, _ = run(capsys, *argv)
+    json_code, out, _ = run(capsys, *argv, "--json")
+    assert code == json_code == EXIT_OK
+    return table.splitlines(), strict_json(out)
+
+
+def child_env():
+    """This environment with src/ first on PYTHONPATH, for a child interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                     env.get("PYTHONPATH")]))
+    return env
+
+
 def riemann_variant(tmp_path, name, edit):
     """riemann_weil written to tmp_path after edit(data) changed it."""
     data = json.loads(Path(RIEMANN).read_text())
@@ -78,6 +95,12 @@ def _overflowing_bound(data):
 
 def _duplicate_label(data):
     data["distribution"]["constraints"][1]["label"] = "nonext_lo_R"
+
+
+def _euler_polya_weights_doubled(data):
+    data.clear()
+    data.update(json.loads((corpus_dir() / "euler_polya.json").read_text()))
+    data["distribution"]["weights"] = [2 * w for w in data["distribution"]["weights"]]
 
 
 class TestCheck:
@@ -232,6 +255,21 @@ class TestCheck:
             assert code == EXIT_VALIDATION
             assert out == "" and "duplicate constraint name 'nonext_lo_R'" in err
 
+    @pytest.mark.parametrize("field,edit", [
+        ("distribution.constraints[0].rhs.const",
+         lambda d: d["distribution"]["constraints"][0]["rhs"].update(const=math.inf)),
+        ("distribution.constraints[0].margin",
+         lambda d: d["distribution"]["constraints"][0].update(margin=-0.1)),
+        ("distribution.seed", lambda d: d["distribution"].update(seed=-1)),
+        ("distribution.weights", _euler_polya_weights_doubled),
+    ], ids=["infinite-bound", "negative-margin", "negative-seed", "doubled-weights"])
+    def test_bad_field_is_refused_by_name(self, capsys, tmp_path, field, edit):
+        path = riemann_variant(tmp_path, "bad_field", edit)
+        code, out, err = run(capsys, "check", path, "--json")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert field in err
+
     def test_margin_for_unknown_label(self, capsys, tmp_path):
         data = json.loads((corpus_dir() / "volume.json").read_text())
         margins = data["distribution"]["margins"]
@@ -278,6 +316,17 @@ class TestFindModel:
         _, first, _ = run(capsys, "find-model", RIEMANN, "--json", "--seed", "7")
         _, second, _ = run(capsys, "find-model", RIEMANN, "--json", "--seed", "7")
         assert first == second
+
+    def test_table_prints_the_json_values(self, capsys):
+        lines, report = table_and_report(capsys, "find-model", RIEMANN, "--seed", "3")
+        weights = report["distribution"]["weights"]
+        assert lines[0] == (f"found: {report['found']} (penalty {report['penalty']:.3e}, "
+                            f"{report['samples_used']} samples)")
+        assert [line.split()[-1] for line in lines[1:1 + len(weights)]] == [
+            f"{w:.6f}" for w in weights]
+        achieved = dict(line.strip().split(": achieved ") for line in lines[1 + len(weights):])
+        assert achieved == {label: f"{margin:+.4f}"
+                            for label, margin in report["achieved_margins"].items()}
 
     def test_infeasible_constraints(self, capsys, tmp_path):
         path = tmp_path / "impossible.json"
@@ -346,6 +395,18 @@ class TestFuzzTheorem:
         assert payload["violations"] == 0
         assert payload["reverified"] == min(payload["filtered"], 500)
 
+    def test_table_prints_the_json_values(self, capsys):
+        # 1 536 filtered rows, so reverified stops at its cap of 500
+        lines, report = table_and_report(capsys, "fuzz-theorem", "--samples", "20000",
+                                         "--seed", "3")
+        assert lines == [
+            f"samples: {report['config']['samples']}",
+            f"antecedent-satisfying: {report['filtered']}",
+            f"conclusion violations: {report['violations']}",
+            f"scalar re-verified: {report['reverified']}",
+            f"min conclusion margin: {report['min_conclusion_margin']:.6f}",
+        ]
+
     def test_no_filtered_row_prints_strict_json(self, capsys):
         code, out, _ = run(capsys, "fuzz-theorem", "--samples", "5", "--json")
         assert code == EXIT_OK
@@ -372,6 +433,20 @@ class TestCounterexample:
         assert payload["confirmations"]["B_confirms_C"] > 0.01
         assert payload["confirmations"]["A_to_C_degree"] < -0.001
         assert payload["failing_conditions"]
+
+    def test_table_prints_the_json_values(self, capsys):
+        lines, report = table_and_report(capsys, "counterexample", "--seed", "1")
+        weights = report["distribution"]["weights"]
+        degrees = report["confirmations"]
+        assert lines[0] == f"counterexample found after {report['samples_used']} samples"
+        assert [line.split()[-1] for line in lines[1:1 + len(weights)]] == [
+            f"{w:.6f}" for w in weights]
+        assert lines[1 + len(weights):] == [
+            f"  P(B|A) - P(B) = {degrees['A_confirms_B']:+.4f}",
+            f"  P(C|B) - P(C) = {degrees['B_confirms_C']:+.4f}",
+            f"  P(C|A) - P(C) = {degrees['A_to_C_degree']:+.4f}",
+            f"  failing transitivity conditions: {', '.join(report['failing_conditions'])}",
+        ]
 
     def test_not_found_within_budget(self, capsys):
         code, out, err = run(capsys, "counterexample", "--seed", "1", "--budget", "1")
@@ -407,6 +482,34 @@ class TestCounterexample:
         assert code == EXIT_IO
         assert out.startswith("counterexample found after")
         assert err.startswith("error: ") and str(target) in err
+
+
+# Runs the CLI on its argv with find_model refusing to solve a row. Once its
+# imports are done, where /proc reports its size, the child may grow its
+# address space by 256 MiB more, so a runaway list fails with MemoryError
+# instead of exhausting the machine's memory.
+ROW_BOUND_CHILD = """
+import resource, sys
+from analogybench import scenarios
+from analogybench.cli import main
+
+def no_solve(*args):
+    raise AssertionError("a row was solved")
+
+scenarios.find_model = no_solve
+try:
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+except OSError:
+    pass
+else:
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = size + 2**28
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 class TestSweep:
@@ -542,15 +645,16 @@ class TestSweep:
         assert "finite" in err
 
     @pytest.mark.parametrize("grid", ["1:2:1e-17", "0:1:1e-9"])
-    def test_grid_past_the_row_bound_rejected(self, capsys, monkeypatch, grid):
-        def no_solve(*args):
-            raise AssertionError("a row was solved")
-
-        monkeypatch.setattr(scenarios, "find_model", no_solve)
-        code, out, err = run(capsys, "sweep", RIEMANN, "--param", "P(G)", "--range", grid)
-        assert code == EXIT_VALIDATION
-        assert out == ""
-        assert "more than 10000 rows" in err
+    def test_grid_past_the_row_bound_rejected(self, grid):
+        # A row bound that regressed would grow the list of values until
+        # memory ran out, so the sweep runs in a child with a timeout.
+        child = subprocess.run([sys.executable, "-c", ROW_BOUND_CHILD, "sweep", RIEMANN,
+                                "--param", "P(G)", "--range", grid],
+                               capture_output=True, text=True, timeout=30, env=child_env())
+        assert child.returncode == EXIT_VALIDATION, child.stderr
+        assert child.stdout == ""
+        assert "more than 10000 rows" in child.stderr
+        assert "Traceback" not in child.stderr
 
 
 class TestSeedFlag:
@@ -623,9 +727,7 @@ class TestSameSeedAcrossProcesses:
         if EXHAUSTED in argv:
             exhausted = riemann_variant(tmp_path, "exhausted", _add_contradiction)
             argv = [exhausted if a == EXHAUSTED else a for a in argv]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                         env.get("PYTHONPATH")]))
+        env = child_env()
         outputs = []
         for hash_seed in ("1", "2"):
             child = subprocess.run([sys.executable, "-m", "analogybench.cli", *argv],

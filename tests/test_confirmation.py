@@ -264,7 +264,8 @@ class TestMiner:
         assert any(not c.holds for c in report.conditions.values())
 
     def test_exhausted_budget_returns_none(self):
-        assert mine_naive_transitivity_counterexample(seed=1, budget=0) is None
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            mine_naive_transitivity_counterexample(seed=1, budget=0)
         assert mine_naive_transitivity_counterexample(seed=1, budget=1) is None
 
 
