@@ -12,10 +12,11 @@ and each block is scored with one penalty call; the fuzz harness and the
 miner walk the same blocks. The search then walks the block batch by batch
 under the same rule as one draw per batch would, so drawing ahead changes
 the number of calls, not the result (see find_model). Once a search has
-refined without finding a model, it reads each later block over the
-constraints violated at its best model first (a screen) and skips, unscored,
-every batch whose screened bound proves that no row can beat the best; that
-too changes the calls, not the result.
+refined without finding a model, it reads each later block first over a
+screen, the constraints violated at its best model compiled on their own
+with margins lowered by a rounding allowance, and skips, unscored, every
+batch whose screened bound proves that no row can beat the best; that too
+changes the calls, not the result.
 The first exact marginal equality P(T) = c in a set is met by construction:
 under it, samples and descent moves are normalised per block, T-worlds to c
 and the rest to 1 - c, so the search never leaves P(T) = c.
@@ -197,59 +198,7 @@ def sample_blocks(rng: np.random.Generator, n: int, total: int):
             size *= 2
 
 
-class _Plan:
-    """The value-row plan that margins and penalties are read from.
-
-    A subclass sets _consts, columns, _known, _n_values, _ratio_num,
-    _ratio_den, _first, _second, _equality and _required, laid out as
-    CompiledConstraints describes; _Screen holds a sub-plan of one.
-    """
-
-    def _achieved(self, w: np.ndarray) -> np.ndarray:
-        """Achieved margin per constraint and row of w, as an (m, k) array.
-
-        The signed slack the verdict rule judges: lhs - rhs, rhs - lhs for
-        prob_lt, -|lhs - rhs| for equality; nan when undefined.
-        """
-        rows = w.reshape(-1, w.shape[-1])
-        n_consts, known = len(self._consts), self._known
-        values = np.empty((self._n_values, len(rows)))
-        values[:n_consts] = self._consts
-        if known > n_consts:
-            np.matmul(self.columns, rows.T, out=values[n_consts:known])
-        # Each distinct query side is divided once, in place in its own
-        # row (the indices are in range; mode "clip" takes without a buffer).
-        ratios = values[known:]
-        np.take(values, self._ratio_num, axis=0, out=ratios, mode="clip")
-        # Two constant sides near the float limit can differ by more than it:
-        # that margin is infinite, as it is, without an overflow warning.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios /= values[self._ratio_den]
-            achieved = values[self._first]
-            achieved -= values[self._second]
-        if self._equality:
-            achieved[self._equality] = -np.abs(achieved[self._equality])
-        return achieved
-
-    def penalty(self, w: np.ndarray):
-        """Sum of squared hinges, per row of w.
-
-        An undefined conditional counts as a hinge of sqrt(UNDEFINED_PENALTY).
-        A hinge past about 1e154 squares to an infinite penalty, which is
-        returned as it is, without an overflow warning.
-        """
-        achieved = self._achieved(w)
-        with np.errstate(over="ignore"):
-            hinges = np.subtract(self._required, achieved, out=achieved)
-            np.maximum(hinges, 0.0, out=hinges)
-            hinges[np.isnan(hinges)] = np.sqrt(UNDEFINED_PENALTY)
-            # Summed over the constraint axis: for a block of k > 1 rows that
-            # adds one constraint at a time, in order, for every row.
-            total = np.square(hinges, out=hinges).sum(axis=0)
-        return total if w.ndim > 1 else total[0]
-
-
-class CompiledConstraints(_Plan):
+class CompiledConstraints:
     """A constraint list compiled once into one fused mask-ratio kernel.
 
     A side is a constant or a query, and every query side is one ratio
@@ -325,7 +274,7 @@ class CompiledConstraints(_Plan):
                 lhs, rhs = rhs, lhs
             first.append(row(*lhs))
             second.append(row(*rhs))
-        self._first, self._second = np.array(first), np.array(second)
+        self._first, self._second = np.array(first, dtype=int), np.array(second, dtype=int)
         self._ratio_num = np.array([num for num, _ in ratios], dtype=int)
         self._ratio_den = np.array([den for _, den in ratios], dtype=int)
         self._known, self._n_values = known, known + len(ratios)
@@ -352,6 +301,49 @@ class CompiledConstraints(_Plan):
         self._ratio_pairs = list(ratios)
         self._side_pairs = list(zip(first, second))
 
+    def _achieved(self, w: np.ndarray) -> np.ndarray:
+        """Achieved margin per constraint and row of w, as an (m, k) array.
+
+        The signed slack the verdict rule judges: lhs - rhs, rhs - lhs for
+        prob_lt, -|lhs - rhs| for equality; nan when undefined.
+        """
+        rows = w.reshape(-1, w.shape[-1])
+        n_consts, known = len(self._consts), self._known
+        values = np.empty((self._n_values, len(rows)))
+        values[:n_consts] = self._consts
+        if known > n_consts:
+            np.matmul(self.columns, rows.T, out=values[n_consts:known])
+        # Each distinct query side is divided once, in place in its own
+        # row (the indices are in range; mode "clip" takes without a buffer).
+        ratios = values[known:]
+        np.take(values, self._ratio_num, axis=0, out=ratios, mode="clip")
+        # Two constant sides near the float limit can differ by more than it:
+        # that margin is infinite, as it is, without an overflow warning.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratios /= values[self._ratio_den]
+            achieved = values[self._first]
+            achieved -= values[self._second]
+        if self._equality:
+            achieved[self._equality] = -np.abs(achieved[self._equality])
+        return achieved
+
+    def penalty(self, w: np.ndarray):
+        """Sum of squared hinges, per row of w.
+
+        An undefined conditional counts as a hinge of sqrt(UNDEFINED_PENALTY).
+        A hinge past about 1e154 squares to an infinite penalty, which is
+        returned as it is, without an overflow warning.
+        """
+        achieved = self._achieved(w)
+        with np.errstate(over="ignore"):
+            hinges = np.subtract(self._required, achieved, out=achieved)
+            np.maximum(hinges, 0.0, out=hinges)
+            hinges[np.isnan(hinges)] = np.sqrt(UNDEFINED_PENALTY)
+            # Summed over the constraint axis: for a block of k > 1 rows that
+            # adds one constraint at a time, in order, for every row.
+            total = np.square(hinges, out=hinges).sum(axis=0)
+        return total if w.ndim > 1 else total[0]
+
     def screen(self, w: np.ndarray) -> _Screen:
         """The screen over the constraints weight vector w violates (see _Screen).
 
@@ -359,7 +351,7 @@ class CompiledConstraints(_Plan):
         its achieved margin is below its required one, or undefined.
         """
         violated = ~(self._achieved(w)[:, 0] >= self._required[:, 0])
-        return _Screen(self, np.flatnonzero(violated).tolist())
+        return _Screen(list(compress(self.constraints, violated)), len(self.constraints))
 
     def integer_differences(self, counts: np.ndarray):
         """Yield first - second of each constraint over integer weights, exactly.
@@ -443,21 +435,23 @@ class CompiledConstraints(_Plan):
         return all(m >= f for m, f in zip(self.scalar_margins(weights), self._floors))
 
 
-class _Screen(_Plan):
+class _Screen(CompiledConstraints):
     """A lower bound on the full penalty, read over some of the constraints.
 
-    A sub-plan of a CompiledConstraints, built without a second compile:
-    the kept constraints' constant, mask-column and ratio rows, renumbered
-    in the kernel's order, and their required margins, each lowered by an
-    allowance g. penalty reads the kept constraints' squared hinges against
-    the lowered margins, as a sum B per row, and bound turns B into a value
-    that no row's full penalty P, as CompiledConstraints.penalty reads it,
-    is below. Squared hinges are nonnegative, so any sub-list bounds P; the
-    allowance covers the rounding by which the two readings differ.
+    constraints is a sub-list of a list of m constraints, compiled on its
+    own, with each required margin lowered by an allowance g. penalty reads
+    the kept constraints' squared hinges against the lowered margins, as a
+    sum B per row, and bound turns B into a value that no row's full
+    penalty P, as CompiledConstraints.penalty reads it over all m, is below.
+    Squared hinges are nonnegative, so any sub-list bounds P; the allowance
+    covers the rounding by which the two readings differ. A screen is read
+    only through bound: the satisfied and screen it inherits would judge
+    against floors that were never lowered.
 
     The allowance. Let u = 2**-53, n the worlds and w >= 0. A mask column
-    sums nonnegative terms, in whatever order and shape BLAS takes, so each
-    reading is within a factor 1 +- gamma(n - 1) of the exact sum, where
+    sums nonnegative terms, in whatever order and shape BLAS takes, beside
+    whichever columns its own compile deduplicated, so each reading is
+    within a factor 1 +- gamma(n - 1) of the exact sum, where
     gamma(k) = k u / (1 - k u). A query side is one division of two such
     sums, and its exact value lies in [0, 1], num being a subset of den; so
     it reads within gamma(2n - 1) of it. A constant reads exactly. The
@@ -482,36 +476,17 @@ class _Screen(_Plan):
     square, or their sum, is then near the float limit, and so is P.
     """
 
-    def __init__(self, compiled: CompiledConstraints, keep: list[int]):
-        pairs = [compiled._side_pairs[i] for i in keep]
-        consts, known = compiled._const_list, compiled._known
-        n_consts = len(consts)
-        sides = {row for pair in pairs for row in pair}
-        ratios = sorted(row for row in sides if row >= known)
-        read = sides.union(*(compiled._ratio_pairs[row - known] for row in ratios))
-        rows = sorted(row for row in read if row < known) + ratios
-        new = {old: i for i, old in enumerate(rows)}
-        self._consts = compiled._consts[[row for row in rows if row < n_consts]]
-        self.columns = compiled.columns[
-            [row - n_consts for row in rows if n_consts <= row < known]]
-        self._known, self._n_values = len(rows) - len(ratios), len(rows)
-        self._ratio_num = np.array(
-            [new[compiled._ratio_pairs[row - known][0]] for row in ratios], dtype=int)
-        self._ratio_den = np.array(
-            [new[compiled._ratio_pairs[row - known][1]] for row in ratios], dtype=int)
-        self._first = np.array([new[f] for f, _ in pairs], dtype=int)
-        self._second = np.array([new[s] for _, s in pairs], dtype=int)
-        self._equality = [j for j, i in enumerate(keep) if i in compiled._equality]
-        required = compiled._required[keep, 0]
+    def __init__(self, constraints, m: int):
+        super().__init__(constraints)
         magnitude = [
-            max(abs(r), *(abs(consts[row]) if row < n_consts else 1.0 for row in pair))
-            for r, pair in zip(required.tolist(), pairs)]
+            max(abs(_required(c)), *(abs(s.const) if s.is_const else 1.0 for s in (c.lhs, c.rhs)))
+            for c in self.constraints]
         # n is the worlds, 0 for a list with no query side, which both
         # readings read alike.
-        n = compiled.columns.shape[-1]
+        n = self.columns.shape[-1]
         allowance = 16 * (n + 1) * 2.0**-53 * np.array(magnitude)
-        self._required = (required - allowance)[:, None]
-        self._shrink = 1.0 - (2 * len(compiled.constraints) + 6) * 2.0**-53
+        self._required = (self._required[:, 0] - allowance)[:, None]
+        self._shrink = 1.0 - (2 * m + 6) * 2.0**-53
 
     def bound(self, w: np.ndarray):
         """A value per row of a block w that the row's full penalty is never below."""
@@ -647,6 +622,21 @@ def _scale_move(w: np.ndarray, signs: np.ndarray, delta, pin=None) -> np.ndarray
 #: Coordinate-descent sweeps per refine.
 REFINE_STEPS = 240
 
+#: Most bytes one block of descent moves may hold. A sweep scores the 2n
+#: single-coordinate moves of a point over n worlds as one (2n, n) float64
+#: block, 16 n**2 bytes, beside a few temporaries of its size: 64 MiB admits
+#: up to 2 048 worlds (11 atoms), and a larger search is refused.
+_MAX_MOVE_BLOCK_BYTES = 2**26
+
+
+def _check_search_size(n: int) -> None:
+    """Raise ValueError if a descent over n worlds would pass the move-block bound."""
+    if 16 * n * n > _MAX_MOVE_BLOCK_BYTES:
+        raise ValueError(
+            f"a search over {n} worlds descends over {2 * n} x {n} blocks of moves, "
+            f"{16 * n * n >> 20} MiB each, past the bound of {_MAX_MOVE_BLOCK_BYTES >> 20} MiB "
+            f"({math.isqrt(_MAX_MOVE_BLOCK_BYTES // 16)} worlds)")
+
 
 def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     """Seeded random restarts + coordinate descent; deterministic given the seed.
@@ -665,15 +655,15 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
 
     A refine that leaves a finite best and no satisfied model keeps a
     screen (CompiledConstraints.screen): the constraints violated at the
-    best model, a sub-plan of the compiled kernel. Each later block is read
-    over the screen first, and a batch is skipped unscored while every row's
-    screened bound is at least the best penalty. The bound (_Screen, where
-    its rounding allowance is derived) never exceeds a row's full penalty,
-    so no row of a skipped batch beats the best: the walk without the
-    screen would not refine that batch either. The first batch of a block
-    that cannot be ruled out takes the full penalty of the whole block, as
-    without the screen, so every result is the same to the bit. A search
-    whose first refine finds a model builds no screen.
+    best model, compiled on their own, one compile per screen. Each later
+    block is read over the screen first, and a batch is skipped unscored
+    while every row's screened bound is at least the best penalty. The
+    bound (_Screen, where its rounding allowance is derived) never exceeds
+    a row's full penalty, so no row of a skipped batch beats the best: the
+    walk without the screen would not refine that batch either. The first
+    batch of a block that cannot be ruled out takes the full penalty of the
+    whole block, as without the screen, so every result is the same to the
+    bit. A search whose first refine finds a model builds no screen.
 
     An exact marginal equality P(T) = c (see _marginal_pin; only the first
     one in the set) is met by construction: the search runs only over
@@ -682,12 +672,17 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     the compiled set, so found still means every constraint holds. Any
     further exact equality is an ordinary constraint.
 
+    A space whose (2n, n) block of descent moves would pass
+    _MAX_MOVE_BLOCK_BYTES, more than 2 048 worlds, raises ValueError before
+    any draw.
+
     found is the float verdict CompiledConstraints.satisfied on the best
     model. Returns found=False after budget exhaustion, carrying the
     best-found penalty and distribution (signals "not found within budget",
     never proven infeasibility). The best penalty is non-increasing over the
     run.
     """
+    _check_search_size(cs.space.world_count)
     compiled = CompiledConstraints(cs.constraints)
     pin = _marginal_pin(cs.constraints)
     rng = np.random.default_rng(config.seed)

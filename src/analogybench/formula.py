@@ -7,7 +7,14 @@ Grammar (EBNF):
     factor  := "!" factor | "(" expr ")" | atom
     atom    := [A-Za-z_][A-Za-z0-9_]*
 
-"&" binds tighter than "|"; "!" binds tightest.
+"&" binds tighter than "|"; "!" binds tightest. A formula nests at most
+_MAX_DEPTH = 100 levels: its tree is at most that deep, each "!", "&" and
+"|" on the way from the root down to an atom one level (so a chain of k
+"&" or "|" alone is k levels), and so are its parentheses. parse refuses a
+deeper formula with FormulaError, which keeps the parser and the recursive
+readers of its tree (atom_names, unparse, the evaluation in prob) far
+inside Python's recursion limit. unparse nests its parentheses at most as
+deep as the tree, so what it writes parses again.
 """
 
 from __future__ import annotations
@@ -35,51 +42,85 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+#: The most levels a formula nests (see the module docstring).
+_MAX_DEPTH = 100
+
+
 def parse(text: str) -> tuple:
     """Parse a formula string into a nested-tuple AST.
 
-    Nodes are ("atom", name), ("not", node), ("and", a, b), ("or", a, b).
+    Nodes are ("atom", name), ("not", node), ("and", a, b), ("or", a, b);
+    a chain is nested to the left. One pass over the tokens, by index.
     """
     tokens = tokenize(text)
     if not tokens:
         raise FormulaError("empty formula")
-    node, rest = _parse_or(tokens)
-    if rest:
-        raise FormulaError(f"trailing tokens {rest!r} in formula {text!r}")
+    parser = _Parser(tokens)
+    node, _ = parser.expr(0)
+    if parser.pos < len(tokens):
+        raise FormulaError(f"trailing tokens {tokens[parser.pos:]!r} in formula {text!r}")
     return node
 
 
-def _parse_or(tokens):
-    node, tokens = _parse_and(tokens)
-    while tokens and tokens[0] == "|":
-        rhs, tokens = _parse_and(tokens[1:])
-        node = ("or", node, rhs)
-    return node, tokens
+class _Parser:
+    """Recursive descent over a token list, by index.
+
+    Each reader takes the parentheses enclosing it and returns its node and
+    the node's height, the tree levels below it; both are checked against
+    _MAX_DEPTH as they grow, so the descent, which recurses only into
+    parentheses, stays within _MAX_DEPTH of them.
+    """
+
+    def __init__(self, tokens: list[str]):
+        # "" marks the end, so a reader looks one token ahead unchecked.
+        self.tokens, self.pos = [*tokens, ""], 0
+
+    def expr(self, parens: int) -> tuple[tuple, int]:
+        node, height = self.term(parens)
+        while self.tokens[self.pos] == "|":
+            self.pos += 1
+            rhs, rhs_height = self.term(parens)
+            node, height = ("or", node, rhs), _levels(max(height, rhs_height) + 1)
+        return node, height
+
+    def term(self, parens: int) -> tuple[tuple, int]:
+        node, height = self.factor(parens)
+        while self.tokens[self.pos] == "&":
+            self.pos += 1
+            rhs, rhs_height = self.factor(parens)
+            node, height = ("and", node, rhs), _levels(max(height, rhs_height) + 1)
+        return node, height
+
+    def factor(self, parens: int) -> tuple[tuple, int]:
+        start = self.pos
+        while self.tokens[self.pos] == "!":
+            self.pos += 1
+        nots = self.pos - start
+        head = self.tokens[self.pos]
+        self.pos += 1
+        if head == "(":
+            node, height = self.expr(_levels(parens + 1))
+            if self.tokens[self.pos] != ")":
+                raise FormulaError("unbalanced parentheses")
+            self.pos += 1
+        elif head in {"&", "|", ")"}:
+            raise FormulaError(f"unexpected token {head!r}")
+        elif not head:
+            raise FormulaError("unexpected end of formula")
+        else:
+            node, height = ("atom", head), 0
+        if nots:
+            height = _levels(height + nots)
+            for _ in range(nots):
+                node = ("not", node)
+        return node, height
 
 
-def _parse_and(tokens):
-    node, tokens = _parse_factor(tokens)
-    while tokens and tokens[0] == "&":
-        rhs, tokens = _parse_factor(tokens[1:])
-        node = ("and", node, rhs)
-    return node, tokens
-
-
-def _parse_factor(tokens):
-    if not tokens:
-        raise FormulaError("unexpected end of formula")
-    head = tokens[0]
-    if head == "!":
-        node, rest = _parse_factor(tokens[1:])
-        return ("not", node), rest
-    if head == "(":
-        node, rest = _parse_or(tokens[1:])
-        if not rest or rest[0] != ")":
-            raise FormulaError("unbalanced parentheses")
-        return node, rest[1:]
-    if head in {"&", "|", ")"}:
-        raise FormulaError(f"unexpected token {head!r}")
-    return ("atom", head), tokens[1:]
+def _levels(levels: int) -> int:
+    """levels, unless it is past _MAX_DEPTH."""
+    if levels > _MAX_DEPTH:
+        raise FormulaError(f"formula nests deeper than {_MAX_DEPTH} levels")
+    return levels
 
 
 def atom_names(node: tuple) -> set[str]:

@@ -48,6 +48,7 @@ from .finder import (
     ProbConstraint,
     SearchConfig,
     Side,
+    _check_search_size,
     coordinate_descent,
     find_model,
 )
@@ -287,7 +288,9 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
     otherwise raises InfeasibleExtensionError with the lowest-penalty
     extension. Revisionary mode re-solves the full constraint set over the
     extended space, with the prior pinned as an exact equality that
-    find_model meets by construction.
+    find_model meets by construction. Either search refuses an extended
+    space past find_model's bound, 2 048 worlds, with ValueError before any
+    draw.
     """
     new_space = extended_space(dist.space, spec.new_atom)
     n_old = dist.space.world_count
@@ -320,6 +323,7 @@ def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistri
     if cs is None:
         t = np.full(n_old, spec.prior)
         return JointDistribution(new_space, _assemble(old_w, t))
+    _check_search_size(new_space.world_count)
     compiled = CompiledConstraints(cs.constraints)
 
     def objective(t: np.ndarray):

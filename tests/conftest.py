@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,3 +72,62 @@ def exact_satisfied(constraints, weights) -> bool:
         if not holds:
             return False
     return True
+
+
+#: Formulas too deep for the parser, over the one atom H: each is refused
+#: with FormulaError, never a RecursionError.
+DEEP_FORMULAS = {
+    "and-chain-1500": " & ".join(["H"] * 1500),
+    "not-1500": "!" * 1500 + "H",
+    "parentheses-1200": "(" * 1200 + "H" + ")" * 1200,
+    "or-chain-20000": " | ".join(["H"] * 20_000),
+}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child_env():
+    """This environment with src/ first on PYTHONPATH, for a child interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                     env.get("PYTHONPATH")]))
+    return env
+
+
+# The head of a capped child (see run_capped): once the modules a command
+# loads are imported, where /proc reports its size, the child may grow its
+# address space by 256 MiB more.
+_CAP = """
+import resource, sys
+from analogybench import scenarios
+from analogybench.cli import main
+
+try:
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+except OSError:
+    pass
+else:
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    limit = size + 2**28
+    if hard != resource.RLIM_INFINITY:
+        limit = min(limit, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+"""
+
+#: A capped child's body that runs the CLI on its arguments.
+RUN_CLI = "sys.exit(main(sys.argv[1:]))"
+
+
+def run_capped(body: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run body in a child interpreter, with argv as its sys.argv[1:].
+
+    For a test whose guard, if it regressed, would hang or exhaust memory:
+    the child's address space is capped at 256 MiB above its size after
+    importing analogybench.scenarios and analogybench.cli (names body may
+    use, beside sys and main), so a runaway allocation fails with
+    MemoryError, and a child still running after 30 s fails the test.
+    """
+    return subprocess.run([sys.executable, "-c", _CAP + body, *argv], capture_output=True,
+                          text=True, timeout=30, env=child_env())

@@ -1,7 +1,6 @@
 import argparse
 import json
 import math
-import os
 import shlex
 import subprocess
 import sys
@@ -29,9 +28,10 @@ from analogybench.cli import (
 )
 from analogybench.scenarios import corpus_dir
 
+from conftest import DEEP_FORMULAS, ROOT, RUN_CLI, child_env, run_capped
+
 
 RIEMANN = str(corpus_dir() / "riemann_weil.json")
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def _reject_constant(name):
@@ -55,14 +55,6 @@ def table_and_report(capsys, *argv):
     json_code, out, _ = run(capsys, *argv, "--json")
     assert code == json_code == EXIT_OK
     return table.splitlines(), strict_json(out)
-
-
-def child_env():
-    """This environment with src/ first on PYTHONPATH, for a child interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                     env.get("PYTHONPATH")]))
-    return env
 
 
 def riemann_variant(tmp_path, name, edit):
@@ -269,6 +261,36 @@ class TestCheck:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert field in err
+
+    @pytest.mark.parametrize("text", DEEP_FORMULAS.values(), ids=DEEP_FORMULAS)
+    def test_deep_formula_is_refused_by_name(self, capsys, tmp_path, text):
+        data = json.loads((corpus_dir() / "volume.json").read_text())
+        data["roles"]["hypothesis"] = text
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(path), "--json")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert "roles.hypothesis" in err and "deeper than 100 levels" in err
+        # sweep reads its P(...) parameter with the same parser
+        code, out, err = run(capsys, "sweep", RIEMANN, "--param", f"P({text})",
+                             "--range", "0:1:0.5")
+        assert code == EXIT_VALIDATION
+        assert out == "" and "sweeps only its bridge prior" in err
+
+    def test_space_past_the_search_bound_is_refused(self, tmp_path):
+        # volume with 9 unused atoms: 4 096 worlds, one atom past the bound.
+        # A guard that regressed would allocate GiBs of descent moves, so
+        # check runs in a capped child.
+        data = json.loads((corpus_dir() / "volume.json").read_text())
+        data["atoms"] += [f"X{i}" for i in range(9)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        child = run_capped(RUN_CLI, "check", str(path), "--json")
+        assert child.returncode == EXIT_VALIDATION, child.stderr
+        assert child.stdout == ""
+        assert "4096 worlds" in child.stderr and "64 MiB (2048 worlds)" in child.stderr
+        assert "Traceback" not in child.stderr
 
     def test_margin_for_unknown_label(self, capsys, tmp_path):
         data = json.loads((corpus_dir() / "volume.json").read_text())
@@ -484,32 +506,14 @@ class TestCounterexample:
         assert err.startswith("error: ") and str(target) in err
 
 
-# Runs the CLI on its argv with find_model refusing to solve a row. Once its
-# imports are done, where /proc reports its size, the child may grow its
-# address space by 256 MiB more, so a runaway list fails with MemoryError
-# instead of exhausting the machine's memory.
-ROW_BOUND_CHILD = """
-import resource, sys
-from analogybench import scenarios
-from analogybench.cli import main
-
+# A capped child's body: the CLI on its argv, with find_model refusing to
+# solve a row.
+NO_SOLVE_CLI = """
 def no_solve(*args):
     raise AssertionError("a row was solved")
 
 scenarios.find_model = no_solve
-try:
-    with open("/proc/self/statm") as fh:
-        size = int(fh.read().split()[0]) * resource.getpagesize()
-except OSError:
-    pass
-else:
-    _, hard = resource.getrlimit(resource.RLIMIT_AS)
-    limit = size + 2**28
-    if hard != resource.RLIM_INFINITY:
-        limit = min(limit, hard)
-    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
-sys.exit(main(sys.argv[1:]))
-"""
+""" + RUN_CLI
 
 
 class TestSweep:
@@ -647,10 +651,8 @@ class TestSweep:
     @pytest.mark.parametrize("grid", ["1:2:1e-17", "0:1:1e-9"])
     def test_grid_past_the_row_bound_rejected(self, grid):
         # A row bound that regressed would grow the list of values until
-        # memory ran out, so the sweep runs in a child with a timeout.
-        child = subprocess.run([sys.executable, "-c", ROW_BOUND_CHILD, "sweep", RIEMANN,
-                                "--param", "P(G)", "--range", grid],
-                               capture_output=True, text=True, timeout=30, env=child_env())
+        # memory ran out, so the sweep runs in a capped child.
+        child = run_capped(NO_SOLVE_CLI, "sweep", RIEMANN, "--param", "P(G)", "--range", grid)
         assert child.returncode == EXIT_VALIDATION, child.stderr
         assert child.stdout == ""
         assert "more than 10000 rows" in child.stderr

@@ -456,7 +456,8 @@ class TestFindModelBlocks:
                 yield block
 
         def spy_penalty(self, w):
-            if drawn and w is drawn[-1]:
+            # A screen is a CompiledConstraints too; only full-kernel calls count.
+            if drawn and w is drawn[-1] and not isinstance(self, finder._Screen):
                 scored.append(len(w))
             return penalty(self, w)
 
@@ -485,16 +486,24 @@ class TestFindModelBlocks:
         assert result.achieved_margins == achieved_margins(result.distribution, cs)
 
     def test_compiles_once(self, monkeypatch):
-        compiled = []
+        # The set compiles once; each screen is its kept constraints compiled
+        # on their own, one per screen built, at most one per refine.
+        compiles, screens = [], []
+        init, screen = CompiledConstraints.__init__, CompiledConstraints.screen
 
-        class Counting(CompiledConstraints):
-            def __init__(self, constraints):
-                compiled.append(1)
-                super().__init__(constraints)
+        def counting_init(self, *args):
+            compiles.append(type(self))
+            init(self, *args)
 
-        monkeypatch.setattr(finder, "CompiledConstraints", Counting)
-        find_model(contradictory_set(0, 2), SearchConfig(max_samples=2_000))
-        assert len(compiled) == 1
+        def counting_screen(self, w):
+            screens.append(screen(self, w))
+            return screens[-1]
+
+        monkeypatch.setattr(CompiledConstraints, "__init__", counting_init)
+        monkeypatch.setattr(CompiledConstraints, "screen", counting_screen)
+        result = find_model(contradictory_set(0, 2), SearchConfig(max_samples=2_000))
+        assert compiles.count(CompiledConstraints) == 1
+        assert 1 <= compiles.count(finder._Screen) == len(screens) <= result.restarts_refined
 
     def test_rare_set_is_found_in_a_later_block(self, monkeypatch):
         monkeypatch.setattr(finder, "REFINE_STEPS", 0)

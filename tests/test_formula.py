@@ -1,6 +1,9 @@
 import pytest
 
+from analogybench import Proposition, WorldSpace
 from analogybench.formula import FormulaError, atom_names, parse, unparse
+
+from conftest import DEEP_FORMULAS
 
 
 def test_atom():
@@ -32,3 +35,28 @@ def test_unparse_round_trip():
 def test_rejects_malformed(bad):
     with pytest.raises(FormulaError):
         parse(bad)
+
+
+@pytest.mark.parametrize("text", DEEP_FORMULAS.values(), ids=DEEP_FORMULAS)
+def test_deep_formula_is_refused(text):
+    with pytest.raises(FormulaError, match="deeper than 100 levels"):
+        Proposition.parse(WorldSpace(("H",)), text)
+
+
+# Each is exactly 100 levels deep: a tree of 100 "!", "&" or "|" on the way
+# down to an atom, or 100 nested parentheses. One level more is refused.
+@pytest.mark.parametrize("deep", [
+    lambda k: " & ".join(["a"] * (k + 1)),
+    lambda k: " | ".join(["a"] * (k + 1)),
+    lambda k: "!" * k + "a",
+    lambda k: "(" * k + "a" + ")" * k,
+    lambda k: "!" * (k % 2) + "!(a & " * (k // 2) + "b" + ")" * (k // 2),
+], ids=["and", "or", "not", "parentheses", "mixed"])
+def test_depth_bound_is_100_levels(deep):
+    space = WorldSpace(("a", "b"))
+    at_bound = deep(100)
+    node = parse(at_bound)
+    assert parse(unparse(node)) == node and atom_names(node) <= {"a", "b"}
+    assert Proposition.parse(space, at_bound).mask.shape == (4,)
+    with pytest.raises(FormulaError, match="deeper than 100 levels"):
+        parse(deep(101))

@@ -529,11 +529,30 @@ class TestScreenBound:
         # A screen kept at a row holds every positive hinge of that row, so
         # there the bound comes within rounding of the full penalty.
         screens = [compiled.screen(row) for row in block[::64]]
-        for screen in [_Screen(compiled, keep), *screens]:
+        kept = [cs.constraints[i] for i in keep]
+        for screen in [_Screen(kept, len(cs.constraints)), *screens]:
             bound = screen.bound(block)
             assert bound.shape == full.shape
             assert np.all(full >= bound)
 
+    # On dyadic rows a dyadic set reads its margins exactly, so hinges of
+    # exactly 0, a strict kind held at its margin, are drawn too; a screen
+    # keeps a constraint iff its hinge is positive or undefined (nan).
+    @settings(max_examples=60, deadline=None)
+    @given(cs=st.booleans().flatmap(lambda dyadic: constraint_sets(dyadic=dyadic, empty=True)),
+           data=st.data())
+    def test_screen_keeps_the_positive_and_undefined_hinges(self, cs, data):
+        compiled = CompiledConstraints(cs.constraints)
+        w = data.draw(dyadic_rows(cs.space.world_count))
+        hinges = [_required(c) - m for c, m in zip(cs.constraints, compiled.margins(w))]
+        kept = [c for c, h in zip(cs.constraints, hinges) if math.isnan(h) or h > 0]
+        screen = compiled.screen(w)
+        assert isinstance(screen, _Screen) and screen.constraints == tuple(kept)
+
+    def test_an_empty_screen_bounds_every_row_by_zero(self):
+        block = np.random.default_rng(2).standard_exponential((BATCH_SIZE, 8))
+        bound = _Screen([], 4).bound(block)
+        assert bound.shape == (BATCH_SIZE,) and not bound.any()
 
     def test_bound_holds_where_the_two_readings_differ(self):
         # Over 64 worlds BLAS sums the screen's two columns, a and the
@@ -551,7 +570,7 @@ class TestScreenBound:
               for t, g in zip(events[::2], events[1::2])),
         ])
         block = rng.standard_exponential((BATCH_SIZE, 64))
-        screen = _Screen(compiled, [0, 1])
+        screen = _Screen(compiled.constraints[:2], len(compiled.constraints))
         assert compiled.columns.shape[0] == 14 and screen.columns.shape[0] == 2
         assert screen._achieved(block).tobytes() != compiled._achieved(block)[:2].tobytes()
         assert np.all(compiled.penalty(block) >= screen.bound(block))

@@ -1,16 +1,14 @@
 import importlib
 import json
-import os
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import pytest
 
 import analogybench
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import child_env
 
 #: The public names, by the module that defines each.
 PUBLIC = {
@@ -83,10 +81,8 @@ class TestNamespace:
 
 class TestStartUp:
     def test_version_help_and_usage_errors_load_no_numpy(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         run = subprocess.run([sys.executable, "-c", START_UP], capture_output=True,
-                             text=True, env=env, timeout=60)
+                             text=True, env=child_env(), timeout=60)
         assert run.returncode == 0, run.stderr
         steps = json.loads(run.stdout)
         assert steps == [

@@ -39,7 +39,7 @@ from analogybench.scenarios import (
     extended_space,
 )
 
-from conftest import exact_satisfied, exact_value, random_distribution
+from conftest import exact_satisfied, exact_value, random_distribution, run_capped
 
 
 CORPUS_NAMES = {
@@ -538,6 +538,29 @@ class TestBridgeExtension:
     def test_existing_atom_rejected(self, ab_dist):
         with pytest.raises(ValueError):
             extend_with_bridge(ab_dist, BridgeSpec(new_atom="a", prior=0.5))
+
+    # A capped child's body: extend 11 atoms by g, in the mode sys.argv[1],
+    # to a space of 4 096 worlds, one atom past the search bound.
+    PAST_THE_BOUND = """
+from analogybench import (BridgeSpec, ConstraintSet, JointDistribution, ProbConstraint,
+                          Proposition, Side, WorldSpace, extend_with_bridge)
+old = WorldSpace(tuple(f"a{i}" for i in range(11)))
+new = WorldSpace(old.atoms + ("g",))
+cs = ConstraintSet(new, [ProbConstraint("prob_gt", Side(target=Proposition.atom(new, "g")),
+                                        Side(const=0.5))])
+dist = JointDistribution.from_unnormalized(old, [1.0] * old.world_count)
+try:
+    extend_with_bridge(dist, BridgeSpec("g", 0.3, likelihood_constraints=cs, mode=sys.argv[1]))
+except ValueError as exc:
+    print(exc, file=sys.stderr)
+    sys.exit(2)
+"""
+
+    @pytest.mark.parametrize("mode", ["conservative", "revisionary"])
+    def test_space_past_the_search_bound_rejected(self, mode):
+        child = run_capped(self.PAST_THE_BOUND, mode)
+        assert child.returncode == 2, child.stderr
+        assert "4096 worlds" in child.stderr and "64 MiB" in child.stderr
 
     def test_bad_prior_rejected(self):
         with pytest.raises(ValueError):
