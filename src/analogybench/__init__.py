@@ -17,18 +17,16 @@ _EXPORTS = {
         "is_non_extremal", "probability",
     ), "prob"),
     **dict.fromkeys((
-        "ConfirmationVerdict", "TransitivityReport", "check_corollary",
-        "check_transitivity", "confirm", "fuzz_transitivity",
-        "mine_naive_transitivity_counterexample",
+        "ConfirmationVerdict", "TransitivityReport", "check_transitivity",
+        "confirm", "fuzz_transitivity", "mine_naive_transitivity_counterexample",
     ), "confirmation"),
     **dict.fromkeys((
         "ConstraintSet", "ProbConstraint", "SearchConfig", "Side", "find_model",
         "grid_enumerate", "penalty", "sample_simplex",
     ), "finder"),
     **dict.fromkeys((
-        "BridgeSpec", "Scenario", "SchemaReport", "euler_characteristic",
-        "evaluate_schema", "extend_with_bridge", "load_corpus", "load_scenario",
-        "symmetry_baseline",
+        "Scenario", "SchemaReport", "euler_characteristic", "evaluate_schema",
+        "load_corpus", "load_scenario", "symmetry_baseline",
     ), "scenarios"),
 }
 

@@ -11,8 +11,8 @@ evaluates a sufficient condition set for transitivity over a chain X -> Y -> Z:
     =>    P(Z|X)      > P(Z)
 
 In the limiting case in which Y entails Z, (ii) and (iv) alone suffice;
-check_corollary, which checks the entailment, is the only entry point that
-judges by them alone.
+check_transitivity still judges all four, and
+tests/test_acceptance.py::test_02_corollary_fuzz checks that corollary.
 The counterexample miner searches for naive-transitivity failures:
 X confirms Y, Y confirms Z, yet X disconfirms Z.
 
@@ -35,7 +35,7 @@ by confirm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from .prob import (
     WorldSpace,
     check_weights,
     conditional,
-    entails,
     normalised,
     probability,
 )
@@ -94,12 +93,9 @@ class TransitivityReport:
     cond_iii: ConditionResult
     cond_iv: ConditionResult
     conclusion: ConditionResult
-    corollary_mode: bool = False
 
     @property
     def antecedent_holds(self) -> bool:
-        if self.corollary_mode:
-            return self.cond_ii.holds and self.cond_iv.holds
         return (
             self.cond_i.holds
             and self.cond_ii.holds
@@ -204,23 +200,6 @@ def check_transitivity(
     """
     constraints = ConstraintSet(dist.space, transitivity_constraints(x, y, z, margin))
     return TransitivityReport(*_judge(dist, _compiled(dist, constraints)))
-
-
-class EntailmentPreconditionError(ValueError):
-    """check_corollary requires y to entail z."""
-
-
-def check_corollary(
-    dist: JointDistribution,
-    x: Proposition,
-    y: Proposition,
-    z: Proposition,
-    margin: float = 0.0,
-) -> TransitivityReport:
-    """Limiting case in which y entails z: only (ii) and (iv) are decision-relevant."""
-    if not entails(y, z):
-        raise EntailmentPreconditionError("corollary check requires y to entail z")
-    return replace(check_transitivity(dist, x, y, z, margin), corollary_mode=True)
 
 
 @dataclass(frozen=True)

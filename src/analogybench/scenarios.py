@@ -1,5 +1,4 @@
-"""Analogy schemas, the case-study corpus, bridge extension, and the
-symmetry-transfer baseline.
+"""Analogy schemas, the case-study corpus, and the symmetry-transfer baseline.
 
 A scenario names three roles over one world space: a hypothesis about the
 target domain, evidence from the source domain, and a bridge proposition
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -42,14 +41,11 @@ from .confirmation import (
 )
 from .finder import (
     ALL_KINDS,
-    CompiledConstraints,
     ConstraintSet,
     FindModelResult,
     ProbConstraint,
     SearchConfig,
     Side,
-    _check_search_size,
-    coordinate_descent,
     find_model,
 )
 from .prob import (
@@ -212,146 +208,6 @@ def evaluate_schema(scenario: Scenario, dist: JointDistribution | None = None) -
         schema_confirms=schema_confirms,
         overall=overall,
     )
-
-
-# ---------------------------------------------------------------------------
-# Bridge-atom world-space extension
-
-#: Coordinate-descent sweeps per restart of a conservative extension.
-BRIDGE_REFINE_STEPS = 80
-
-
-@dataclass(frozen=True)
-class BridgeSpec:
-    new_atom: str
-    prior: float
-    likelihood_constraints: ConstraintSet | None = None  # over the extended space
-    mode: str = "conservative"  # "conservative" | "revisionary"
-    seed: int = 1
-
-    def __post_init__(self):
-        if not 0.0 <= self.prior <= 1.0:
-            raise ValueError("bridge prior must lie in [0, 1]")
-        if self.mode not in ("conservative", "revisionary"):
-            raise ValueError(f"unknown extension mode {self.mode!r}")
-
-
-class InfeasibleExtensionError(ValueError):
-    """Bridge-extension constraints could not be satisfied within budget."""
-
-    def __init__(self, message: str, best: JointDistribution, penalty: float):
-        super().__init__(message)
-        self.best = best
-        self.penalty = penalty
-
-
-def extended_space(space: WorldSpace, new_atom: str) -> WorldSpace:
-    if new_atom in space.atoms:
-        raise ValueError(f"atom {new_atom!r} already present in the space")
-    return WorldSpace(space.atoms + (new_atom,))
-
-
-def _assemble(old_weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Extended weights from old weights and per-world P(new atom | world).
-
-    t is one vector (n,) or a block (k, n); the result has one row per row of t.
-    """
-    return np.concatenate([old_weights * (1.0 - t), old_weights * t], axis=-1)
-
-
-def _repair_marginal(t: np.ndarray, weights: np.ndarray, prior: float) -> np.ndarray:
-    """Each row of t moved so that its bridge marginal t @ weights is prior.
-
-    t is one vector (n,) or a block (k, n), as in _assemble; weights sum
-    to 1. A row whose marginal is at least prior is scaled toward 0, any
-    other row's 1 - t toward 0, so the result stays in [0, 1]. A zero
-    marginal is never divided by: at prior 0 its row becomes exactly 0.
-    """
-    current = (t * weights).sum(axis=-1, keepdims=True)
-    down = current >= prior
-    part = np.where(down, current, 1.0 - current)
-    scale = np.divide(np.where(down, prior, 1.0 - prior), part,
-                      out=np.zeros_like(part), where=part > 0.0)
-    return np.where(down, t * scale, 1.0 - (1.0 - t) * scale)
-
-
-def extend_with_bridge(dist: JointDistribution, spec: BridgeSpec) -> JointDistribution:
-    """Append a bridge atom to a distribution's space.
-
-    Conservative mode preserves every old-atom joint marginal exactly: the
-    search runs over t, the conditional probability of the new atom given
-    each old world. Every t it visits, restart starts and descent moves
-    alike, goes through _repair_marginal, so the new atom's marginal is
-    spec.prior within float rounding by construction and the descent
-    minimises the constraint penalty alone. The search returns at the first
-    of 16 seeded restarts whose extension satisfies the constraints, and
-    otherwise raises InfeasibleExtensionError with the lowest-penalty
-    extension. Revisionary mode re-solves the full constraint set over the
-    extended space, with the prior pinned as an exact equality that
-    find_model meets by construction. Either search refuses an extended
-    space past find_model's bound, 2 048 worlds, with ValueError before any
-    draw.
-    """
-    new_space = extended_space(dist.space, spec.new_atom)
-    n_old = dist.space.world_count
-    cs = spec.likelihood_constraints
-    if cs is not None and cs.space != new_space:
-        raise ValueError("constraint set must be over the extended space")
-
-    if spec.mode == "revisionary":
-        if cs is None:
-            raise ValueError("revisionary extension requires a constraint set")
-        # find_model meets an exact marginal equality by construction.
-        prior_constraint = ProbConstraint(
-            "equality",
-            Side(target=Proposition.atom(new_space, spec.new_atom)),
-            Side(const=spec.prior),
-            label="bridge_prior",
-        )
-        full = ConstraintSet(space=new_space, constraints=cs.constraints + (prior_constraint,))
-        result = find_model(full, SearchConfig(seed=spec.seed))
-        if not result.found:
-            raise InfeasibleExtensionError(
-                "revisionary extension infeasible within budget",
-                result.distribution,
-                result.penalty,
-            )
-        return result.distribution
-
-    # conservative mode
-    old_w = dist.weights
-    if cs is None:
-        t = np.full(n_old, spec.prior)
-        return JointDistribution(new_space, _assemble(old_w, t))
-    _check_search_size(new_space.world_count)
-    compiled = CompiledConstraints(cs.constraints)
-
-    def objective(t: np.ndarray):
-        return compiled.penalty(_assemble(old_w, t))
-
-    def move(t: np.ndarray, signs: np.ndarray, delta) -> np.ndarray:
-        return _repair_marginal(_shift_move(t, signs, delta), old_w, spec.prior)
-
-    rng = np.random.default_rng(spec.seed)
-    best_t = best_p = None
-    for _ in range(16):  # random restarts over conditional probabilities
-        t = _repair_marginal(rng.uniform(0.02, 0.98, n_old), old_w, spec.prior)
-        t, p = coordinate_descent(t, objective, move, 0.25, BRIDGE_REFINE_STEPS)
-        weights = _assemble(old_w, t)
-        if compiled.satisfied(weights):
-            return JointDistribution(new_space, weights)
-        if best_t is None or p < best_p:  # a penalty can overflow to inf
-            best_t, best_p = t, p
-    raise InfeasibleExtensionError(
-        "conservative extension constraints unsatisfied within budget",
-        JointDistribution(new_space, _assemble(old_w, best_t)),
-        float(best_p),
-    )
-
-
-def _shift_move(t: np.ndarray, signs: np.ndarray, delta) -> np.ndarray:
-    """Move each conditional probability by delta * sign, clipped to [0, 1]."""
-    return np.clip(t + delta * signs, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

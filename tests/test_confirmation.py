@@ -11,7 +11,6 @@ from analogybench import (
     Proposition,
     UndefinedConditionalError,
     WorldSpace,
-    check_corollary,
     check_transitivity,
     confirm,
     conditional,
@@ -21,7 +20,6 @@ from analogybench import (
 )
 from analogybench import confirmation, finder
 from analogybench.confirmation import (
-    EntailmentPreconditionError,
     FUZZ_REVERIFY_CAP,
     MINER_CONFIRM_MARGIN,
     MINER_DISCONFIRM_MARGIN,
@@ -174,8 +172,6 @@ class TestCheckTransitivity:
         with pytest.raises(SpaceMismatchError):
             check_transitivity(other, x, y, z)
         with pytest.raises(SpaceMismatchError):
-            check_corollary(other, x, y & z, z)
-        with pytest.raises(SpaceMismatchError):
             Counterexample(other, x, y, z, samples_used=1).verify()
 
     def test_conclusion_direction_is_strictly_greater(self, xyz_space):
@@ -190,51 +186,6 @@ class TestCheckTransitivity:
         # strict conclusion does not accept
         assert report.conclusion.margin == 0.0
         assert not report.conclusion.holds
-
-
-class TestCheckCorollary:
-    def test_requires_entailment(self, xyz_space):
-        x = Proposition.atom(xyz_space, "x")
-        y = Proposition.atom(xyz_space, "y")
-        z = Proposition.atom(xyz_space, "z")
-        with pytest.raises(EntailmentPreconditionError):
-            check_corollary(JointDistribution.uniform(xyz_space), x, y, z)
-
-    def test_entailing_antecedent_implies_conclusion(self, xyz_space):
-        # y = (y-atom & z): y entails z, so only (ii) and (iv) are needed.
-        x = Proposition.atom(xyz_space, "x")
-        z = Proposition.atom(xyz_space, "z")
-        y = Proposition.atom(xyz_space, "y") & z
-        rng = np.random.default_rng(13)
-        found = 0
-        for _ in range(2000):
-            dist = JointDistribution.from_unnormalized(
-                xyz_space, rng.standard_exponential(8)
-            )
-            report = check_corollary(dist, x, y, z)
-            assert report.corollary_mode
-            if report.antecedent_holds:
-                found += 1
-                assert report.conclusion.holds, dist.weights
-        assert found > 0
-
-    def test_corollary_antecedent_is_exactly_ii_and_iv(self, xyz_space):
-        # In the entailing case P(z|y) = 1, so conditions (i) and (iii) hold
-        # automatically; the corollary antecedent tracks only (ii) and (iv).
-        x = Proposition.atom(xyz_space, "x")
-        z = Proposition.atom(xyz_space, "z")
-        y = Proposition.atom(xyz_space, "y") & z
-        rng = np.random.default_rng(17)
-        for _ in range(500):
-            dist = JointDistribution.from_unnormalized(
-                xyz_space, rng.standard_exponential(8)
-            )
-            report = check_corollary(dist, x, y, z)
-            assert report.antecedent_holds == (
-                report.cond_ii.holds and report.cond_iv.holds
-            )
-            assert report.cond_i.holds
-            assert report.cond_iii.holds
 
 
 class TestMiner:
@@ -392,8 +343,6 @@ class TestJudgeTransitivity:
         dist = JointDistribution.uniform(xyz_space)
         with pytest.raises(ValueError, match="margin"):
             check_transitivity(dist, x, y, z, margin)
-        with pytest.raises(ValueError, match="margin"):
-            check_corollary(dist, x, y & z, z, margin)
 
 
 class TestFuzz:

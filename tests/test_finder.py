@@ -33,7 +33,6 @@ from analogybench.finder import (
     is_satisfied,
     sample_blocks,
 )
-from analogybench.scenarios import _shift_move
 
 from conftest import exact_satisfied, exact_value
 
@@ -526,16 +525,6 @@ class TestCoordinateDescent:
             # (1 + delta) ** -1 and 1 / (1 + delta) may differ in the last bit
             np.testing.assert_array_max_ulp(row, ref, maxulp=2)
 
-    def test_shift_move_rows_match_one_coordinate_moves(self):
-        t = np.array([0.0, 0.1, 0.5, 0.9, 1.0])
-        delta = 0.25
-        signs = np.concatenate([np.eye(5), -np.eye(5)])
-        block = _shift_move(t, signs, delta)
-        for row, (i, up) in zip(block, [(i, up) for up in (True, False) for i in range(5)]):
-            ref = t.copy()
-            ref[i] = min(1.0, max(0.0, ref[i] + (delta if up else -delta)))
-            np.testing.assert_array_equal(row, ref)
-
     def test_zero_start_returns_at_once(self, a_gt_half):
         compiled = CompiledConstraints(a_gt_half.constraints)
         calls = []
@@ -808,3 +797,37 @@ class TestMarginalPin:
             w = result.distribution.weights
             assert abs(exact_value(pin.lhs, w) - Fraction(pin.rhs.const)) <= 1e-15
             assert exact_satisfied(constraints, w), seed
+
+    @pytest.fixture
+    def abg(self):
+        space = WorldSpace(("a", "b", "g"))
+        return space, Proposition.atom(space, "a"), Proposition.atom(space, "g")
+
+    @staticmethod
+    def solve_pinned(space, constraint, g, mass):
+        pin = equality(Side(target=g), Side(const=mass), label="bridge_prior")
+        return find_model(ConstraintSet(space, [constraint, pin]), SearchConfig(seed=1))
+
+    def test_extremal_pin_leaves_the_dead_block_zero(self, abg):
+        space, a, g = abg
+        above = ProbConstraint("prob_gt", Side(target=a), Side(const=0.6), label="a")
+        for mass in (0.0, 1.0):
+            result = self.solve_pinned(space, above, g, mass)
+            assert result.found
+            w = result.distribution.weights
+            dead = ~g.mask if mass == 1.0 else g.mask
+            assert not w[dead].any()
+            assert w[~dead].sum() == pytest.approx(1.0, abs=1e-15)
+            assert exact_satisfied([above], w)
+
+    def test_condition_on_the_dead_block_is_not_found(self, abg):
+        # Under P(g) = 0 the conditional P(a|g) is undefined on every row.
+        space, a, g = abg
+        raised = ProbConstraint("cond_gt_prob", Side(target=a, given=g), Side(target=a),
+                                margin=0.05, label="rel")
+        result = self.solve_pinned(space, raised, g, 0.0)
+        assert not result.found
+        assert result.penalty == finder.UNDEFINED_PENALTY
+        w = result.distribution.weights
+        assert not w[g.mask].any()
+        assert np.isfinite(w).all()

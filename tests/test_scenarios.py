@@ -1,45 +1,27 @@
 import json
 import math
 import re
-import warnings
-from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from analogybench import (
-    BridgeSpec,
-    ConstraintSet,
     JointDistribution,
-    ProbConstraint,
     Proposition,
     Scenario,
-    SearchConfig,
-    Side,
     WorldSpace,
-    conditional,
-    confirm,
     entails,
     euler_characteristic,
     evaluate_schema,
-    extend_with_bridge,
     load_corpus,
     load_scenario,
-    probability,
     symmetry_baseline,
 )
 from analogybench.cli import EXIT_VALIDATION, main
-from analogybench.finder import is_satisfied, penalty
 from analogybench.scenarios import (
     PLATONIC_SOLIDS,
-    InfeasibleExtensionError,
     ScenarioFormatError,
-    _repair_marginal,
     corpus_dir,
-    extended_space,
 )
-
-from conftest import exact_satisfied, exact_value, random_distribution, run_capped
 
 
 CORPUS_NAMES = {
@@ -331,275 +313,6 @@ class TestSchemaEvaluation:
         # bridge entails hypothesis: the stability condition holds at equality
         assert report.conditions["c"].holds
         assert report.schema_confirms is True
-
-
-def planted_extension(seed: int) -> tuple[JointDistribution, BridgeSpec]:
-    """A conservative extension with a known witness, over 2-3 old atoms.
-
-    A Dirichlet(0.5) joint over the extended space is the witness: the old
-    distribution is its marginal, the prior its P(g), and 2-2*atoms
-    cond_gt_cond constraints sit at 0.8-0.9 of their gap under it. Every
-    conditioning event has probability >= 0.05 and every gap is >= 0.05.
-    """
-    rng = np.random.default_rng(seed)
-    atoms = 2 + seed % 2
-    old = WorldSpace(tuple(f"A{i}" for i in range(atoms)))
-    new = extended_space(old, "g")
-    n = old.world_count
-    joint = rng.dirichlet(np.full(2 * n, 0.5))
-
-    def prop() -> Proposition:
-        while True:
-            mask = rng.integers(0, 2, 2 * n).astype(bool)
-            if 0 < mask.sum() < 2 * n:
-                return Proposition(new, mask)
-
-    constraints = []
-    count = int(rng.integers(2, 2 * atoms + 1))
-    while len(constraints) < count:
-        t1, g1, t2, g2 = (prop() for _ in range(4))
-        p1, p2 = joint @ g1.mask, joint @ g2.mask
-        if min(p1, p2) < 0.05:
-            continue
-        gap = joint @ (t1.mask & g1.mask) / p1 - joint @ (t2.mask & g2.mask) / p2
-        if abs(gap) < 0.05:
-            continue
-        lhs, rhs = Side(target=t1, given=g1), Side(target=t2, given=g2)
-        if gap < 0:
-            lhs, rhs, gap = rhs, lhs, -gap
-        constraints.append(ProbConstraint(
-            "cond_gt_cond", lhs, rhs, margin=float(rng.uniform(0.8, 0.9) * gap)))
-    spec = BridgeSpec("g", prior=float(joint[n:].sum()),
-                      likelihood_constraints=ConstraintSet(new, constraints),
-                      seed=int(rng.integers(1, 2**31 - 1)))
-    return JointDistribution(old, joint[:n] + joint[n:]), spec
-
-
-class TestBridgeExtension:
-    def test_conservative_preserves_old_marginals(self, xyz_space):
-        rng = np.random.default_rng(3)
-        dist = random_distribution(xyz_space, rng)
-        ext = extend_with_bridge(dist, BridgeSpec(new_atom="g", prior=0.3))
-        new_space = ext.space
-        assert new_space.atoms == ("x", "y", "z", "g")
-        g = Proposition.atom(new_space, "g")
-        assert probability(ext, g) == pytest.approx(0.3, abs=1e-12)
-        for name in xyz_space.atoms:
-            old_p = probability(dist, Proposition.atom(xyz_space, name))
-            new_p = probability(ext, Proposition.atom(new_space, name))
-            assert new_p == pytest.approx(old_p, abs=1e-12)
-
-    def test_unconstrained_bridge_is_irrelevant(self, xyz_space):
-        # With no likelihood constraints the bridge is independent of the old
-        # atoms, so conditioning on it changes nothing.
-        rng = np.random.default_rng(5)
-        dist = random_distribution(xyz_space, rng)
-        ext = extend_with_bridge(dist, BridgeSpec(new_atom="g", prior=0.4))
-        g = Proposition.atom(ext.space, "g")
-        for name in xyz_space.atoms:
-            p = Proposition.atom(ext.space, name)
-            assert conditional(ext, p, g) == pytest.approx(probability(ext, p), abs=1e-12)
-            verdict = confirm(ext, g, p)
-            assert abs(verdict.degree) <= 1e-12
-
-    def test_prior_zero_and_one(self, ab_space, ab_dist):
-        low = extend_with_bridge(ab_dist, BridgeSpec(new_atom="g", prior=0.0))
-        high = extend_with_bridge(ab_dist, BridgeSpec(new_atom="g", prior=1.0))
-        g_low = Proposition.atom(low.space, "g")
-        g_high = Proposition.atom(high.space, "g")
-        assert probability(low, g_low) == 0.0
-        assert probability(high, g_high) == 1.0
-
-    def test_conservative_with_likelihood_constraints(self, ab_space, ab_dist):
-        new_space = extended_space(ab_space, "g")
-        g = Proposition.atom(new_space, "g")
-        a = Proposition.atom(new_space, "a")
-        cs = ConstraintSet(
-            space=new_space,
-            constraints=[
-                ProbConstraint("cond_gt_cond", Side(target=a, given=g),
-                               Side(target=a, given=~g), margin=0.05, label="link")
-            ],
-        )
-        ext = extend_with_bridge(
-            ab_dist,
-            BridgeSpec(new_atom="g", prior=0.3, likelihood_constraints=cs),
-        )
-        assert probability(ext, g) == pytest.approx(0.3, abs=1e-12)
-        assert conditional(ext, a, g) - conditional(ext, a, ~g) >= 0.05 - 1e-9
-        # old joint marginals still exact
-        old_a = Proposition.atom(ab_space, "a")
-        old_b = Proposition.atom(ab_space, "b")
-        assert probability(ext, a & Proposition.atom(new_space, "b")) == pytest.approx(
-            probability(ab_dist, old_a & old_b), abs=1e-12
-        )
-
-    def test_revisionary_mode(self, ab_space, ab_dist):
-        new_space = extended_space(ab_space, "g")
-        g = Proposition.atom(new_space, "g")
-        a = Proposition.atom(new_space, "a")
-        cs = ConstraintSet(
-            space=new_space,
-            constraints=[
-                ProbConstraint("cond_gt_prob", Side(target=a, given=g),
-                               Side(target=a), margin=0.05, label="rel")
-            ],
-        )
-        ext = extend_with_bridge(
-            ab_dist,
-            BridgeSpec(new_atom="g", prior=0.25, likelihood_constraints=cs,
-                       mode="revisionary"),
-        )
-        assert probability(ext, g) == pytest.approx(0.25, abs=1e-12)
-        assert conditional(ext, a, g) - probability(ext, a) >= 0.05 - 1e-9
-
-    def test_revisionary_prior_is_exact(self, ab_space, ab_dist):
-        new_space = extended_space(ab_space, "g")
-        g = Proposition.atom(new_space, "g")
-        a = Proposition.atom(new_space, "a")
-        cs = ConstraintSet(new_space, [
-            ProbConstraint("cond_gt_prob", Side(target=a, given=g), Side(target=a),
-                           margin=0.05, label="rel"),
-        ])
-        for seed, prior in enumerate((0.1, 0.25, 0.5, 0.9)):
-            ext = extend_with_bridge(ab_dist, BridgeSpec(
-                new_atom="g", prior=prior, likelihood_constraints=cs,
-                mode="revisionary", seed=seed))
-            assert abs(exact_value(Side(target=g), ext.weights) - Fraction(prior)) <= 1e-15
-            assert exact_satisfied(cs.constraints, ext.weights)
-
-    @pytest.mark.parametrize("prior", [0.0, 1.0])
-    def test_revisionary_extremal_prior_leaves_the_dead_block_zero(self, ab_space, ab_dist,
-                                                                   prior):
-        new_space = extended_space(ab_space, "g")
-        a = Proposition.atom(new_space, "a")
-        g = new_space.atom_mask("g")
-        cs = ConstraintSet(new_space, [
-            ProbConstraint("prob_gt", Side(target=a), Side(const=0.6), label="a"),
-        ])
-        ext = extend_with_bridge(ab_dist, BridgeSpec(
-            new_atom="g", prior=prior, likelihood_constraints=cs, mode="revisionary"))
-        dead = ~g if prior == 1.0 else g
-        assert not ext.weights[dead].any()
-        assert ext.weights[~dead].sum() == pytest.approx(1.0, abs=1e-15)
-        assert exact_satisfied(cs.constraints, ext.weights)
-
-    def test_revisionary_condition_on_the_dead_branch_is_not_found(self, ab_space, ab_dist):
-        new_space = extended_space(ab_space, "g")
-        g = Proposition.atom(new_space, "g")
-        a = Proposition.atom(new_space, "a")
-        cs = ConstraintSet(new_space, [
-            ProbConstraint("cond_gt_prob", Side(target=a, given=g), Side(target=a),
-                           margin=0.05, label="rel"),
-        ])
-        with pytest.raises(InfeasibleExtensionError) as err:
-            extend_with_bridge(ab_dist, BridgeSpec(
-                new_atom="g", prior=0.0, likelihood_constraints=cs, mode="revisionary"))
-        assert err.value.penalty == 1.0  # UNDEFINED_PENALTY: P(a|g) is undefined
-        assert not err.value.best.weights[g.mask].any()
-        assert np.isfinite(err.value.best.weights).all()
-
-    def test_planted_conservative_extensions_succeed(self):
-        for seed in range(200):
-            dist, spec = planted_extension(seed)
-            ext = extend_with_bridge(dist, spec)
-            assert is_satisfied(ext, spec.likelihood_constraints)
-            n = dist.space.world_count
-            np.testing.assert_allclose(ext.weights[:n] + ext.weights[n:], dist.weights,
-                                       atol=1e-12)
-
-    def test_conservative_failure_keeps_marginals_and_prior(self, ab_dist):
-        new_space = extended_space(ab_dist.space, "g")
-        g = Proposition.atom(new_space, "g")
-        cs = ConstraintSet(new_space, [
-            ProbConstraint("prob_gt", Side(target=g), Side(const=0.5), label="g"),
-        ])
-        with pytest.raises(InfeasibleExtensionError) as err:
-            extend_with_bridge(ab_dist, BridgeSpec(new_atom="g", prior=0.3,
-                                                   likelihood_constraints=cs))
-        best = err.value.best
-        n = ab_dist.space.world_count
-        np.testing.assert_allclose(best.weights[:n] + best.weights[n:], ab_dist.weights,
-                                   rtol=0, atol=1e-12)
-        assert abs(exact_value(Side(target=g), best.weights) - Fraction(0.3)) <= 1e-15
-        assert err.value.penalty == penalty(best, cs)
-
-    def test_conservative_overflowing_penalty_is_infeasible(self, ab_dist):
-        # Every penalty of P(g) > 1e200 overflows to inf, without a warning.
-        new_space = extended_space(ab_dist.space, "g")
-        g = Proposition.atom(new_space, "g")
-        cs = ConstraintSet(new_space, [
-            ProbConstraint("prob_gt", Side(target=g), Side(const=1e200))])
-        with pytest.raises(InfeasibleExtensionError) as err:
-            extend_with_bridge(ab_dist, BridgeSpec(new_atom="g", prior=0.3,
-                                                   likelihood_constraints=cs))
-        assert err.value.penalty == float("inf")
-
-    def test_existing_atom_rejected(self, ab_dist):
-        with pytest.raises(ValueError):
-            extend_with_bridge(ab_dist, BridgeSpec(new_atom="a", prior=0.5))
-
-    # A capped child's body: extend 11 atoms by g, in the mode sys.argv[1],
-    # to a space of 4 096 worlds, one atom past the search bound.
-    PAST_THE_BOUND = """
-from analogybench import (BridgeSpec, ConstraintSet, JointDistribution, ProbConstraint,
-                          Proposition, Side, WorldSpace, extend_with_bridge)
-old = WorldSpace(tuple(f"a{i}" for i in range(11)))
-new = WorldSpace(old.atoms + ("g",))
-cs = ConstraintSet(new, [ProbConstraint("prob_gt", Side(target=Proposition.atom(new, "g")),
-                                        Side(const=0.5))])
-dist = JointDistribution.from_unnormalized(old, [1.0] * old.world_count)
-try:
-    extend_with_bridge(dist, BridgeSpec("g", 0.3, likelihood_constraints=cs, mode=sys.argv[1]))
-except ValueError as exc:
-    print(exc, file=sys.stderr)
-    sys.exit(2)
-"""
-
-    @pytest.mark.parametrize("mode", ["conservative", "revisionary"])
-    def test_space_past_the_search_bound_rejected(self, mode):
-        child = run_capped(self.PAST_THE_BOUND, mode)
-        assert child.returncode == 2, child.stderr
-        assert "4096 worlds" in child.stderr and "64 MiB" in child.stderr
-
-    def test_bad_prior_rejected(self):
-        with pytest.raises(ValueError):
-            BridgeSpec(new_atom="g", prior=1.5)
-
-    def test_marginal_preservation_property(self, xyz_space):
-        rng = np.random.default_rng(9)
-        for trial in range(20):
-            dist = random_distribution(xyz_space, rng)
-            prior = float(rng.uniform(0.05, 0.95))
-            ext = extend_with_bridge(dist, BridgeSpec(new_atom="g", prior=prior))
-            # every old joint event keeps its probability exactly
-            mask = rng.integers(0, 2, 8).astype(bool)
-            old_prop = Proposition(xyz_space, mask)
-            new_prop = Proposition(ext.space, np.concatenate([mask, mask]))
-            assert probability(ext, new_prop) == pytest.approx(
-                probability(dist, old_prop), abs=1e-12
-            )
-
-
-class TestRepairMarginal:
-    @pytest.mark.parametrize("prior", [0.0, 0.3, 0.8, 1.0])
-    def test_rows_match_vector_calls_and_meet_the_prior(self, prior):
-        rng = np.random.default_rng(4)
-        weights = rng.dirichlet(np.ones(8))
-        weights[5] = 0.0
-        weights /= weights.sum()
-        block = rng.uniform(0.0, 1.0, (6, 8))
-        block[0] = 0.0  # marginal 0
-        block[1] = 1.0  # marginal 1 within rounding
-        block[2] = np.where(weights == 0.0, 0.7, 0.0)  # marginal 0, t not all 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            repaired = _repair_marginal(block, weights, prior)
-            rows = [_repair_marginal(t, weights, prior) for t in block]
-        for row, t in zip(repaired, rows):
-            np.testing.assert_array_equal(row, t)
-            assert abs(row @ weights - prior) <= 1e-15
-            assert ((row >= 0.0) & (row <= 1.0)).all()
 
 
 class TestBaselineAndArithmetic:
