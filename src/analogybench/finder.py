@@ -4,7 +4,9 @@ Finds joint distributions satisfying conditional-probability inequality
 constraints at requested margins, via seeded random restarts plus
 derivative-free block coordinate descent on the world weights: each sweep
 scores all 2n single-coordinate moves in one block evaluation, then a short
-line search along their improving combination in a second.
+line search along their improving combination in a second. The single moves
+are 2n copies of the point with one weight scaled in each, two powers per
+sweep rather than one per entry (_single_moves).
 
 Restarts are sampled ahead in blocks of batches (sample_blocks): the first
 block is one batch, each later block doubles, up to LOOKAHEAD_VALUES floats,
@@ -310,17 +312,15 @@ class CompiledConstraints:
         rows = w.reshape(-1, w.shape[-1])
         n_consts, known = len(self._consts), self._known
         values = np.empty((self._n_values, len(rows)))
-        values[:n_consts] = self._consts
+        if n_consts:
+            values[:n_consts] = self._consts
         if known > n_consts:
             np.matmul(self.columns, rows.T, out=values[n_consts:known])
-        # Each distinct query side is divided once, in place in its own
-        # row (the indices are in range; mode "clip" takes without a buffer).
-        ratios = values[known:]
-        np.take(values, self._ratio_num, axis=0, out=ratios, mode="clip")
         # Two constant sides near the float limit can differ by more than it:
         # that margin is infinite, as it is, without an overflow warning.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios /= values[self._ratio_den]
+            # Each distinct query side is divided once, into its own row.
+            np.divide(values[self._ratio_num], values[self._ratio_den], out=values[known:])
             achieved = values[self._first]
             achieved -= values[self._second]
         if self._equality:
@@ -530,28 +530,26 @@ def is_satisfied(dist: JointDistribution, cs: ConstraintSet) -> bool:
 LINE_SEARCH_STEPS = np.array([[1.0], [2.0], [4.0], [8.0], [16.0]])
 
 
-def coordinate_descent(x: np.ndarray, objective, move, delta: float, steps: int):
-    """Derivative-free block descent over the coordinates of x.
+def coordinate_descent(x: np.ndarray, objective, pin, delta: float, steps: int):
+    """Derivative-free block descent over the world weights x, normalised.
 
     objective scores one point (n,) or every row of a block (k, n) in one
-    call. move(x, signs, delta) returns one candidate per row of signs, a
-    (k, n) matrix in {-1, 0, +1}; delta is a float or a (k, 1) column of
-    per-row steps. Each sweep scores the 2n single-coordinate moves (every
-    coordinate up and down) as one block, then a line search along the
-    combination of every improving move (LINE_SEARCH_STEPS times delta) as a
-    second block, and keeps the best candidate of both if it lowers the
-    objective; a sweep without improvement halves delta. A start at
-    objective 0 returns at once. Returns (x, objective(x)), never above the
-    start value.
+    call; pin is None or a marginal pin (T, c), under which every candidate
+    is normalised per block (see _normalise). Each sweep scores the 2n
+    single-coordinate moves (_single_moves) as one block, then a line search
+    along the combination of every improving move (_scale_move at
+    LINE_SEARCH_STEPS times delta) as a second block, and keeps the best
+    candidate of both if it lowers the objective, the single move on a tie;
+    a sweep without improvement halves delta. A start at objective 0
+    returns at once. Returns (x, objective(x)), never above the start value.
     """
     start = objective(x)
     if start == 0.0:
         return x, start
     n = x.shape[0]
-    single = np.concatenate([np.eye(n), -np.eye(n)])
     x0, best = x, start
     for _ in range(steps):
-        cands = move(x, single, delta)
+        cands = _single_moves(x, delta, pin)
         scores = objective(cands)
         improving = scores < best
         if not improving.any():
@@ -562,11 +560,13 @@ def coordinate_descent(x: np.ndarray, objective, move, delta: float, steps: int)
         up, down = scores[:n], scores[n:]
         signs = (improving[:n] & (up <= down)).astype(float)
         signs -= improving[n:] & (down < up)
-        line = move(x, signs[None, :], delta * LINE_SEARCH_STEPS)
-        cands = np.concatenate([cands, line])
-        scores = np.concatenate([scores, objective(line)])
-        j = int(np.argmin(scores))
-        x, best = cands[j], scores[j]
+        line = _scale_move(x, signs[None, :], delta * LINE_SEARCH_STEPS, pin)
+        line_scores = objective(line)
+        j, k = int(np.argmin(scores)), int(np.argmin(line_scores))
+        if line_scores[k] < scores[j]:
+            x, best = line[k], line_scores[k]
+        else:
+            x, best = cands[j], scores[j]
         if best == 0.0:
             break
     # A block row and a lone vector sum in different orders, so the value is
@@ -619,13 +619,36 @@ def _scale_move(w: np.ndarray, signs: np.ndarray, delta, pin=None) -> np.ndarray
     return _normalise(w * (1.0 + delta) ** signs, pin)
 
 
+def _single_moves(x: np.ndarray, delta: float, pin) -> np.ndarray:
+    """The 2n single-coordinate moves of x, as one normalised (2n, n) block.
+
+    Row i has weight i times 1 + delta and row n + i has it divided by
+    1 + delta: 2n copies of x whose two diagonals are x times (1 + delta)
+    ** +-1, normalised by _normalise. The rows are the same floats as
+    _scale_move(x, [I; -I], delta, pin), whose factors off the diagonal
+    are (1 + delta) ** 0 = 1, without its 2n**2 powers.
+    """
+    n = x.shape[0]
+    block = np.empty((2 * n, n))
+    block[:] = x
+    grow, shrink = (1.0 + delta) ** np.array([1.0, -1.0])
+    # The diagonals of the two halves, as strided views of the flat block.
+    flat = block.reshape(-1)
+    np.multiply(x, grow, out=flat[:n * n:n + 1])
+    np.multiply(x, shrink, out=flat[n * n::n + 1])
+    return _normalise(block, pin)
+
+
 #: Coordinate-descent sweeps per refine.
 REFINE_STEPS = 240
 
 #: Most bytes one block of descent moves may hold. A sweep scores the 2n
 #: single-coordinate moves of a point over n worlds as one (2n, n) float64
-#: block, 16 n**2 bytes, beside a few temporaries of its size: 64 MiB admits
-#: up to 2 048 worlds (11 atoms), and a larger search is refused.
+#: block, 16 n**2 bytes. The block, its normalised copy and the earlier
+#: sweeps' candidates that x and the last scored block still hold make about
+#: four such blocks at a sweep's peak, up to five under a marginal pin
+#: (_normalise): 64 MiB admits up to 2 048 worlds (11 atoms), and a larger
+#: search is refused.
 _MAX_MOVE_BLOCK_BYTES = 2**26
 
 
@@ -687,10 +710,6 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     pin = _marginal_pin(cs.constraints)
     rng = np.random.default_rng(config.seed)
     n = cs.space.world_count
-
-    def move(w, signs, delta):
-        return _scale_move(w, signs, delta, pin)
-
     best_w, best_penalty = None, float("inf")
     found = False
     samples_used = 0
@@ -715,7 +734,7 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
             if best_w is not None and not penalties[idx] < best_penalty:
                 continue
             refined, refined_penalty = coordinate_descent(
-                _normalise(block[idx], pin), compiled.penalty, move, 0.5, REFINE_STEPS,
+                _normalise(block[idx], pin), compiled.penalty, pin, 0.5, REFINE_STEPS,
             )
             restarts_refined += 1
             if best_w is None or refined_penalty < best_penalty:

@@ -20,7 +20,10 @@ from analogybench import (
 )
 from analogybench import finder
 from analogybench.prob import SpaceMismatchError
+from analogybench.scenarios import corpus_dir, load_scenario
+from analogybench.sweep import sweep_bridge_prior
 from analogybench.finder import (
+    LINE_SEARCH_STEPS,
     LOOKAHEAD_VALUES,
     CompiledConstraints,
     GridBudgetError,
@@ -28,6 +31,7 @@ from analogybench.finder import (
     _marginal_pin,
     _normalise,
     _scale_move,
+    _single_moves,
     achieved_margins,
     coordinate_descent,
     is_satisfied,
@@ -314,12 +318,14 @@ def _random_prop(space: WorldSpace, rng) -> Proposition:
             return Proposition(space, mask)
 
 
-def tight_planted_set(seed: int, atoms: int) -> tuple[ConstraintSet, SearchConfig]:
+def planted_set(seed: int, atoms: int,
+                frac: tuple[float, float] = (0.8, 0.9)) -> tuple[ConstraintSet, SearchConfig]:
     """3-4*atoms cond_gt_cond constraints that a Dirichlet(0.5) joint meets.
 
-    Each margin is 0.8-0.9 of the constraint's gap under the joint (which is
-    therefore a witness); every conditioning event has probability >= 0.05
-    and every gap is >= 0.05.
+    Each margin is a fraction of the constraint's gap under the joint (which
+    is therefore a witness), drawn from frac: 0.8-0.9, the tight tier, by
+    default, and 0.5 for the slack tier. Every conditioning event has
+    probability >= 0.05 and every gap is >= 0.05.
     """
     rng = np.random.default_rng([atoms, seed])
     space = WorldSpace(tuple(f"A{i}" for i in range(atoms)))
@@ -338,7 +344,7 @@ def tight_planted_set(seed: int, atoms: int) -> tuple[ConstraintSet, SearchConfi
         if gap < 0:
             lhs, rhs, gap = rhs, lhs, -gap
         constraints.append(ProbConstraint(
-            "cond_gt_cond", lhs, rhs, margin=float(rng.uniform(0.8, 0.9) * gap),
+            "cond_gt_cond", lhs, rhs, margin=float(rng.uniform(*frac) * gap),
             label=f"c{len(constraints)}"))
     config = SearchConfig(seed=int(rng.integers(1, 2**31 - 1)))
     return ConstraintSet(space, constraints), config
@@ -398,7 +404,7 @@ def one_batch_at_a_time(cs: ConstraintSet, config: SearchConfig):
         if penalties[idx] < best_penalty:
             w = weights[idx]
             refined, refined_penalty = coordinate_descent(
-                w / w.sum(), compiled.penalty, _scale_move, 0.5, finder.REFINE_STEPS)
+                w / w.sum(), compiled.penalty, None, 0.5, finder.REFINE_STEPS)
             restarts_refined += 1
             if refined_penalty < best_penalty:
                 best_penalty, best_w = refined_penalty, refined
@@ -419,8 +425,8 @@ def rare_set() -> ConstraintSet:
 # name -> (set, REFINE_STEPS): with no descent sweep the rare set is found only
 # by sampling, in some later batch of some later block.
 BLOCK_SETS = {
-    "planted-3": (lambda: tight_planted_set(3, 3)[0], 40),
-    "planted-4": (lambda: tight_planted_set(5, 4)[0], 40),
+    "planted-3": (lambda: planted_set(3, 3)[0], 40),
+    "planted-4": (lambda: planted_set(5, 4)[0], 40),
     "rare": (rare_set, 0),
     "contradictory-2": (lambda: contradictory_set(0, 2), 5),
     "contradictory-3": (lambda: contradictory_set(1, 3), 5),
@@ -436,7 +442,7 @@ SCREENED_SETS = {
     "contradictory-5-family-1": (lambda: contradictory_set(1, 5, 1), 5),
     "contradictory-6-family-0": (lambda: contradictory_set(3, 6, 0), 5),
     "contradictory-6-family-1": (lambda: contradictory_set(0, 6, 1), 5),
-    "planted-miss-4": (lambda: tight_planted_set(10, 4)[0], 2),
+    "planted-miss-4": (lambda: planted_set(10, 4)[0], 2),
 }
 
 
@@ -512,7 +518,99 @@ class TestFindModelBlocks:
         assert result.samples_used > 3 * finder.BATCH_SIZE and result.restarts_refined > 1
 
 
+def pow_block_descent(x, objective, pin, delta, steps):
+    """coordinate_descent with its single moves as one pow block, the reference.
+
+    Each sweep builds the single moves as _scale_move(x, [I; -I], delta,
+    pin), 2n**2 powers, and takes one argmin over the single moves and the
+    line search concatenated, so a tie goes to the earlier, single move.
+    """
+    start = objective(x)
+    if start == 0.0:
+        return x, start
+    n = x.shape[0]
+    single = np.concatenate([np.eye(n), -np.eye(n)])
+    x0, best = x, start
+    for _ in range(steps):
+        cands = _scale_move(x, single, delta, pin)
+        scores = objective(cands)
+        improving = scores < best
+        if not improving.any():
+            delta *= 0.5
+            if delta < 1e-7:
+                break
+            continue
+        up, down = scores[:n], scores[n:]
+        signs = (improving[:n] & (up <= down)).astype(float)
+        signs -= improving[n:] & (down < up)
+        line = _scale_move(x, signs[None, :], delta * LINE_SEARCH_STEPS, pin)
+        cands = np.concatenate([cands, line])
+        scores = np.concatenate([scores, objective(line)])
+        j = int(np.argmin(scores))
+        x, best = cands[j], scores[j]
+        if best == 0.0:
+            break
+    best = objective(x)
+    if best > start:
+        return x0, start
+    return x, best
+
+
+#: Every delta a descent reaches: it starts at 0.5 and stops once a halving
+#: takes delta below 1e-7.
+DESCENT_DELTAS = [0.5 * 2.0**-k for k in range(23)]
+
+
+def against_pow_block_descent(monkeypatch) -> list:
+    """Check every coordinate_descent call against pow_block_descent.
+
+    Returns the list of checked calls' pins, which grows as find_model runs.
+    """
+    pins, descent = [], finder.coordinate_descent
+
+    def checked(x, objective, pin, delta, steps):
+        got = descent(x, objective, pin, delta, steps)
+        want = pow_block_descent(x, objective, pin, delta, steps)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert repr(got[1]) == repr(want[1])
+        pins.append(pin)
+        return got
+
+    monkeypatch.setattr(finder, "coordinate_descent", checked)
+    return pins
+
+
 class TestCoordinateDescent:
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("c", [None, 0.0, 0.3, 1.0])
+    def test_single_moves_are_the_pow_block_to_the_bit(self, n, c):
+        rng = np.random.default_rng([n, 7])
+        mask = np.arange(n) % 2 == 0
+        rng.shuffle(mask)
+        pin = None if c is None else (mask, c)
+        x = _normalise(rng.standard_exponential(n), pin)
+        signs = np.concatenate([np.eye(n), -np.eye(n)])
+        assert DESCENT_DELTAS[-1] >= 1e-7 > DESCENT_DELTAS[-1] / 2
+        for delta in DESCENT_DELTAS:
+            got = _single_moves(x, delta, pin)
+            assert got.tobytes() == _scale_move(x, signs, delta, pin).tobytes(), delta
+
+    @pytest.mark.parametrize("atoms", [4, 5, 6])
+    @pytest.mark.parametrize("frac", [(0.5, 0.5), (0.8, 0.9)], ids=["slack", "tight"])
+    def test_descent_is_the_pow_block_descent_to_the_bit(self, monkeypatch, atoms, frac):
+        pins = against_pow_block_descent(monkeypatch)
+        for seed in range(4):
+            cs, config = planted_set(seed, atoms, frac)
+            find_model(cs, SearchConfig(seed=config.seed, max_samples=5_000))
+        assert len(pins) >= 4
+
+    def test_pinned_descent_is_the_pow_block_descent_to_the_bit(self, monkeypatch):
+        pins = against_pow_block_descent(monkeypatch)
+        riemann = load_scenario(corpus_dir() / "riemann_weil.json")
+        sweep_bridge_prior(riemann, [0.1, 0.3, 0.5, 0.7, 0.9],
+                           SearchConfig(seed=2, max_samples=5_000))
+        assert len(pins) >= 5 and all(pin is not None for pin in pins)
+
     def test_scale_move_rows_match_one_coordinate_moves(self):
         w = np.random.default_rng(3).dirichlet(np.ones(8))
         delta = 0.37
@@ -534,14 +632,14 @@ class TestCoordinateDescent:
             return compiled.penalty(w)
 
         x = np.array([0.1, 0.5, 0.1, 0.3])
-        out, best = coordinate_descent(x, objective, _scale_move, 0.5, 240)
+        out, best = coordinate_descent(x, objective, None, 0.5, 240)
         assert best == 0.0
         assert out is x
         assert calls == [(4,)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_best_is_objective_of_result_and_never_above_start(self, seed):
-        cs, _ = tight_planted_set(seed, 4)
+        cs, _ = planted_set(seed, 4)
         compiled = CompiledConstraints(cs.constraints)
         x = np.random.default_rng(seed).dirichlet(np.ones(16))
         calls = []
@@ -550,7 +648,7 @@ class TestCoordinateDescent:
             calls.append(w.shape)
             return compiled.penalty(w)
 
-        out, best = coordinate_descent(x, objective, _scale_move, 0.5, 30)
+        out, best = coordinate_descent(x, objective, None, 0.5, 30)
         assert best == compiled.penalty(out)
         assert best <= compiled.penalty(x)
         # one block of 2n single moves, at most one line search, per sweep
@@ -558,7 +656,7 @@ class TestCoordinateDescent:
         assert all(shape[0] in (32, 5) for shape in calls[1:-1])
 
     def test_same_seed_same_result(self):
-        cs, config = tight_planted_set(0, 5)
+        cs, config = planted_set(0, 5)
         a, b = find_model(cs, config), find_model(cs, config)
         assert a.distribution.weights.tobytes() == b.distribution.weights.tobytes()
         assert (a.penalty, a.samples_used, a.restarts_refined) == (
@@ -570,7 +668,7 @@ class TestCoordinateDescent:
         # sweeps, missed 4 of the 40 at 4-5 atoms within the 100 000-sample
         # budget. The float verdict that ends the search must also hold in
         # exact arithmetic.
-        cs, config = tight_planted_set(seed, atoms)
+        cs, config = planted_set(seed, atoms)
         result = find_model(cs, config)
         assert result.found
         assert is_satisfied(result.distribution, cs)
