@@ -25,9 +25,9 @@ judged by the kernel's verdict rule: per constraint by _judge for
 check_transitivity's report, and as one boolean by
 CompiledConstraints.scalar_satisfied where only the verdict is read (the fuzz
 re-check, the miner and Counterexample.verify). The scalar judge reads a
-distribution's weights as a plain list; the fuzz re-check normalises its
-rows as one block and judges each over one compiled list of all five
-constraints.
+distribution's weights as a plain list. The fuzz harness compiles all five
+constraints once, reads each sampled block with one kernel call, and
+re-checks kept rows, normalised as one block, over the same compiled list.
 prob.conditional and prob.probability stay the independent reference, read
 by confirm.
 """
@@ -64,7 +64,8 @@ from .prob import (
 MINER_CONFIRM_MARGIN = 0.01
 MINER_DISCONFIRM_MARGIN = 0.001
 
-#: Most filtered fuzz cases re-checked through check_transitivity.
+#: Most filtered fuzz cases re-checked with correctly rounded sums
+#: (CompiledConstraints.scalar_satisfied).
 FUZZ_REVERIFY_CAP = 500
 
 
@@ -280,37 +281,35 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     The rows are one seeded stream walked in sample_blocks blocks, the
     solver's and the miner's, so memory stays one block whatever `samples`
     is, and the report does not depend on how the stream is cut.
-    The filter and the conclusion are evaluated block by block on the raw
-    rows by CompiledConstraints, whose sides are ratios, with its verdict
-    rule (the weak conditions within BOUNDARY_TOLERANCE); the first
-    FUZZ_REVERIFY_CAP filtered cases, in stream order, are additionally
-    re-checked with correctly rounded sums as a cross-check of the block
-    kernel's rounding. The constraint list is built once per run by
-    transitivity_constraints and compiled three times: its conditions and
-    its conclusion for the blocks, and all five for the re-check. The kept
-    rows to re-check are normalised as one block by prob.normalised, the
-    bits from_unnormalized gives row by row, and checked once by
-    prob.check_weights, JointDistribution's rules. Each row, as a list, is
-    then judged once over the five-constraint list by scalar_satisfied, the
-    verdict rule check_transitivity's _judge applies to the same margins;
-    reverified counts the rows that hold.
+    The constraint list is built once per run by transitivity_constraints
+    and compiled once by CompiledConstraints, whose sides are ratios, so
+    each block of raw rows takes one kernel reading of all five margins.
+    The filter is rows (i)-(iv) of that reading against the kernel's own
+    floors, its verdict rule (the weak conditions within
+    BOUNDARY_TOLERANCE), and the conclusion margins are the last row at
+    the kept columns. The first FUZZ_REVERIFY_CAP filtered cases, in
+    stream order, are additionally re-checked with correctly rounded sums
+    as a cross-check of the block kernel's rounding: they are normalised as
+    one block by prob.normalised, the bits from_unnormalized gives row by
+    row, and checked once by prob.check_weights, JointDistribution's rules.
+    Each row, as a list, is then judged once over the same compiled list by
+    scalar_satisfied, the verdict rule check_transitivity's _judge applies
+    to the same margins; reverified counts the rows that hold.
     Raises ValueError when `samples` is below 1.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     space = WorldSpace(("X", "Y", "Z"))
     x, y, z = (Proposition.atom(space, name) for name in space.atoms)
-    constraints = transitivity_constraints(x, y, z, margin)
-    antecedent = CompiledConstraints(constraints[:4])
-    concluded = CompiledConstraints(constraints[4:])
-    checks = CompiledConstraints(constraints)
+    checks = CompiledConstraints(transitivity_constraints(x, y, z, margin))
     rng = np.random.default_rng(seed)
 
     filtered = violations = reverified = 0
     min_margin = math.inf
     for weights in sample_blocks(rng, space.world_count, samples):
-        kept = weights[antecedent.satisfied(weights)]
-        (margins,) = concluded.margins(kept)
+        achieved = checks.margins(weights)
+        holds = (achieved[:4] >= checks._floor[:4]).all(axis=0)
+        kept, margins = weights[holds], achieved[4, holds]
         violations += int(np.count_nonzero(margins <= 0.0))
         min_margin = min(min_margin, margins.min(initial=math.inf))
         if filtered < FUZZ_REVERIFY_CAP:

@@ -553,6 +553,7 @@ def coordinate_descent(x: np.ndarray, objective, pin, delta: float, steps: int):
         scores = objective(cands)
         improving = scores < best
         if not improving.any():
+            del cands
             delta *= 0.5
             if delta < 1e-7:
                 break
@@ -563,10 +564,12 @@ def coordinate_descent(x: np.ndarray, objective, pin, delta: float, steps: int):
         line = _scale_move(x, signs[None, :], delta * LINE_SEARCH_STEPS, pin)
         line_scores = objective(line)
         j, k = int(np.argmin(scores)), int(np.argmin(line_scores))
+        # The kept point is a copy, so no block outlives its sweep.
         if line_scores[k] < scores[j]:
-            x, best = line[k], line_scores[k]
+            x, best = line[k].copy(), line_scores[k]
         else:
-            x, best = cands[j], scores[j]
+            x, best = cands[j].copy(), scores[j]
+        del cands, line
         if best == 0.0:
             break
     # A block row and a lone vector sum in different orders, so the value is
@@ -644,11 +647,10 @@ REFINE_STEPS = 240
 
 #: Most bytes one block of descent moves may hold. A sweep scores the 2n
 #: single-coordinate moves of a point over n worlds as one (2n, n) float64
-#: block, 16 n**2 bytes. The block, its normalised copy and the earlier
-#: sweeps' candidates that x and the last scored block still hold make about
-#: four such blocks at a sweep's peak, up to five under a marginal pin
-#: (_normalise): 64 MiB admits up to 2 048 worlds (11 atoms), and a larger
-#: search is refused.
+#: block, 16 n**2 bytes. The block and its normalised copy make about two
+#: such blocks at a sweep's peak, about three under a marginal pin
+#: (_normalise); no block outlives its sweep. 64 MiB admits up to 2 048
+#: worlds (11 atoms), and a larger search is refused.
 _MAX_MOVE_BLOCK_BYTES = 2**26
 
 

@@ -179,10 +179,7 @@ def evaluate_schema(scenario: Scenario, dist: JointDistribution | None = None) -
     )
     conditions = dict(zip(scenario.labels, transitivity.conditions.values()))
 
-    flags = []
-    for role in ROLE_NAMES:
-        if not is_non_extremal(dist, scenario.roles[role]):
-            flags.append(role)
+    flags = tuple(role for role in ROLE_NAMES if not is_non_extremal(dist, scenario.roles[role]))
     bridge_prior = probability(dist, scenario.roles["bridge"])
     degenerate = "bridge" in flags
 
@@ -192,18 +189,14 @@ def evaluate_schema(scenario: Scenario, dist: JointDistribution | None = None) -
     except UndefinedConditionalError:
         overall = None
 
-    if degenerate:
-        schema_confirms = None  # analogy channel degenerate
-    elif all(c.holds for c in conditions.values()):
-        schema_confirms = True
-    else:
-        schema_confirms = None  # some condition fails: verdict withheld
+    # Withheld when the analogy channel is degenerate or some condition fails.
+    schema_confirms = True if not degenerate and all(c.holds for c in conditions.values()) else None
     return SchemaReport(
         scenario=scenario.name,
         schema=scenario.schema,
         conditions=conditions,
         bridge_prior=bridge_prior,
-        extremality_flags=tuple(flags),
+        extremality_flags=flags,
         degenerate=degenerate,
         schema_confirms=schema_confirms,
         overall=overall,
@@ -415,12 +408,12 @@ def scenario_from_dict(data: dict, source_file: str | None = None) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FileNotFoundError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # Not UTF-8, an integer past the digit limit, or nesting past the
+    # recursion limit, as well as malformed JSON.
+    except (ValueError, RecursionError) as exc:
         raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from None
     return scenario_from_dict(data, source_file=str(path))
 

@@ -278,6 +278,24 @@ class TestCheck:
         assert code == EXIT_VALIDATION
         assert out == "" and "sweeps only its bridge prior" in err
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 100_000,
+        b'{"name": "\xff"}',
+        b'{"seed": ' + b"9" * 5_000 + b"}",
+    ], ids=["nested-past-the-recursion-limit", "not-utf8", "integer-past-the-digit-limit"])
+    @pytest.mark.parametrize("command", [
+        ["check", "--json"],
+        ["sweep", "--param", "P(G)", "--range", "0:1:0.5"],
+    ], ids=["check", "sweep"])
+    def test_undecodable_file_is_refused_by_path(self, capsys, tmp_path, content, command):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert f"{path}: invalid JSON" in err
+        assert "Traceback" not in err
+
     def test_space_past_the_search_bound_is_refused(self, tmp_path):
         # volume with 9 unused atoms: 4 096 worlds, one atom past the bound.
         # A guard that regressed would allocate GiBs of descent moves, so

@@ -28,7 +28,7 @@ from analogybench.confirmation import (
     _judge,
     transitivity_constraints,
 )
-from analogybench.finder import CompiledConstraints, ProbConstraint, Side
+from analogybench.finder import CompiledConstraints, ProbConstraint, Side, sample_blocks
 from analogybench.prob import (
     InvalidDistributionError,
     SpaceMismatchError,
@@ -294,6 +294,36 @@ def fuzz_one_draw(samples: int, seed: int, margin: float):
     return int(kept.sum()), int(np.count_nonzero(conclusion <= 0.0)), reverified, conclusion
 
 
+def three_compile_fuzz(samples: int, seed: int, margin: float):
+    """fuzz_transitivity with its list compiled three times, the reference.
+
+    The conditions, the conclusion and all five are compiled on their own.
+    Each block is read twice: the conditions on every row, then the
+    conclusion on the kept rows; the re-check judges over all five. Returns
+    (samples, filtered, violations, reverified, min_conclusion_margin.hex()).
+    """
+    space = WorldSpace(("X", "Y", "Z"))
+    x, y, z = (Proposition.atom(space, name) for name in space.atoms)
+    constraints = transitivity_constraints(x, y, z, margin)
+    antecedent = CompiledConstraints(constraints[:4])
+    concluded = CompiledConstraints(constraints[4:])
+    checks = CompiledConstraints(constraints)
+    filtered = violations = reverified = 0
+    min_margin = math.inf
+    for weights in sample_blocks(np.random.default_rng(seed), space.world_count, samples):
+        kept = weights[antecedent.satisfied(weights)]
+        (margins,) = concluded.margins(kept)
+        violations += int(np.count_nonzero(margins <= 0.0))
+        min_margin = min(min_margin, margins.min(initial=math.inf))
+        if filtered < FUZZ_REVERIFY_CAP:
+            head = normalised(kept[:FUZZ_REVERIFY_CAP - filtered])
+            check_weights(head)
+            reverified += sum(map(checks.scalar_satisfied, head.tolist()))
+        filtered += len(kept)
+    conclusion = float(min_margin) if filtered else float("nan")
+    return samples, filtered, violations, reverified, conclusion.hex()
+
+
 @st.composite
 def dyadic_joint(draw):
     """Sixteenths over the 8 worlds of x, y, z, often with empty worlds."""
@@ -325,17 +355,23 @@ class TestJudgeTransitivity:
                 check_transitivity(dist, x, y, z, margin))
 
     def test_fuzz_builds_the_sides_once(self, monkeypatch):
-        calls = []
+        calls, compiles = [], []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return transitivity_constraints(*args, **kwargs)
 
+        def compiled(constraints):
+            compiles.append(constraints)
+            return CompiledConstraints(constraints)
+
         monkeypatch.setattr(confirmation, "transitivity_constraints", counted)
+        monkeypatch.setattr(confirmation, "CompiledConstraints", compiled)
         report = fuzz_transitivity(samples=20_000, seed=3, margin=1e-6)
         assert report.filtered > FUZZ_REVERIFY_CAP
         assert report.reverified == FUZZ_REVERIFY_CAP
         assert len(calls) == 1
+        assert len(compiles) == 1
 
     @pytest.mark.parametrize("margin", [-0.1, float("nan")])
     def test_negative_or_nan_margin_rejected(self, xyz_space, margin):
@@ -350,17 +386,29 @@ class TestFuzz:
     # one row, either side of the first block's end, one past the start of
     # the first 4 096-row block (512 + 1 024 + 2 048 = 3 584), two inside it,
     # and several blocks with the reverification cap reached in the middle
-    # of one.
-    @pytest.mark.parametrize("samples", [1, 511, 513, 3_585, 4_095, 4_097, 20_000])
-    def test_blocks_match_one_draw(self, samples):
-        report = fuzz_transitivity(samples=samples, seed=11, margin=1e-6)
-        filtered, violations, reverified, conclusion = fuzz_one_draw(samples, 11, 1e-6)
+    # of one; each at margins 0 and 0.05 besides the CLI's default, 1e-6, whose
+    # cases are named by their sample count alone.
+    @pytest.mark.parametrize("samples,margin", [
+        pytest.param(samples, margin, id=str(samples) if margin == 1e-6 else f"{samples}-{margin}")
+        for margin in (1e-6, 0.0, 0.05)
+        for samples in (1, 511, 513, 3_585, 4_095, 4_097, 20_000)])
+    def test_blocks_match_one_draw(self, samples, margin):
+        report = fuzz_transitivity(samples=samples, seed=11, margin=margin)
+        filtered, violations, reverified, conclusion = fuzz_one_draw(samples, 11, margin)
         assert (report.filtered, report.violations, report.reverified) == (
             filtered, violations, reverified)
         if filtered:
             assert abs(report.min_conclusion_margin - conclusion.min()) <= 1e-12
         else:
             assert math.isnan(report.min_conclusion_margin)
+
+    @pytest.mark.parametrize("margin", [0.0, 1e-6, 0.05])
+    @pytest.mark.parametrize("samples", [1, 511, 513, 3_585, 4_097, 20_000])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_one_reading_is_the_three_compile_loop_to_the_bit(self, seed, samples, margin):
+        r = fuzz_transitivity(samples=samples, seed=seed, margin=margin)
+        got = (r.samples, r.filtered, r.violations, r.reverified, r.min_conclusion_margin.hex())
+        assert got == three_compile_fuzz(samples, seed, margin)
 
     def test_memory_stays_one_block(self):
         # One (400 000, 8) draw alone is 25.6 MB.

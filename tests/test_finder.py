@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -610,6 +611,31 @@ class TestCoordinateDescent:
         sweep_bridge_prior(riemann, [0.1, 0.3, 0.5, 0.7, 0.9],
                            SearchConfig(seed=2, max_samples=5_000))
         assert len(pins) >= 5 and all(pin is not None for pin in pins)
+
+    @pytest.mark.parametrize("pinned,blocks", [(False, 2.5), (True, 3.5)])
+    def test_no_block_outlives_its_sweep(self, pinned, blocks):
+        # P(a0) > 0.6 and P(a0) < 0.4 cannot both hold, so the descent runs
+        # until delta is spent. The peak, in (2n, n) blocks of 16 n**2 bytes
+        # at 256 worlds, is about 2.1, and 3.1 under a pin; keeping earlier
+        # sweeps' blocks alive reads 4.1 and 5.1.
+        space = WorldSpace(tuple(f"a{i}" for i in range(8)))
+        a0 = Proposition.atom(space, "a0")
+        compiled = CompiledConstraints([
+            ProbConstraint("prob_gt", Side(target=a0), Side(const=0.6)),
+            ProbConstraint("prob_lt", Side(target=a0), Side(const=0.4)),
+        ])
+        n = space.world_count
+        pin = (Proposition.atom(space, "a1").mask, 0.3) if pinned else None
+        x = _normalise(np.random.default_rng(1).standard_exponential(n), pin)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            _, best = coordinate_descent(x, compiled.penalty, pin, 0.5, 240)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert best > 0.0
+        assert peak - start < blocks * 16 * n * n
 
     def test_scale_move_rows_match_one_coordinate_moves(self):
         w = np.random.default_rng(3).dirichlet(np.ones(8))
