@@ -113,10 +113,11 @@ class ConstraintSet:
         object.__setattr__(self, "constraints", tuple(self.constraints))
         if not self.constraints:
             raise ValueError("constraint set must be nonempty")
-        names = _names(self.constraints)
-        for i, name in enumerate(names):
-            if name in names[:i]:
+        seen = set()
+        for name in _names(self.constraints):
+            if name in seen:
                 raise ValueError(f"duplicate constraint name {name!r}")
+            seen.add(name)
         for c in self.constraints:
             for side in (c.lhs, c.rhs):
                 for prop in (side.target, side.given):

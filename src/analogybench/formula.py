@@ -7,21 +7,26 @@ Grammar (EBNF):
     factor  := "!" factor | "(" expr ")" | atom
     atom    := [A-Za-z_][A-Za-z0-9_]*
 
-"&" binds tighter than "|"; "!" binds tightest. A formula nests at most
-_MAX_DEPTH = 100 levels: its tree is at most that deep, each "!", "&" and
-"|" on the way from the root down to an atom one level (so a chain of k
-"&" or "|" alone is k levels), and so are its parentheses. parse refuses a
-deeper formula with FormulaError, which keeps the parser and the recursive
-readers of its tree (atom_names, unparse, the evaluation in prob) far
-inside Python's recursion limit. unparse nests its parentheses at most as
-deep as the tree, so what it writes parses again.
+"&" binds tighter than "|"; "!" binds tightest. The atom rule above is
+_ATOM, and prob.WorldSpace holds its atom names to it too, so every atom of
+a space can be named in a formula.
+
+A formula nests at most _MAX_DEPTH = 100 levels: its tree is at most that
+deep, each "!", "&" and "|" on the way from the root down to an atom one
+level (so a chain of k "&" or "|" alone is k levels), and so are its
+parentheses. parse refuses a deeper formula with FormulaError. The tree has
+one reader, prob._eval_node, which builds a formula's world mask and names
+its unknown atoms in one walk. That walk recurses once per tree level, and
+the parser once per parenthesis, so the bound keeps both far inside
+Python's recursion limit whatever a scenario file or a --param holds.
 """
 
 from __future__ import annotations
 
 import re
 
-_TOKEN = re.compile(r"\s*(?:(?P<atom>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[!&|()]))")
+_ATOM = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*(?:(?P<atom>{_ATOM.pattern})|(?P<punct>[!&|()]))")
 
 
 class FormulaError(ValueError):
@@ -121,26 +126,3 @@ def _levels(levels: int) -> int:
     if levels > _MAX_DEPTH:
         raise FormulaError(f"formula nests deeper than {_MAX_DEPTH} levels")
     return levels
-
-
-def atom_names(node: tuple) -> set[str]:
-    kind = node[0]
-    if kind == "atom":
-        return {node[1]}
-    if kind == "not":
-        return atom_names(node[1])
-    return atom_names(node[1]) | atom_names(node[2])
-
-
-def unparse(node: tuple) -> str:
-    """Render an AST back to the concrete syntax (fully parenthesized binaries)."""
-    kind = node[0]
-    if kind == "atom":
-        return node[1]
-    if kind == "not":
-        inner = unparse(node[1])
-        if node[1][0] != "atom":
-            inner = f"({inner})"
-        return f"!{inner}"
-    op = "&" if kind == "and" else "|"
-    return f"({unparse(node[1])} {op} {unparse(node[2])})"

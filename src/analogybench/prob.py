@@ -50,7 +50,11 @@ class InvalidDistributionError(ProbError):
 
 @dataclass(frozen=True)
 class WorldSpace:
-    """Ordered list of atoms fixing a canonical enumeration of 2**n worlds."""
+    """Ordered list of atoms fixing a canonical enumeration of 2**n worlds.
+
+    Each atom name matches formula's atom pattern, [A-Za-z_][A-Za-z0-9_]*,
+    so any atom of the space can be named in a formula.
+    """
 
     atoms: tuple[str, ...]
 
@@ -63,10 +67,8 @@ class WorldSpace:
             raise ValueError(f"at most {MAX_ATOMS} atoms supported, got {len(atoms)}")
         seen = set()
         for name in atoms:
-            if not isinstance(name, str) or not name:
-                raise ValueError("atom names must be nonempty strings")
-            if not name.isidentifier():
-                raise ValueError(f"atom name {name!r} is not an identifier")
+            if not isinstance(name, str) or not _formula._ATOM.fullmatch(name):
+                raise ValueError(f"atom name {name!r} does not match {_formula._ATOM.pattern}")
             if name in seen:
                 raise ValueError(f"duplicate atom name {name!r}")
             seen.add(name)
@@ -113,13 +115,13 @@ class Proposition:
 
     @classmethod
     def parse(cls, space: WorldSpace, text: str) -> "Proposition":
-        node = _formula.parse(text)
-        unknown = _formula.atom_names(node) - set(space.atoms)
+        unknown: set[str] = set()
+        mask = _eval_node(_formula.parse(text), space, unknown)
         if unknown:
             raise _formula.FormulaError(
                 f"unknown atom(s) {sorted(unknown)} in formula {text!r}"
             )
-        return cls(space, _eval_node(node, space), text)
+        return cls(space, mask, text)
 
     @classmethod
     def tautology(cls, space: WorldSpace) -> "Proposition":
@@ -164,14 +166,19 @@ class Proposition:
         return f"Proposition({label})"
 
 
-def _eval_node(node: tuple, space: WorldSpace) -> np.ndarray:
+def _eval_node(node: tuple, space: WorldSpace, unknown: set[str]) -> np.ndarray:
+    """The worlds where a formula tree holds; an atom not in space, added to
+    unknown, holds in none."""
     kind = node[0]
     if kind == "atom":
-        return space.atom_mask(node[1])
+        if node[1] in space.atoms:
+            return space.atom_mask(node[1])
+        unknown.add(node[1])
+        return np.zeros(space.world_count, dtype=bool)
     if kind == "not":
-        return ~_eval_node(node[1], space)
-    left = _eval_node(node[1], space)
-    right = _eval_node(node[2], space)
+        return ~_eval_node(node[1], space, unknown)
+    left = _eval_node(node[1], space, unknown)
+    right = _eval_node(node[2], space, unknown)
     return (left & right) if kind == "and" else (left | right)
 
 

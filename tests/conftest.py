@@ -120,14 +120,15 @@ else:
 RUN_CLI = "sys.exit(main(sys.argv[1:]))"
 
 
-def run_capped(body: str, *argv: str) -> subprocess.CompletedProcess:
+def run_capped(body: str, *argv: str, timeout: float = 30) -> subprocess.CompletedProcess:
     """Run body in a child interpreter, with argv as its sys.argv[1:].
 
     For a test whose guard, if it regressed, would hang or exhaust memory:
     the child's address space is capped at 256 MiB above its size after
     importing analogybench.scenarios and analogybench.cli (names body may
     use, beside sys and main), so a runaway allocation fails with
-    MemoryError, and a child still running after 30 s fails the test.
+    MemoryError, and a child still running after timeout seconds fails the
+    test.
     """
     return subprocess.run([sys.executable, "-c", _CAP + body, *argv], capture_output=True,
-                          text=True, timeout=30, env=child_env())
+                          text=True, timeout=timeout, env=child_env())

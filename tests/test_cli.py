@@ -254,7 +254,9 @@ class TestCheck:
          lambda d: d["distribution"]["constraints"][0].update(margin=-0.1)),
         ("distribution.seed", lambda d: d["distribution"].update(seed=-1)),
         ("distribution.weights", _euler_polya_weights_doubled),
-    ], ids=["infinite-bound", "negative-margin", "negative-seed", "doubled-weights"])
+        ("field 'atoms'", lambda d: d["atoms"].append("é")),
+    ], ids=["infinite-bound", "negative-margin", "negative-seed", "doubled-weights",
+            "atom-no-formula-can-name"])
     def test_bad_field_is_refused_by_name(self, capsys, tmp_path, field, edit):
         path = riemann_variant(tmp_path, "bad_field", edit)
         code, out, err = run(capsys, "check", path, "--json")

@@ -39,7 +39,7 @@ from analogybench.finder import (
     sample_blocks,
 )
 
-from conftest import exact_satisfied, exact_value
+from conftest import exact_satisfied, exact_value, run_capped
 
 
 @pytest.fixture
@@ -96,6 +96,18 @@ class TestSampleSimplex:
         np.testing.assert_allclose(totals / n, 0.25, atol=0.01)
 
 
+# A capped child's body: 40 000 uniquely labelled constraints in one set.
+_MANY_NAMES = """
+from analogybench import Proposition, WorldSpace
+from analogybench.finder import ConstraintSet, ProbConstraint, Side
+space = WorldSpace(("a",))
+a = Proposition.atom(space, "a")
+constraints = [ProbConstraint("prob_gt", Side(target=a), Side(const=0.5), label=f"p{i}")
+               for i in range(40_000)]
+print(len(ConstraintSet(space=space, constraints=constraints).constraints))
+"""
+
+
 class TestConstraintValidation:
     def test_side_needs_exactly_one_form(self):
         with pytest.raises(ValueError):
@@ -138,6 +150,21 @@ class TestConstraintValidation:
                        for i, label in enumerate(labels)]
         with pytest.raises(ValueError, match=f"duplicate constraint name '{labels[0]}'"):
             ConstraintSet(space=ab_space, constraints=constraints)
+
+    def test_duplicate_message_names_the_first_repeat(self, ab_space):
+        # Names c0, pa, pb, pb, pa, c0: "pb" is the first seen a second time.
+        a = Proposition.atom(ab_space, "a")
+        constraints = [ProbConstraint("prob_gt", Side(target=a), Side(const=0.1 * i), label=label)
+                       for i, label in enumerate([None, "pa", "pb", "pb", "pa", "c0"])]
+        with pytest.raises(ValueError, match="^duplicate constraint name 'pb'$"):
+            ConstraintSet(space=ab_space, constraints=constraints)
+
+    def test_many_unique_names_are_checked_in_one_pass(self):
+        # 40 000 names took about 20 s when each was looked up in the names
+        # before it; one pass over a set takes milliseconds.
+        child = run_capped(_MANY_NAMES, timeout=10)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "40000\n"
 
     # Each is refused by name before any draw: a float budget used to fail
     # late in numpy, a bool budget ran as one sample, and a negative or float

@@ -1,7 +1,7 @@
 import pytest
 
 from analogybench import Proposition, WorldSpace
-from analogybench.formula import FormulaError, atom_names, parse, unparse
+from analogybench.formula import FormulaError, parse
 
 from conftest import DEEP_FORMULAS
 
@@ -19,16 +19,6 @@ def test_negation_and_parens():
     assert parse("!a & b") == ("and", ("not", ("atom", "a")), ("atom", "b"))
     assert parse("!(a | b)") == ("not", ("or", ("atom", "a"), ("atom", "b")))
     assert parse("!!a") == ("not", ("not", ("atom", "a")))
-
-
-def test_atom_names():
-    assert atom_names(parse("a & (b | !c)")) == {"a", "b", "c"}
-
-
-def test_unparse_round_trip():
-    for text in ["a", "!a", "a & b | c", "!(a | b) & c"]:
-        node = parse(text)
-        assert parse(unparse(node)) == node
 
 
 @pytest.mark.parametrize("bad", ["", "a &", "& a", "(a", "a)", "a ? b", "a b"])
@@ -55,8 +45,7 @@ def test_deep_formula_is_refused(text):
 def test_depth_bound_is_100_levels(deep):
     space = WorldSpace(("a", "b"))
     at_bound = deep(100)
-    node = parse(at_bound)
-    assert parse(unparse(node)) == node and atom_names(node) <= {"a", "b"}
+    parse(at_bound)
     assert Proposition.parse(space, at_bound).mask.shape == (4,)
     with pytest.raises(FormulaError, match="deeper than 100 levels"):
         parse(deep(101))

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from analogybench import (
     is_non_extremal,
     probability,
 )
+from analogybench.formula import FormulaError, parse
 from analogybench.prob import InvalidDistributionError
 
 from conftest import random_distribution, random_proposition
@@ -34,6 +36,11 @@ class TestWorldSpace:
             WorldSpace(("",))
         with pytest.raises(ValueError):
             WorldSpace(("a-b",))
+        # Python identifiers that no formula can name: the tokenizer reads
+        # only ASCII letters, digits and "_" in an atom.
+        for name in ["é", "ß", "Ω", "x٣", "ａ", "x\u00b7"]:
+            with pytest.raises(ValueError, match=re.escape(repr(name))):
+                WorldSpace((name, "b"))
 
     def test_rejects_oversized_space(self):
         with pytest.raises(ValueError):
@@ -47,6 +54,59 @@ class TestWorldSpace:
         assert space.world_description(3) == {"a": True, "b": True}
 
 
+def _reference_atom_names(node):
+    if node[0] == "atom":
+        return {node[1]}
+    if node[0] == "not":
+        return _reference_atom_names(node[1])
+    return _reference_atom_names(node[1]) | _reference_atom_names(node[2])
+
+
+def _reference_eval(node, space):
+    if node[0] == "atom":
+        return space.atom_mask(node[1])
+    if node[0] == "not":
+        return ~_reference_eval(node[1], space)
+    left, right = _reference_eval(node[1], space), _reference_eval(node[2], space)
+    return (left & right) if node[0] == "and" else (left | right)
+
+
+def _reference_mask(space, text):
+    """Proposition.parse's mask by two walks: unknown atoms first, then the mask."""
+    node = parse(text)
+    unknown = _reference_atom_names(node) - set(space.atoms)
+    if unknown:
+        raise FormulaError(f"unknown atom(s) {sorted(unknown)} in formula {text!r}")
+    return _reference_eval(node, space)
+
+
+def _outcome(build):
+    """The mask's dtype and bytes, or the FormulaError's message."""
+    try:
+        mask = build()
+    except FormulaError as exc:
+        return str(exc)
+    return mask.dtype, mask.tobytes()
+
+
+# Formulas over a, b, c and two atoms outside the space ("z", "y"); a deep
+# "!" or "(" prefix reaches and passes the 100-level bound.
+_SHALLOW = st.recursive(
+    st.sampled_from(["a", "b", "c", "y", "z"]),
+    lambda inner: st.one_of(
+        st.tuples(st.integers(1, 3), inner).map(lambda t: "!" * t[0] + t[1]),
+        st.tuples(inner, st.sampled_from([" & ", " | ", "&", "|"]), inner).map("".join),
+        inner.map(lambda t: f"({t})"),
+    ),
+    max_leaves=24,
+)
+_FORMULAS = st.one_of(
+    _SHALLOW,
+    st.tuples(st.integers(0, 101), _SHALLOW).map(lambda t: "!" * t[0] + t[1]),
+    st.tuples(st.integers(0, 101), _SHALLOW).map(lambda t: "(" * t[0] + t[1] + ")" * t[0]),
+)
+
+
 class TestProposition:
     def test_tautology_and_contradiction_extensions(self, ab_space):
         assert Proposition.tautology(ab_space).extension == frozenset(range(4))
@@ -55,6 +115,29 @@ class TestProposition:
     def test_parse_unknown_atom(self, ab_space):
         with pytest.raises(ValueError, match="unknown atom"):
             Proposition.parse(ab_space, "a & q")
+
+    def test_each_unknown_atom_is_named_once_sorted(self, ab_space):
+        with pytest.raises(FormulaError, match=re.escape(
+                "unknown atom(s) ['y', 'z'] in formula 'z & y | !z'")):
+            Proposition.parse(ab_space, "z & y | !z")
+
+    @pytest.mark.parametrize("text, message", [
+        ("z & (y", "unbalanced parentheses"),
+        ("z &", "unexpected end of formula"),
+        ("z y", "trailing tokens"),
+        ("z é", "unexpected character 'é'"),
+        ("!" * 101 + "z", "deeper than 100 levels"),
+    ])
+    def test_syntax_error_comes_before_unknown_atoms(self, ab_space, text, message):
+        with pytest.raises(FormulaError, match=re.escape(message)):
+            Proposition.parse(ab_space, text)
+
+    @given(_FORMULAS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_parse_matches_two_walk_reference(self, text):
+        space = WorldSpace(("a", "b", "c"))
+        assert _outcome(lambda: Proposition.parse(space, text).mask) == \
+            _outcome(lambda: _reference_mask(space, text))
 
     def test_parse_matches_operators(self, ab_space):
         a = Proposition.atom(ab_space, "a")
