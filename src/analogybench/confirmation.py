@@ -45,7 +45,6 @@ from .finder import (
     ConstraintSet,
     ProbConstraint,
     Side,
-    _compiled,
     sample_blocks,
 )
 from .prob import (
@@ -200,7 +199,7 @@ def check_transitivity(
     z is over another space than dist.
     """
     constraints = ConstraintSet(dist.space, transitivity_constraints(x, y, z, margin))
-    return TransitivityReport(*_judge(dist, _compiled(dist, constraints)))
+    return TransitivityReport(*_judge(dist, CompiledConstraints(constraints.constraints)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,7 @@ class Counterexample:
         the compiled rows' correctly rounded sums (scalar_satisfied)."""
         dist = self.distribution
         chain = ConstraintSet(dist.space, _naive_chain(self.x, self.y, self.z))
-        return _compiled(dist, chain).scalar_satisfied(dist.weights.tolist())
+        return CompiledConstraints(chain.constraints).scalar_satisfied(dist.weights.tolist())
 
 
 def _naive_chain(a: Proposition, b: Proposition, c: Proposition) -> list[ProbConstraint]:

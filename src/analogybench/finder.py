@@ -16,9 +16,9 @@ under the same rule as one draw per batch would, so drawing ahead changes
 the number of calls, not the result (see find_model). Once a search has
 refined without finding a model, it reads each later block first over a
 screen, the constraints violated at its best model compiled on their own
-with margins lowered by a rounding allowance, and skips, unscored, every
-batch whose screened bound proves that no row can beat the best; that too
-changes the calls, not the result.
+with margins lowered by a rounding allowance, and skips the block unscored
+when its least screened bound proves that no row can beat the best; that
+too changes the calls, not the result.
 The first exact marginal equality P(T) = c in a set is met by construction:
 under it, samples and descent moves are normalised per block, T-worlds to c
 and the rest to 1 - c, so the search never leaves P(T) = c.
@@ -442,12 +442,12 @@ class _Screen(CompiledConstraints):
     constraints is a sub-list of a list of m constraints, compiled on its
     own, with each required margin lowered by an allowance g. penalty reads
     the kept constraints' squared hinges against the lowered margins, as a
-    sum B per row, and bound turns B into a value that no row's full
-    penalty P, as CompiledConstraints.penalty reads it over all m, is below.
-    Squared hinges are nonnegative, so any sub-list bounds P; the allowance
-    covers the rounding by which the two readings differ. A screen is read
-    only through bound: the satisfied and screen it inherits would judge
-    against floors that were never lowered.
+    sum B per row, and least turns the least B of a block into a value that
+    no row's full penalty P, as CompiledConstraints.penalty reads it over
+    all m, is below. Squared hinges are nonnegative, so any sub-list bounds
+    P; the allowance covers the rounding by which the two readings differ.
+    A screen is read only through least: the satisfied and screen it
+    inherits would judge against floors that were never lowered.
 
     The allowance. Let u = 2**-53, n the worlds and w >= 0. A mask column
     sums nonnegative terms, in whatever order and shape BLAS takes, beside
@@ -469,12 +469,17 @@ class _Screen(CompiledConstraints):
 
     The sums. P adds the squares of all m constraints and B those of s <= m,
     each square and addition rounding by a factor within 1 +- u, so
-    B (1 - (2m + 3) u) <= P. bound takes B (1 - (2m + 6) u): the spare 3u
-    covers its product's rounding and the squares that underflow below
+    B (1 - (2m + 3) u) <= P. A row's bound is B (1 - (2m + 6) u): the spare
+    3u covers its product's rounding and the squares that underflow below
     2**-1022, each off by at most 2**-1075, far below u B once the product
     is at least 2**-900; a smaller product reads 0. A product above 2**1000
     reads 2**1000, which P exceeds even when B overflowed to inf: a screened
     square, or their sum, is then near the float limit, and so is P.
+
+    The least. least takes the block's least B first, then scales and clamps
+    that one float. A rounded product by a positive constant is monotone in
+    B, and so are both clamps, so this is bitwise the least of the rows'
+    bounds, each scaled and clamped on its own.
     """
 
     def __init__(self, constraints, m: int):
@@ -489,11 +494,10 @@ class _Screen(CompiledConstraints):
         self._required = (self._required[:, 0] - allowance)[:, None]
         self._shrink = 1.0 - (2 * m + 6) * 2.0**-53
 
-    def bound(self, w: np.ndarray):
-        """A value per row of a block w that the row's full penalty is never below."""
-        bounds = self.penalty(w) * self._shrink
-        bounds[bounds < 2.0**-900] = 0.0
-        return np.minimum(bounds, 2.0**1000, out=bounds)
+    def least(self, w: np.ndarray) -> float:
+        """A value that no row of a block w has a full penalty below."""
+        least = float(self.penalty(w).min()) * self._shrink
+        return 0.0 if least < 2.0**-900 else min(least, 2.0**1000)
 
 
 def _names(constraints) -> list[str]:
@@ -682,14 +686,14 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     A refine that leaves a finite best and no satisfied model keeps a
     screen (CompiledConstraints.screen): the constraints violated at the
     best model, compiled on their own, one compile per screen. Each later
-    block is read over the screen first, and a batch is skipped unscored
-    while every row's screened bound is at least the best penalty. The
-    bound (_Screen, where its rounding allowance is derived) never exceeds
-    a row's full penalty, so no row of a skipped batch beats the best: the
-    walk without the screen would not refine that batch either. The first
-    batch of a block that cannot be ruled out takes the full penalty of the
-    whole block, as without the screen, so every result is the same to the
-    bit. A search whose first refine finds a model builds no screen.
+    block asks the screen once: if its least screened bound (_Screen.least,
+    where its rounding allowance is derived) is at least the best penalty,
+    the block is skipped unscored and counted whole in samples_used;
+    otherwise it takes one full penalty call and is walked as without the
+    screen. No row's full penalty is below its bound, so no row of a
+    skipped block beats the best, and a batch whose own least bound is at
+    least the best is never refined either: every result is the same to
+    the bit. A search whose first refine finds a model builds no screen.
 
     An exact marginal equality P(T) = c (see _marginal_pin; only the first
     one in the set) is met by construction: the search runs only over
@@ -722,17 +726,15 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     for block in sample_blocks(rng, n, config.max_samples):
         if pin is not None:
             block = _normalise(block, pin)
-        bounds = None if screen is None else screen.bound(block)
-        penalties = None
+        # No row of this block can beat the best: skip it unscored.
+        if screen is not None and screen.least(block) >= best_penalty:
+            samples_used += len(block)
+            continue
+        penalties = compiled.penalty(block)
         for start in range(0, len(block), BATCH_SIZE):
-            stop = start + BATCH_SIZE
-            samples_used += min(stop, len(block)) - start
-            if penalties is None:
-                # No row of this batch can beat the best: skip it unscored.
-                if bounds is not None and bounds[start:stop].min() >= best_penalty:
-                    continue
-                penalties = compiled.penalty(block)
-            idx = start + int(np.argmin(penalties[start:stop]))
+            batch = penalties[start:start + BATCH_SIZE]
+            samples_used += len(batch)
+            idx = start + int(np.argmin(batch))
             # The first batch always refines: every penalty can overflow to inf.
             if best_w is not None and not penalties[idx] < best_penalty:
                 continue

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .finder import ProbConstraint, SearchConfig, Side
+from .finder import ProbConstraint, SearchConfig, Side, _marginal_pin, _names
 from .prob import JointDistribution
 from .scenarios import Scenario, SchemaReport, evaluate_schema
 
@@ -133,9 +133,25 @@ def sweep_bridge_prior(
     values: list[float],
     config: SearchConfig | None = None,
 ) -> list[SweepRow]:
-    """Re-solve the scenario with the bridge marginal pinned to each value."""
+    """Re-solve the scenario with the bridge marginal pinned to each value.
+
+    Raises ValueError before any row is solved for a value outside [0, 1],
+    and for a scenario that keeps an exact marginal equality of its own:
+    find_model meets only the first such equality by construction, and the
+    pin comes after every kept constraint, so a search would meet the pin
+    only by chance and every row would read infeasible.
+    """
     config = _search_config(scenario, config)
+    outside = [v for v in values if not 0.0 <= v <= 1.0]
+    if outside:
+        raise ValueError(f"a bridge prior must lie in [0, 1], got {outside[0]!r}")
     k = _bridge_index(scenario)
+    constraints = scenario.constraint_set().constraints
+    for name, c in zip(_names(constraints), constraints):
+        if not _constraint_mentions_atom(c, k) and _marginal_pin([c]) is not None:
+            raise ValueError(
+                f"constraint {name!r} is an exact marginal equality, which the search "
+                "meets in place of the bridge-prior pin; this scenario cannot be prior-swept")
     bridge = scenario.roles["bridge"]
     kept = tuple(c for c in scenario.extra_constraints if not _constraint_mentions_atom(c, k))
     rows = []

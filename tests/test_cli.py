@@ -536,7 +536,30 @@ scenarios.find_model = no_solve
 """ + RUN_CLI
 
 
+def _pin_w(data):
+    data["distribution"]["constraints"].append(
+        {"kind": "equality", "lhs": {"target": "W"}, "rhs": {"const": 0.5}})
+
+
 class TestSweep:
+    def test_bridge_prior_outside_the_unit_interval_refused(self):
+        child = run_capped(NO_SOLVE_CLI, "sweep", RIEMANN, "--param", "P(G)",
+                           "--range=-0.5:1.5:0.5")
+        assert child.returncode == EXIT_VALIDATION, child.stderr
+        assert (child.stdout, child.stderr) == (
+            "", "error: a bridge prior must lie in [0, 1], got -0.5\n")
+
+    def test_own_marginal_equality_refused(self, capsys, tmp_path):
+        # find-model solves this scenario, but find_model would meet its
+        # P(W) = 0.5 in place of the sweep's pin, so no row could be ok.
+        path = riemann_variant(tmp_path, "pinned_w", _pin_w)
+        assert run(capsys, "find-model", path)[0] == EXIT_OK
+        child = run_capped(NO_SOLVE_CLI, "sweep", path, "--param", "P(G)",
+                           "--range", "0.2:0.8:0.2")
+        assert child.returncode == EXIT_VALIDATION, child.stderr
+        assert child.stdout == ""
+        assert child.stderr.startswith("error: constraint 'c11' is an exact marginal equality")
+
     def test_bridge_prior_sweep_csv(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, err = run(

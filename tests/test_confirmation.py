@@ -81,6 +81,19 @@ class TestConfirm:
         assert not verdict.confirms
         assert verdict.degree == pytest.approx(0.25)
 
+    # Evidence b, hypothesis a (world bit 0 is a, bit 1 is b). ratio needs
+    # P(h) > 0; log_likelihood needs P(e|h) and P(e|!h) defined and positive.
+    @pytest.mark.parametrize("weights,measures", [
+        ([0.5, 0.0, 0.5, 0.0], {"difference"}),  # P(h) = 0
+        ([0.0, 0.5, 0.0, 0.5], {"difference", "ratio"}),  # P(h) = 1
+        ([0.4, 0.3, 0.3, 0.0], {"difference", "ratio"}),  # P(e|h) = 0
+    ])
+    def test_undefined_measures_are_left_out(self, ab_space, weights, measures):
+        dist = JointDistribution(ab_space, weights)
+        verdict = confirm(dist, Proposition.atom(ab_space, "b"), Proposition.atom(ab_space, "a"))
+        assert set(verdict.measures) == measures
+        assert verdict.measures["difference"] == verdict.degree
+
     def test_zero_probability_evidence(self, ab_space):
         dist = JointDistribution(ab_space, [1.0, 0.0, 0.0, 0.0])
         with pytest.raises(UndefinedConditionalError):

@@ -463,7 +463,7 @@ BLOCK_SETS = {
 
 # name -> (set, REFINE_STEPS): each runs out a 20 000-sample budget and refines
 # more than once, so after each refine the screen is rebuilt and skips the
-# batches that cannot beat the new best. With two descent sweeps, the
+# blocks that cannot beat the new best. With two descent sweeps, the
 # planted set's first refine leaves a best that a later batch beats.
 SCREENED_SETS = {
     "contradictory-5-family-0": (lambda: contradictory_set(0, 5, 0), 5),

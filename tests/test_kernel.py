@@ -538,6 +538,14 @@ def absorbed_in_one_lane() -> ConstraintSet:
     return ConstraintSet(space, constraints)
 
 
+def per_row_bounds(screen: _Screen, w: np.ndarray) -> np.ndarray:
+    """The reference for _Screen.least: each row's bound, scaled and clamped
+    on its own (see _Screen)."""
+    bounds = screen.penalty(w) * screen._shrink
+    bounds[bounds < 2.0**-900] = 0.0
+    return np.minimum(bounds, 2.0**1000, out=bounds)
+
+
 class TestScreenBound:
     # Squared hinges are nonnegative, so a sub-list's penalty bounds the full
     # one from below; the screen's allowance covers the rounding by which its
@@ -548,6 +556,7 @@ class TestScreenBound:
     # empties a block, so its conditionals are undefined). Constants reach
     # +-1e300, and a given may be empty, an undefined side on every row. At
     # 32 and 64 worlds BLAS may sum a sub-list's columns to other last bits.
+    # least is the least of the per-row bounds, to the bit.
     @settings(max_examples=100, deadline=None)
     @given(case=screened_cases(), seed=st.integers(0, 2**32 - 1))
     @example(case=(absorbed_in_one_lane(), None, []), seed=0)
@@ -565,9 +574,10 @@ class TestScreenBound:
             # so there the bound comes within rounding of the full penalty.
             screens = [compiled.screen(row) for row in rows[::64]]
             for screen in [_Screen(kept, len(cs.constraints)), *screens]:
-                bound = screen.bound(rows)
-                assert bound.shape == full.shape
-                assert np.all(full >= bound)
+                bounds = per_row_bounds(screen, rows)
+                assert bounds.shape == full.shape
+                assert np.all(full >= bounds)
+                assert screen.least(rows).hex() == float(bounds.min()).hex()
 
     # On dyadic rows a dyadic set reads its margins exactly, so hinges of
     # exactly 0, a strict kind held at its margin, are drawn too; a screen
@@ -585,8 +595,9 @@ class TestScreenBound:
 
     def test_an_empty_screen_bounds_every_row_by_zero(self):
         block = np.random.default_rng(2).standard_exponential((BATCH_SIZE, 8))
-        bound = _Screen([], 4).bound(block)
-        assert bound.shape == (BATCH_SIZE,) and not bound.any()
+        screen = _Screen([], 4)
+        assert not per_row_bounds(screen, block).any()
+        assert screen.least(block).hex() == (0.0).hex()
 
     def test_bound_holds_where_the_two_readings_differ(self):
         # Over 64 worlds BLAS sums the screen's two columns, a and the
@@ -607,7 +618,9 @@ class TestScreenBound:
         screen = _Screen(compiled.constraints[:2], len(compiled.constraints))
         assert compiled.columns.shape[0] == 14 and screen.columns.shape[0] == 2
         assert screen._achieved(block).tobytes() != compiled._achieved(block)[:2].tobytes()
-        assert np.all(compiled.penalty(block) >= screen.bound(block))
+        bounds = per_row_bounds(screen, block)
+        assert np.all(compiled.penalty(block) >= bounds)
+        assert screen.least(block).hex() == float(bounds.min()).hex()
 
 
 class TestGridBudgetEdge:

@@ -1,9 +1,17 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from analogybench import SearchConfig, evaluate_schema, find_model
+from analogybench import (
+    ProbConstraint,
+    Proposition,
+    SearchConfig,
+    Side,
+    evaluate_schema,
+    find_model,
+)
 from analogybench import scenarios, sweep
 from analogybench.scenarios import corpus_dir, load_scenario
 from analogybench.sweep import sweep_bridge_prior, sweep_condition_margin
@@ -70,6 +78,57 @@ class TestBridgePriorSweep:
             assert abs(exact_value(pin.lhs, w) - Fraction(pin.rhs.const)) <= 1e-15
             assert exact_satisfied(constraints, w)
         assert found == len(SEEDS) * (len(PRIORS) - 1)
+
+
+def no_solve(*args):
+    raise AssertionError("a row was solved")
+
+
+def with_extra(scenario, constraint):
+    """scenario with constraint appended to its extra constraints."""
+    return replace(scenario, extra_constraints=scenario.extra_constraints + (constraint,))
+
+
+class TestBridgePriorRefusals:
+    @pytest.mark.parametrize("values,first", [
+        ([-0.5, 0.0, 0.5, 1.0, 1.5], "-0.5"),
+        ([0.5, 1.0, 1.5, 2.0], "1.5"),
+        ([0.5, math.nan], "nan"),
+    ])
+    def test_prior_outside_the_unit_interval(self, riemann, monkeypatch, values, first):
+        monkeypatch.setattr(scenarios, "find_model", no_solve)
+        with pytest.raises(ValueError, match=rf"must lie in \[0, 1\], got {first}$"):
+            sweep_bridge_prior(riemann, values)
+
+    # The set with P(W) = 0.5 is solvable, but find_model meets that equality
+    # by construction and the sweep's pin, which comes after it, only by
+    # chance: every row would read infeasible. An unlabelled constraint is
+    # named as find-model names it, c<index> in the scenario's set.
+    @pytest.mark.parametrize("label,name", [(None, "c11"), ("half_W", "half_W")])
+    def test_own_marginal_equality(self, riemann, monkeypatch, label, name):
+        w = Proposition.atom(riemann.space, "W")
+        pinned = with_extra(riemann, ProbConstraint(
+            "equality", Side(target=w), Side(const=0.5), label=label))
+        config = SearchConfig(seed=1, max_samples=512)
+        assert find_model(pinned.constraint_set(), config).found
+        monkeypatch.setattr(scenarios, "find_model", no_solve)
+        with pytest.raises(ValueError, match=f"constraint '{name}' is an exact marginal equality"):
+            sweep_bridge_prior(pinned, [0.2, 0.8], config)
+
+    # Equalities that are not exact marginal ones on a kept constraint leave
+    # the pin first: one on the bridge is dropped for the pin, and one with a
+    # margin or a given is an ordinary constraint. The extremal rows solve
+    # nothing.
+    @pytest.mark.parametrize("lhs,margin", [("G", 0.0), ("W", 0.01), ("W|R", 0.0)])
+    def test_other_equalities_are_swept(self, riemann, monkeypatch, lhs, margin):
+        target, _, given = lhs.partition("|")
+        side = Side(target=Proposition.atom(riemann.space, target),
+                    given=Proposition.atom(riemann.space, given) if given else None)
+        variant = with_extra(riemann, ProbConstraint("equality", side, Side(const=0.5),
+                                                     margin=margin))
+        monkeypatch.setattr(scenarios, "find_model", no_solve)
+        rows = sweep_bridge_prior(variant, [0.0, 1.0])
+        assert [row.status for row in rows] == ["ok", "ok"]
 
 
 class TestConditionMarginSweep:
