@@ -7,9 +7,13 @@ find_model meets the pin by construction, so every found model has that
 prior within float rounding. A condition-margin row replaces one condition's
 margin. The scenario's seed, which `sweep --seed` replaces, seeds each
 re-solve. At an extremal prior the analogy channel is degenerate:
-conditions that condition on the dead branch become inapplicable, and at
-value 0 the remaining weak condition is enforced at equality, which forces
-the direct confirmation degree to zero.
+conditions (i) and (ii) cannot hold, so an endpoint row solves the kept
+constraints and the pin alone, without the schema conditions. Every row
+reports each condition as it reads on the solved model, nan where it
+conditions on the dead branch. The weak condition on the live branch, (iv)
+at 0 and (iii) at 1, then equals P(H|E) - P(H) exactly: at P(B) = 0,
+P(H|!B&E) = P(H|E) and P(H|!B) = P(H), and at P(B) = 1 the same holds with
+B in place of !B.
 
 A row reads "infeasible" when find_model found no model within its budget;
 that is budget exhaustion, not a proof that the value is infeasible.
@@ -23,8 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .finder import ProbConstraint, SearchConfig, Side, _marginal_pin, _names
-from .prob import JointDistribution
-from .scenarios import Scenario, SchemaReport, evaluate_schema
+from .scenarios import Scenario, evaluate_schema
 
 #: Sample budget of each sweep row's re-solve, unless a config is passed.
 SWEEP_MAX_SAMPLES = 20_000
@@ -38,7 +41,7 @@ MAX_SWEEP_ROWS = 10_000
 @dataclass(frozen=True)
 class SweepRow:
     value: float
-    status: str  # "ok" | "infeasible" (no model found within the search budget)
+    status: str  # "ok" (the row's constraint set solved) | "infeasible" (not within budget)
     condition_margins: dict[str, float]  # nan = inapplicable
     degree: float | None
 
@@ -89,35 +92,19 @@ def _constraint_mentions_atom(c: ProbConstraint, k: int) -> bool:
     return False
 
 
-def _ok_row(value: float, report: SchemaReport) -> SweepRow:
-    return SweepRow(
-        value=value,
-        status="ok",
-        condition_margins={k: c.margin for k, c in report.conditions.items()},
-        degree=None if report.overall is None else report.overall.degree,
-    )
-
-
 def _solve_row(variant: Scenario, value: float, config: SearchConfig) -> SweepRow:
     """The row for one re-solve: the schema report of a found model, or
     "infeasible" when none is found within the budget."""
     dist, result = variant.solve(config)
     if not result.found:
         return SweepRow(value, "infeasible", {}, None)
-    return _ok_row(value, evaluate_schema(variant, dist))
-
-
-def _degenerate_endpoint(scenario: Scenario, bridge_mask: np.ndarray, value: float) -> SweepRow:
-    """Extremal bridge prior: uniform over the live block.
-
-    Uniformity makes hypothesis and evidence independent within the block, so
-    the surviving weak condition holds at exact equality and the direct
-    confirmation degree is exactly zero.
-    """
-    live = bridge_mask if value == 1.0 else ~bridge_mask
-    weights = live.astype(np.float64)
-    dist = JointDistribution.from_unnormalized(scenario.space, weights)
-    return _ok_row(value, evaluate_schema(scenario, dist))
+    report = evaluate_schema(variant, dist)
+    return SweepRow(
+        value=value,
+        status="ok",
+        condition_margins={k: c.margin for k, c in report.conditions.items()},
+        degree=None if report.overall is None else report.overall.degree,
+    )
 
 
 def _search_config(scenario: Scenario, config: SearchConfig | None) -> SearchConfig:
@@ -134,6 +121,9 @@ def sweep_bridge_prior(
     config: SearchConfig | None = None,
 ) -> list[SweepRow]:
     """Re-solve the scenario with the bridge marginal pinned to each value.
+
+    At a value of 0 or 1 the variant enforces no schema condition, only the
+    kept constraints and the pin.
 
     Raises ValueError before any row is solved for a value outside [0, 1],
     and for a scenario that keeps an exact marginal equality of its own:
@@ -156,12 +146,11 @@ def sweep_bridge_prior(
     kept = tuple(c for c in scenario.extra_constraints if not _constraint_mentions_atom(c, k))
     rows = []
     for value in values:
-        if value in (0.0, 1.0):
-            rows.append(_degenerate_endpoint(scenario, bridge.mask, value))
-            continue
+        margins = {} if value in (0.0, 1.0) else scenario.margins
         pin = ProbConstraint("equality", Side(target=bridge), Side(const=value),
                              label="bridge_prior_pin")
-        rows.append(_solve_row(replace(scenario, extra_constraints=kept + (pin,)), value, config))
+        variant = replace(scenario, margins=margins, extra_constraints=kept + (pin,))
+        rows.append(_solve_row(variant, value, config))
     return rows
 
 

@@ -6,6 +6,7 @@ are the product's advertised guarantees, not incidental test choices.
 """
 
 import json
+import math
 import time
 
 import numpy as np
@@ -131,8 +132,15 @@ def test_04_riemann_weil_scenario():
     solved = result is not None and result.found and result.samples_used <= 100_000
     report = evaluate_schema(scenario, dist)
     degree = report.overall.degree if report.overall else float("nan")
+    # At a bridge prior of 0 conditions a-c condition on the dead branch, and
+    # d reads P(H|E) - P(H), the direct degree.
     endpoint = sweep_bridge_prior(scenario, [0.0])[0]
-    pinned = endpoint.status == "ok" and abs(endpoint.degree) <= 1e-9
+    margins = endpoint.condition_margins
+    pinned = (
+        endpoint.status == "ok"
+        and all(math.isnan(margins[label]) for label in "abc")
+        and abs(margins["d"] - endpoint.degree) <= 1e-12
+    )
     ok = solved and report.schema_confirms is True and degree >= 0.01 and pinned
     _report(
         4,

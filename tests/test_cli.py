@@ -577,7 +577,10 @@ class TestSweep:
         first = lines[2].split(",")
         assert first[0] == "0.0"
         assert first[1] == "ok"
-        assert float(first[-1]) == 0.0  # degenerate endpoint: degree exactly 0
+        # Degenerate endpoint: a-c condition on the dead branch, and d reads
+        # P(H|E) - P(H), the direct degree.
+        assert first[2:5] == ["", "", ""]
+        assert abs(float(first[5]) - float(first[6])) <= 1e-12
 
     def test_unwritable_output_is_an_io_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "sweep.csv"

@@ -18,7 +18,7 @@ from analogybench.sweep import sweep_bridge_prior, sweep_condition_margin
 
 from conftest import exact_satisfied, exact_value
 
-PRIORS = [round(0.05 * i, 12) for i in range(1, 20)]
+PRIORS = [round(0.05 * i, 12) for i in range(21)]
 SEEDS = range(1, 31)
 
 
@@ -27,9 +27,9 @@ def riemann():
     return load_scenario(corpus_dir() / "riemann_weil.json")
 
 
-@pytest.fixture(scope="module")
-def prior_grid(riemann):
-    """Bridge-prior sweeps over seeds 1-30, with every find_model call recorded."""
+def recorded_sweeps(scenario, values, seeds):
+    """Bridge-prior sweeps of scenario at each seed, and every find_model
+    call they made as (constraint set, result)."""
     solves = []
 
     def recording(cs, config):
@@ -40,10 +40,16 @@ def prior_grid(riemann):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "find_model", recording)
         rows = {
-            seed: sweep_bridge_prior(riemann, PRIORS, SearchConfig(seed=seed, max_samples=20_000))
-            for seed in SEEDS
+            seed: sweep_bridge_prior(scenario, values, SearchConfig(seed=seed, max_samples=20_000))
+            for seed in seeds
         }
     return rows, solves
+
+
+@pytest.fixture(scope="module")
+def prior_grid(riemann):
+    """Bridge-prior sweeps over seeds 1-30, with every find_model call recorded."""
+    return recorded_sweeps(riemann, PRIORS, SEEDS)
 
 
 class TestBridgePriorSweep:
@@ -75,9 +81,34 @@ class TestBridgePriorSweep:
                 continue
             found += 1
             w = result.distribution.weights
-            assert abs(exact_value(pin.lhs, w) - Fraction(pin.rhs.const)) <= 1e-15
+            prior = exact_value(pin.lhs, w)
+            if pin.rhs.const in (0.0, 1.0):
+                # The dead block is exactly zero: the pin holds exactly.
+                assert prior == pin.rhs.const
+            assert abs(prior - Fraction(pin.rhs.const)) <= 1e-15
             assert exact_satisfied(constraints, w)
         assert found == len(SEEDS) * (len(PRIORS) - 1)
+
+
+class TestBridgePriorEndpoints:
+    # An endpoint row solves the kept constraints and the pin, without the
+    # schema conditions. The weak condition on the live branch, (iv) at 0 and
+    # (iii) at 1, then reads P(H|E) - P(H), the direct degree.
+    @pytest.mark.parametrize("name", ["euler_cauchy", "taylor_series", "volume",
+                                      "volume_star"])
+    def test_endpoint_models_hold_exactly(self, name):
+        scenario = load_scenario(corpus_dir() / f"{name}.json")
+        rows, solves = recorded_sweeps(scenario, [0.0, 1.0], range(1, 6))
+        assert len(solves) == 2 * 5
+        for cs, result in solves:
+            assert result.found
+            assert exact_satisfied(cs.constraints, result.distribution.weights)
+        surviving = {0.0: scenario.labels[3], 1.0: scenario.labels[2]}
+        for seed_rows in rows.values():
+            for row in seed_rows:
+                assert row.status == "ok"
+                margin = row.condition_margins[surviving[row.value]]
+                assert abs(margin - row.degree) <= 1e-12, (name, row)
 
 
 def no_solve(*args):
@@ -117,18 +148,20 @@ class TestBridgePriorRefusals:
 
     # Equalities that are not exact marginal ones on a kept constraint leave
     # the pin first: one on the bridge is dropped for the pin, and one with a
-    # margin or a given is an ordinary constraint. The extremal rows solve
-    # nothing.
+    # margin or a given is an ordinary constraint. Such a sweep is not
+    # refused; an exact conditional equality is one the float search may not
+    # meet, so its rows may read infeasible.
     @pytest.mark.parametrize("lhs,margin", [("G", 0.0), ("W", 0.01), ("W|R", 0.0)])
-    def test_other_equalities_are_swept(self, riemann, monkeypatch, lhs, margin):
+    def test_other_equalities_are_swept(self, riemann, lhs, margin):
         target, _, given = lhs.partition("|")
         side = Side(target=Proposition.atom(riemann.space, target),
                     given=Proposition.atom(riemann.space, given) if given else None)
         variant = with_extra(riemann, ProbConstraint("equality", side, Side(const=0.5),
                                                      margin=margin))
-        monkeypatch.setattr(scenarios, "find_model", no_solve)
-        rows = sweep_bridge_prior(variant, [0.0, 1.0])
-        assert [row.status for row in rows] == ["ok", "ok"]
+        rows = sweep_bridge_prior(variant, [0.0, 1.0], SearchConfig(seed=1, max_samples=512))
+        assert [row.value for row in rows] == [0.0, 1.0]
+        statuses = [row.status for row in rows]
+        assert set(statuses) <= {"ok", "infeasible"} if given else statuses == ["ok", "ok"]
 
 
 class TestConditionMarginSweep:
