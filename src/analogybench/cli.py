@@ -9,11 +9,18 @@ Commands:
 
 Exit codes: 0 completed, 2 validation/parse error, 3 infeasible constraints,
 4 counterexample not found, 5 I/O error, 1 unexpected error.
+
+A CLI process (`python -m analogybench.cli` or the `analogybench` script)
+enters through run(): it runs without the cyclic garbage collector, whose
+collections would find next to nothing, and freezes its objects before it
+exits, so the interpreter's shutdown collections skip them. `import
+analogybench` and main() called in-process leave the collector as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -376,5 +383,17 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
+def run() -> None:
+    """The process entry: main() on sys.argv with the collector off, then exit.
+
+    Only a process about to exit may call this: it leaves the collector
+    disabled and every live object frozen.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

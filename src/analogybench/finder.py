@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 
 import numpy as np
@@ -375,6 +374,9 @@ class CompiledConstraints:
         s**2 < 2**62, so the products stay exact in int64. Counts beyond the
         bound, such as Python ints, must not take this path.
         """
+        # Imported here, on the grid path alone, so that no CLI command loads it.
+        from fractions import Fraction
+
         parts = [(0, 1, Fraction(c)) for c in self._const_list]
         masses = self.columns.reshape(-1, counts.shape[-1]) @ counts.T.astype(np.float64)
         parts += [(mass, 1, 0) for mass in masses.astype(np.int64)]
@@ -827,6 +829,8 @@ def grid_enumerate(cs: ConstraintSet, resolution: int) -> list[list[Fraction]]:
     Fraction per constraint. Y = 0 is an undefined conditional, which fails
     its constraint.
     """
+    from fractions import Fraction
+
     if isinstance(resolution, bool) or not isinstance(resolution, int):
         raise GridBudgetError(
             f"grid resolution must be an int, got {type(resolution).__name__}"

@@ -1,9 +1,11 @@
 import argparse
+import gc
 import json
 import math
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -784,6 +786,92 @@ class TestSameSeedAcrossProcesses:
             assert child.returncode == expected, child.stderr
             outputs.append(child.stdout)
         assert outputs[0] and outputs[0] == outputs[1]
+
+
+class TestCollector:
+    # A CLI process runs with the cyclic collector off (cli.run), which is
+    # sound only while a command leaves a fixed number of cycles, whatever
+    # its size. Each command runs at two sizes with the collector off; a
+    # loop that built cycles per iteration would leave more at the larger.
+    @pytest.mark.parametrize("small, large, budgets", [
+        (["fuzz-theorem", "--samples", "1000"], ["fuzz-theorem", "--samples", "20000"], None),
+        (["sweep", RIEMANN, "--param", "P(G)", "--range", "0:1:0.5"],
+         ["sweep", RIEMANN, "--param", "P(G)", "--range", "0:0.29:0.01"], None),
+        # The miner stops at its first hit, which lies in its first block at
+        # either budget.
+        (["counterexample", "--budget", "1000"], ["counterexample", "--budget", "100000"], None),
+        (["find-model", EXHAUSTED], ["find-model", EXHAUSTED], (10_000, 100_000)),
+    ], ids=["fuzz-theorem", "sweep", "counterexample", "find-model-exhausted"])
+    def test_uncollected_cycles_do_not_grow_with_size(self, capsys, monkeypatch, tmp_path,
+                                                      small, large, budgets):
+        exhausted = riemann_variant(tmp_path, "exhausted", _add_contradiction)
+        small, large = ([exhausted if a == EXHAUSTED else a for a in argv]
+                        for argv in (small, large))
+        small_budget, large_budget = budgets or (None, None)
+        find_model = scenarios.find_model
+
+        def cycles(argv, budget):
+            with monkeypatch.context() as patch:
+                if budget is not None:
+                    patch.setattr(scenarios, "find_model", lambda cs, config: find_model(
+                        cs, replace(config, max_samples=budget)))
+                code = main(argv)
+            capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_INFEASIBLE)
+            return gc.collect()
+
+        gc.disable()
+        try:
+            gc.collect()
+            cycles(small, small_budget)  # the first run may fill caches
+            assert cycles(small, small_budget) == cycles(large, large_budget)
+        finally:
+            gc.enable()
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv, expected", [
+        (["check", RIEMANN, "--json", "--seed", "3"], EXIT_OK),
+        (["check", RIEMANN, "--seed", "-1"], EXIT_VALIDATION),
+        (["sweep", RIEMANN, "--param", "P(W)", "--range", "0:1:0.5"], EXIT_VALIDATION),
+        (["find-model", EXHAUSTED, "--json"], EXIT_INFEASIBLE),
+        (["counterexample", "--budget", "1"], EXIT_NOT_FOUND),
+        (["check", "does-not-exist.json"], EXIT_IO),
+    ], ids=["ok", "usage", "validation", "infeasible", "not-found", "io"])
+    def test_child_matches_in_process_main(self, capsys, tmp_path, argv, expected):
+        """A `python -m analogybench.cli` child exits and prints as main(argv) does,
+        and main leaves the collector on and nothing frozen."""
+        exhausted = riemann_variant(tmp_path, "exhausted", _add_contradiction)
+        argv = [exhausted if a == EXHAUSTED else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        out = capsys.readouterr().out
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        child = subprocess.run([sys.executable, "-m", "analogybench.cli", *argv],
+                               capture_output=True, text=True, timeout=120, env=child_env())
+        assert code == expected
+        assert (child.returncode, child.stdout) == (code, out)
+
+    def test_closed_stdout_is_an_io_error(self):
+        """A reader that closes stdout early gets one error line and exit 5."""
+        env = child_env()
+        # Unbuffered, stdout would drop what the closed pipe refuses, and exit 0.
+        env.pop("PYTHONUNBUFFERED", None)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "analogybench.cli", "sweep", RIEMANN, "--param", "P(G)",
+             "--range", "0:1:0.0005"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            assert child.stdout.readline() == CSV_HEADER_COMMENT + "\n"
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=120) == EXIT_IO
+        finally:
+            child.kill()
+            child.wait()
+        assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def readme_cli_examples() -> list[list[str]]:

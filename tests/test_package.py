@@ -7,6 +7,7 @@ import types
 import pytest
 
 import analogybench
+from analogybench.scenarios import corpus_dir
 
 from conftest import child_env
 
@@ -41,6 +42,21 @@ for argv in (["--version"], ["--help"], ["no-such-command"]):
             code = exc.code
     steps.append((" ".join(argv), code, "numpy" in sys.modules, []))
 print(json.dumps(steps))
+"""
+
+# Run `check` on the scenario file argv[1] as `python -m analogybench.cli`
+# does, then report its exit code and which of numpy, fractions and decimal
+# it loaded.
+CHECK_MODULES = """
+import contextlib, io, json, runpy, sys
+sys.argv = ["analogybench", "check", sys.argv[1]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        runpy.run_module("analogybench.cli", run_name="__main__")
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted({"numpy", "fractions", "decimal"} & set(sys.modules))]))
 """
 
 
@@ -89,3 +105,11 @@ class TestStartUp:
             ["--help", 0, False, []],
             ["no-such-command", 2, False, []],
         ]
+
+    def test_check_loads_neither_fractions_nor_decimal(self):
+        # Only the exact grid computes with Fraction, and no command runs it.
+        path = str(corpus_dir() / "riemann_weil.json")
+        run = subprocess.run([sys.executable, "-c", CHECK_MODULES, path], capture_output=True,
+                             text=True, env=child_env(), timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == [0, ["numpy"]]
