@@ -31,7 +31,6 @@ import time
 from . import __version__
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_NOT_FOUND = 4
@@ -309,7 +308,9 @@ def cmd_sweep(args) -> int:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        # Line by line: unbuffered (python -u), a short write of the whole text
+        # would lose its rest unreported, where a line fits the pipe or fails.
+        sys.stdout.writelines(text.splitlines(keepends=True))
     return EXIT_OK
 
 

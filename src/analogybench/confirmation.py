@@ -88,36 +88,18 @@ _INAPPLICABLE = ConditionResult(holds=False, margin=float("nan"), applicable=Fal
 
 @dataclass(frozen=True)
 class TransitivityReport:
-    cond_i: ConditionResult
-    cond_ii: ConditionResult
-    cond_iii: ConditionResult
-    cond_iv: ConditionResult
+    conditions: dict[str, ConditionResult]  # (i)-(iv), by transitivity_constraints' labels
     conclusion: ConditionResult
 
     @property
     def antecedent_holds(self) -> bool:
-        return (
-            self.cond_i.holds
-            and self.cond_ii.holds
-            and self.cond_iii.holds
-            and self.cond_iv.holds
-        )
-
-    @property
-    def conditions(self) -> dict[str, ConditionResult]:
-        return {
-            "i": self.cond_i,
-            "ii": self.cond_ii,
-            "iii": self.cond_iii,
-            "iv": self.cond_iv,
-        }
+        return all(c.holds for c in self.conditions.values())
 
 
 def confirm(
     dist: JointDistribution,
     evidence: Proposition,
     hypothesis: Proposition,
-    margin: float = 0.0,
 ) -> ConfirmationVerdict:
     """Judge whether evidence confirms hypothesis, with named measures.
 
@@ -137,7 +119,7 @@ def confirm(
             measures["log_likelihood"] = math.log(like / unlike)
     except UndefinedConditionalError:
         pass
-    return ConfirmationVerdict(confirms=degree > margin, degree=degree, measures=measures)
+    return ConfirmationVerdict(confirms=degree > 0.0, degree=degree, measures=measures)
 
 
 def transitivity_constraints(
@@ -198,8 +180,9 @@ def check_transitivity(
     for a negative or non-finite margin, and SpaceMismatchError when x, y or
     z is over another space than dist.
     """
-    constraints = ConstraintSet(dist.space, transitivity_constraints(x, y, z, margin))
-    return TransitivityReport(*_judge(dist, CompiledConstraints(constraints.constraints)))
+    constraints = ConstraintSet(dist.space, transitivity_constraints(x, y, z, margin)).constraints
+    *conditions, conclusion = _judge(dist, CompiledConstraints(constraints))
+    return TransitivityReport(dict(zip((c.label for c in constraints), conditions)), conclusion)
 
 
 @dataclass(frozen=True)

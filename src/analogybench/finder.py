@@ -537,7 +537,7 @@ def is_satisfied(dist: JointDistribution, cs: ConstraintSet) -> bool:
 LINE_SEARCH_STEPS = np.array([[1.0], [2.0], [4.0], [8.0], [16.0]])
 
 
-def coordinate_descent(x: np.ndarray, objective, pin, delta: float, steps: int):
+def coordinate_descent(x: np.ndarray, objective, pin):
     """Derivative-free block descent over the world weights x, normalised.
 
     objective scores one point (n,) or every row of a block (k, n) in one
@@ -547,15 +547,16 @@ def coordinate_descent(x: np.ndarray, objective, pin, delta: float, steps: int):
     along the combination of every improving move (_scale_move at
     LINE_SEARCH_STEPS times delta) as a second block, and keeps the best
     candidate of both if it lowers the objective, the single move on a tie;
-    a sweep without improvement halves delta. A start at objective 0
-    returns at once. Returns (x, objective(x)), never above the start value.
+    a sweep without improvement halves delta, which starts at 0.5. It runs
+    at most REFINE_STEPS sweeps; a start at objective 0 returns at once.
+    Returns (x, objective(x)), never above the start value.
     """
     start = objective(x)
     if start == 0.0:
         return x, start
     n = x.shape[0]
-    x0, best = x, start
-    for _ in range(steps):
+    x0, best, delta = x, start, 0.5
+    for _ in range(REFINE_STEPS):
         cands = _single_moves(x, delta, pin)
         scores = objective(cands)
         improving = scores < best
@@ -741,8 +742,7 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
             if best_w is not None and not penalties[idx] < best_penalty:
                 continue
             refined, refined_penalty = coordinate_descent(
-                _normalise(block[idx], pin), compiled.penalty, pin, 0.5, REFINE_STEPS,
-            )
+                _normalise(block[idx], pin), compiled.penalty, pin)
             restarts_refined += 1
             if best_w is None or refined_penalty < best_penalty:
                 best_w, best_penalty = refined, refined_penalty

@@ -283,8 +283,6 @@ def entails(a: Proposition, b: Proposition) -> bool:
     return not bool(np.any(a.mask & ~b.mask))
 
 
-def is_non_extremal(
-    dist: JointDistribution, a: Proposition, eps: float = DEFAULT_EXTREMALITY_EPS
-) -> bool:
+def is_non_extremal(dist: JointDistribution, a: Proposition) -> bool:
     p = probability(dist, a)
-    return eps < p < 1.0 - eps
+    return DEFAULT_EXTREMALITY_EPS < p < 1.0 - DEFAULT_EXTREMALITY_EPS

@@ -152,15 +152,11 @@ class SchemaReport:
     bridge_prior: float
     extremality_flags: tuple[str, ...]
     degenerate: bool
-    schema_confirms: bool | None  # None = analogical verdict withheld
+    schema_confirms: bool | None  # True, or None when withheld; never False
     overall: ConfirmationVerdict | None  # direct Bayesian recomputation
 
-    @property
-    def all_conditions_hold(self) -> bool:
-        return all(c.holds for c in self.conditions.values())
 
-
-def evaluate_schema(scenario: Scenario, dist: JointDistribution | None = None) -> SchemaReport:
+def evaluate_schema(scenario: Scenario, dist: JointDistribution) -> SchemaReport:
     """Evaluate the four schema conditions and the direct Bayesian verdict.
 
     The conditions are judged by check_transitivity with x=E, y=B, z=H:
@@ -169,8 +165,6 @@ def evaluate_schema(scenario: Scenario, dist: JointDistribution | None = None) -
     (schema) verdict is claimed only when all four conditions hold and the
     bridge is non-extremal.
     """
-    if dist is None:
-        dist, _ = scenario.solve()
     transitivity = check_transitivity(
         dist,
         x=scenario.roles["evidence"],

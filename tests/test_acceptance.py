@@ -45,6 +45,11 @@ def _corpus_by_name():
     return {s.name: s for s in load_corpus()}
 
 
+def _solved_report(scenario):
+    """evaluate_schema on the scenario's own solve."""
+    return evaluate_schema(scenario, scenario.solve()[0])
+
+
 def test_01_theorem_fuzz():
     started = time.perf_counter()
     report = fuzz_transitivity(samples=100_000, seed=1, margin=1e-6)
@@ -152,8 +157,8 @@ def test_04_riemann_weil_scenario():
 
 def test_05_dual_argument_contrast():
     by_name = _corpus_by_name()
-    forward = evaluate_schema(by_name["euler_cauchy"])
-    reversed_variant = evaluate_schema(by_name["euler_polya"])
+    forward = _solved_report(by_name["euler_cauchy"])
+    reversed_variant = _solved_report(by_name["euler_polya"])
     rev_degree = (
         reversed_variant.overall.degree if reversed_variant.overall else float("nan")
     )
@@ -176,8 +181,8 @@ def test_06_baseline_contrast():
     strong, weak = by_name["volume"], by_name["volume_star"]
     base_strong = symmetry_baseline(**strong.baseline)
     base_weak = symmetry_baseline(**weak.baseline)
-    strong_report = evaluate_schema(strong)
-    weak_report = evaluate_schema(weak)
+    strong_report = _solved_report(strong)
+    weak_report = _solved_report(weak)
     ok = (
         base_strong == base_weak
         and strong_report.schema_confirms is True

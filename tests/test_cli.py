@@ -12,7 +12,10 @@ import pytest
 
 from analogybench import (
     JointDistribution,
+    Proposition,
     UndefinedConditionalError,
+    WorldSpace,
+    check_transitivity,
     cli,
     conditional,
     probability,
@@ -477,6 +480,13 @@ class TestCounterexample:
         assert payload["confirmations"]["B_confirms_C"] > 0.01
         assert payload["confirmations"]["A_to_C_degree"] < -0.001
         assert payload["failing_conditions"]
+        # listed by check_transitivity's labels, in order
+        space = WorldSpace(tuple(payload["distribution"]["atoms"]))
+        dist = JointDistribution(space, payload["distribution"]["weights"])
+        x, y, z = (Proposition.atom(space, name) for name in space.atoms)
+        report = check_transitivity(dist, x, y, z)
+        assert payload["failing_conditions"] == [
+            label for label, c in report.conditions.items() if not c.holds]
 
     def test_table_prints_the_json_values(self, capsys):
         lines, report = table_and_report(capsys, "counterexample", "--seed", "1")
@@ -855,23 +865,26 @@ class TestProcessEntry:
         assert (child.returncode, child.stdout) == (code, out)
 
     def test_closed_stdout_is_an_io_error(self):
-        """A reader that closes stdout early gets one error line and exit 5."""
-        env = child_env()
-        # Unbuffered, stdout would drop what the closed pipe refuses, and exit 0.
-        env.pop("PYTHONUNBUFFERED", None)
-        child = subprocess.Popen(
-            [sys.executable, "-m", "analogybench.cli", "sweep", RIEMANN, "--param", "P(G)",
-             "--range", "0:1:0.0005"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
-        try:
-            assert child.stdout.readline() == CSV_HEADER_COMMENT + "\n"
-            child.stdout.close()
-            err = child.stderr.read()
-            assert child.wait(timeout=120) == EXIT_IO
-        finally:
-            child.kill()
-            child.wait()
-        assert err == "error: [Errno 32] Broken pipe\n"
+        """A reader that closes stdout early gets one error line and exit 5,
+        whether stdout is buffered or not (PYTHONUNBUFFERED)."""
+        for unbuffered in (False, True):
+            env = child_env()
+            env.pop("PYTHONUNBUFFERED", None)
+            if unbuffered:
+                env["PYTHONUNBUFFERED"] = "1"
+            child = subprocess.Popen(
+                [sys.executable, "-m", "analogybench.cli", "sweep", RIEMANN, "--param", "P(G)",
+                 "--range", "0:1:0.0005"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+            try:
+                assert child.stdout.readline() == CSV_HEADER_COMMENT + "\n"
+                child.stdout.close()
+                err = child.stderr.read()
+                code = child.wait(timeout=120)
+            finally:
+                child.kill()
+                child.wait()
+            assert (code, err) == (EXIT_IO, "error: [Errno 32] Broken pipe\n"), unbuffered
 
 
 def readme_cli_examples() -> list[list[str]]:

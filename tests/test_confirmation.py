@@ -71,16 +71,6 @@ class TestConfirm:
         assert not verdict.confirms
         assert verdict.degree < 0.0
 
-    def test_margin_makes_weak_confirmation_fail(self, ab_dist, ab_space):
-        verdict = confirm(
-            ab_dist,
-            Proposition.atom(ab_space, "b"),
-            Proposition.atom(ab_space, "a"),
-            margin=0.3,
-        )
-        assert not verdict.confirms
-        assert verdict.degree == pytest.approx(0.25)
-
     # Evidence b, hypothesis a (world bit 0 is a, bit 1 is b). ratio needs
     # P(h) > 0; log_likelihood needs P(e|h) and P(e|!h) defined and positive.
     @pytest.mark.parametrize("weights,measures", [
@@ -124,15 +114,16 @@ class TestCheckTransitivity:
         z = Proposition.atom(xyz_space, "z")
         dist = JointDistribution.uniform(xyz_space)
         report = check_transitivity(dist, x, y, z)
+        assert list(report.conditions) == [c.label for c in transitivity_constraints(x, y, z)[:4]]
         for cond in report.conditions.values():
             assert cond.applicable
             assert cond.margin == pytest.approx(0.0, abs=1e-12)
             assert cond.at_boundary
         # independence: strict conditions fail at equality, weak ones hold
-        assert not report.cond_i.holds
-        assert not report.cond_ii.holds
-        assert report.cond_iii.holds
-        assert report.cond_iv.holds
+        assert not report.conditions["i"].holds
+        assert not report.conditions["ii"].holds
+        assert report.conditions["iii"].holds
+        assert report.conditions["iv"].holds
         assert not report.conclusion.holds
 
     def test_strict_margin_raises_the_bar(self, xyz_space):
@@ -146,7 +137,7 @@ class TestCheckTransitivity:
                 xyz_space, rng.standard_exponential(8)
             )
             report = check_transitivity(cand, x, y, z)
-            if report.antecedent_holds and report.cond_i.margin < 0.4:
+            if report.antecedent_holds and report.conditions["i"].margin < 0.4:
                 dist = cand
                 break
         assert dist is not None
@@ -162,9 +153,9 @@ class TestCheckTransitivity:
         y = Proposition.atom(xyz_space, "y")
         z = Proposition.atom(xyz_space, "z")
         report = check_transitivity(dist, x, y, z)
-        assert not report.cond_i.applicable
-        assert math.isnan(report.cond_i.margin)
-        assert not report.cond_i.holds
+        assert not report.conditions["i"].applicable
+        assert math.isnan(report.conditions["i"].margin)
+        assert not report.conditions["i"].holds
         assert not report.antecedent_holds
 
     def test_tautological_bridge_is_no_confirmation(self):
@@ -176,8 +167,8 @@ class TestCheckTransitivity:
         for _ in range(200):
             dist = JointDistribution.from_unnormalized(space, rng.standard_exponential(8))
             report = check_transitivity(dist, e, b | ~b, h)
-            assert report.cond_i.margin == 0.0
-            assert not report.cond_i.holds
+            assert report.conditions["i"].margin == 0.0
+            assert not report.conditions["i"].holds
 
     def test_other_space_of_the_same_size_rejected(self, xyz_space):
         x, y, z = (Proposition.atom(xyz_space, name) for name in xyz_space.atoms)
@@ -361,10 +352,13 @@ class TestJudgeTransitivity:
         space = WorldSpace(("x", "y", "z"))
         x, y, z = (Proposition(space, [(m >> k) & 1 for k in range(8)]) for m in masks)
         # built and compiled once, judged for every joint
-        compiled = CompiledConstraints(transitivity_constraints(x, y, z, margin))
+        constraints = transitivity_constraints(x, y, z, margin)
+        labels = [c.label for c in constraints]
+        compiled = CompiledConstraints(constraints)
         for w in weights:
             dist = JointDistribution(space, w)
-            assert TransitivityReport(*_judge(dist, compiled)) == (
+            *conditions, conclusion = _judge(dist, compiled)
+            assert TransitivityReport(dict(zip(labels, conditions)), conclusion) == (
                 check_transitivity(dist, x, y, z, margin))
 
     def test_fuzz_builds_the_sides_once(self, monkeypatch):
@@ -518,7 +512,7 @@ class TestBlockRecheck:
         checks = CompiledConstraints(transitivity_constraints(x, y, z))
         on_floor = JointDistribution(space, np.array([3, 3, 1, 3, 1, 1, 1, 3]) / 16)
         report = check_transitivity(on_floor, x, y, z)
-        assert report.cond_iii.margin == report.cond_iv.margin == 0.0
+        assert report.conditions["iii"].margin == report.conditions["iv"].margin == 0.0
         assert report.antecedent_holds and report.conclusion.holds
         assert checks.scalar_satisfied(on_floor.weights.tolist())
         assert not checks.scalar_satisfied([0.5, 0.5, 0, 0, 0, 0, 0, 0])

@@ -431,8 +431,7 @@ def one_batch_at_a_time(cs: ConstraintSet, config: SearchConfig):
         idx = int(np.argmin(penalties))
         if penalties[idx] < best_penalty:
             w = weights[idx]
-            refined, refined_penalty = coordinate_descent(
-                w / w.sum(), compiled.penalty, None, 0.5, finder.REFINE_STEPS)
+            refined, refined_penalty = coordinate_descent(w / w.sum(), compiled.penalty, None)
             restarts_refined += 1
             if refined_penalty < best_penalty:
                 best_penalty, best_w = refined_penalty, refined
@@ -546,7 +545,7 @@ class TestFindModelBlocks:
         assert result.samples_used > 3 * finder.BATCH_SIZE and result.restarts_refined > 1
 
 
-def pow_block_descent(x, objective, pin, delta, steps):
+def pow_block_descent(x, objective, pin):
     """coordinate_descent with its single moves as one pow block, the reference.
 
     Each sweep builds the single moves as _scale_move(x, [I; -I], delta,
@@ -558,8 +557,8 @@ def pow_block_descent(x, objective, pin, delta, steps):
         return x, start
     n = x.shape[0]
     single = np.concatenate([np.eye(n), -np.eye(n)])
-    x0, best = x, start
-    for _ in range(steps):
+    x0, best, delta = x, start, 0.5
+    for _ in range(finder.REFINE_STEPS):
         cands = _scale_move(x, single, delta, pin)
         scores = objective(cands)
         improving = scores < best
@@ -596,9 +595,9 @@ def against_pow_block_descent(monkeypatch) -> list:
     """
     pins, descent = [], finder.coordinate_descent
 
-    def checked(x, objective, pin, delta, steps):
-        got = descent(x, objective, pin, delta, steps)
-        want = pow_block_descent(x, objective, pin, delta, steps)
+    def checked(x, objective, pin):
+        got = descent(x, objective, pin)
+        want = pow_block_descent(x, objective, pin)
         assert got[0].tobytes() == want[0].tobytes()
         assert repr(got[1]) == repr(want[1])
         pins.append(pin)
@@ -657,7 +656,7 @@ class TestCoordinateDescent:
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            _, best = coordinate_descent(x, compiled.penalty, pin, 0.5, 240)
+            _, best = coordinate_descent(x, compiled.penalty, pin)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -685,13 +684,14 @@ class TestCoordinateDescent:
             return compiled.penalty(w)
 
         x = np.array([0.1, 0.5, 0.1, 0.3])
-        out, best = coordinate_descent(x, objective, None, 0.5, 240)
+        out, best = coordinate_descent(x, objective, None)
         assert best == 0.0
         assert out is x
         assert calls == [(4,)]
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_best_is_objective_of_result_and_never_above_start(self, seed):
+    def test_best_is_objective_of_result_and_never_above_start(self, monkeypatch, seed):
+        monkeypatch.setattr(finder, "REFINE_STEPS", 30)
         cs, _ = planted_set(seed, 4)
         compiled = CompiledConstraints(cs.constraints)
         x = np.random.default_rng(seed).dirichlet(np.ones(16))
@@ -701,7 +701,7 @@ class TestCoordinateDescent:
             calls.append(w.shape)
             return compiled.penalty(w)
 
-        out, best = coordinate_descent(x, objective, None, 0.5, 30)
+        out, best = coordinate_descent(x, objective, None)
         assert best == compiled.penalty(out)
         assert best <= compiled.penalty(x)
         # one block of 2n single moves, at most one line search, per sweep

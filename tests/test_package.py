@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -22,6 +23,44 @@ PUBLIC = {
                "grid_enumerate", "penalty", "sample_simplex"),
     "scenarios": ("Scenario", "SchemaReport", "euler_characteristic", "evaluate_schema",
                   "load_corpus", "load_scenario", "symmetry_baseline"),
+}
+
+#: The parameters of each public callable (an exception class has none to read)
+#: and of finder.coordinate_descent, the one descent; "=" marks a default. A
+#: new option is added here on purpose, never by accident.
+PARAMETERS = {
+    "ConfirmationVerdict": ("confirms", "degree", "measures="),
+    "ConstraintSet": ("space", "constraints"),
+    "JointDistribution": ("space", "weights"),
+    "ProbConstraint": ("kind", "lhs", "rhs", "margin=", "label="),
+    "Proposition": ("space", "mask", "text="),
+    "Scenario": ("name", "space", "schema", "roles", "margins", "extra_constraints=",
+                 "weights=", "seed=", "condition_labels=", "baseline=", "notes=",
+                 "source_file="),
+    "SchemaReport": ("scenario", "schema", "conditions", "bridge_prior",
+                     "extremality_flags", "degenerate", "schema_confirms", "overall"),
+    "SearchConfig": ("seed=", "max_samples="),
+    "Side": ("const=", "target=", "given="),
+    "TransitivityReport": ("conditions", "conclusion"),
+    "WorldSpace": ("atoms",),
+    "check_transitivity": ("dist", "x", "y", "z", "margin="),
+    "conditional": ("dist", "a", "given"),
+    "confirm": ("dist", "evidence", "hypothesis"),
+    "entails": ("a", "b"),
+    "euler_characteristic": ("v", "e", "f"),
+    "evaluate_schema": ("scenario", "dist"),
+    "find_model": ("cs", "config"),
+    "fuzz_transitivity": ("samples", "seed", "margin"),
+    "grid_enumerate": ("cs", "resolution"),
+    "is_non_extremal": ("dist", "a"),
+    "load_corpus": (),
+    "load_scenario": ("path",),
+    "mine_naive_transitivity_counterexample": ("seed", "budget"),
+    "penalty": ("dist", "cs"),
+    "probability": ("dist", "a"),
+    "sample_simplex": ("space", "seed"),
+    "symmetry_baseline": ("source_quotient", "delta"),
+    "coordinate_descent": ("x", "objective", "pin"),
 }
 
 # Run in a fresh interpreter, since this one has imported every module: import
@@ -77,6 +116,20 @@ class TestNamespace:
         exec("from analogybench import *", namespace)
         for name in analogybench.__all__:
             assert namespace[name] is getattr(analogybench, name)
+
+    def test_parameters_are_the_option_inventory(self):
+        from analogybench.finder import coordinate_descent
+
+        callables = {name: getattr(analogybench, name) for name in analogybench.__all__}
+        callables = {name: obj for name, obj in callables.items()
+                     if not (isinstance(obj, type) and issubclass(obj, Exception))}
+        callables["coordinate_descent"] = coordinate_descent
+        got = {
+            name: tuple(p.name + ("=" if p.default is not p.empty else "")
+                        for p in inspect.signature(obj).parameters.values())
+            for name, obj in callables.items()
+        }
+        assert got == PARAMETERS
 
     def test_dir_lists_the_public_names(self):
         assert set(analogybench.__all__) <= set(dir(analogybench))

@@ -19,7 +19,7 @@ from analogybench import (
     probability,
 )
 from analogybench.formula import FormulaError, parse
-from analogybench.prob import InvalidDistributionError
+from analogybench.prob import DEFAULT_EXTREMALITY_EPS, InvalidDistributionError
 
 from conftest import random_distribution, random_proposition
 
@@ -266,11 +266,12 @@ class TestNonExtremal:
         b = Proposition.atom(ab_space, "b")
         assert not is_non_extremal(dist, a & b)
 
-    def test_configurable_epsilon(self, ab_space):
-        dist = JointDistribution(ab_space, [0.999, 0.001, 0.0, 0.0])
+    def test_epsilon_is_fixed(self, ab_space):
         a = Proposition.atom(ab_space, "a")
-        assert is_non_extremal(dist, a)
-        assert not is_non_extremal(dist, a, eps=0.01)
+        eps = DEFAULT_EXTREMALITY_EPS
+        for p, inside in ((eps, False), (2 * eps, True), (1 - 2 * eps, True), (1 - eps, False)):
+            dist = JointDistribution(ab_space, [1 - p, p, 0.0, 0.0])
+            assert is_non_extremal(dist, a) is inside, p
 
 
 @st.composite

@@ -38,6 +38,11 @@ def corpus_by_name():
     return {s.name: s for s in load_corpus()}
 
 
+def solved_report(scenario):
+    """evaluate_schema on the scenario's own solve."""
+    return evaluate_schema(scenario, scenario.solve()[0])
+
+
 class TestCorpusLoading:
     def test_six_scenarios(self):
         scenarios = load_corpus()
@@ -244,7 +249,7 @@ class TestSchemaEvaluation:
         dist, result = scenario.solve()
         assert result is not None and result.found
         report = evaluate_schema(scenario, dist)
-        assert report.all_conditions_hold
+        assert all(c.holds for c in report.conditions.values())
         assert not report.degenerate
         assert report.schema_confirms is True
         assert report.overall is not None
@@ -261,9 +266,9 @@ class TestSchemaEvaluation:
 
     def test_euler_contrast(self):
         by_name = corpus_by_name()
-        cauchy = evaluate_schema(by_name["euler_cauchy"])
+        cauchy = solved_report(by_name["euler_cauchy"])
         assert cauchy.schema_confirms is True
-        polya = evaluate_schema(by_name["euler_polya"])
+        polya = solved_report(by_name["euler_polya"])
         # the reversed likelihood condition fails, so the verdict is withheld
         assert not polya.conditions["n"].holds
         assert polya.schema_confirms is None
@@ -272,12 +277,16 @@ class TestSchemaEvaluation:
 
     def test_volume_contrast(self):
         by_name = corpus_by_name()
-        strong = evaluate_schema(by_name["volume"])
-        weak = evaluate_schema(by_name["volume_star"])
+        strong = solved_report(by_name["volume"])
+        weak = solved_report(by_name["volume_star"])
         assert strong.schema_confirms is True
         assert weak.schema_confirms is None
         assert strong.overall.confirms
         assert not weak.overall.confirms
+
+    def test_conditions_are_keyed_by_the_scenario_labels(self):
+        for scenario in load_corpus():
+            assert list(solved_report(scenario).conditions) == list(scenario.labels)
 
     def test_degenerate_bridge_withholds_verdict(self):
         space = WorldSpace(("H", "E", "B"))
@@ -297,7 +306,7 @@ class TestSchemaEvaluation:
                 ).weights
             ),
         )
-        report = evaluate_schema(scenario)
+        report = solved_report(scenario)
         assert report.degenerate
         assert "bridge" in report.extremality_flags
         assert report.bridge_prior == 0.0
