@@ -61,6 +61,15 @@ from .prob import (
 #: Penalty contributed by a constraint whose conditional is undefined.
 UNDEFINED_PENALTY = 1.0
 
+#: The hinge an undefined conditional counts as, squared to UNDEFINED_PENALTY.
+_UNDEFINED_HINGE = math.sqrt(UNDEFINED_PENALTY)
+
+#: The error state a kernel reading runs in. 0/0 marks an undefined
+#: conditional; two constant sides near the float limit can differ by more
+#: than it, and a hinge past about 1e154 squares past it: those values are
+#: infinite, as they are, without a warning.
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
 #: Slack for float satisfaction checks at constraint boundaries.
 BOUNDARY_TOLERANCE = 1e-12
 
@@ -221,9 +230,12 @@ class CompiledConstraints:
     constraint's achieved margin is then its first row minus its second
     (prob_lt's sides swapped at compile time, equality's -|.| taken after),
     and penalty and satisfied reduce the (m, k) margins over the constraint
-    axis without a per-constraint loop. Weights are >= 0 and num is a subset
-    of den, so den = 0 forces num = 0 and 0/0 = nan marks an undefined
-    conditional. integer_differences reads the same rows over integer
+    axis without a per-constraint loop. A call copies the rows it reads, the
+    ratios' num and den and the constraints' first and second, out of the
+    value array by take, and enters one numpy error state (_QUIET): penalty,
+    margins, satisfied and screen one each. Weights are >= 0 and num is a
+    subset of den, so den = 0 forces num = 0 and 0/0 = nan marks an
+    undefined conditional. integer_differences reads the same rows over integer
     weights, exactly, for grid_enumerate.
 
     The matrix product sums a column in its own order, while
@@ -309,6 +321,11 @@ class CompiledConstraints:
         The signed slack the verdict rule judges: lhs - rhs, rhs - lhs for
         prob_lt, -|lhs - rhs| for equality; nan when undefined.
         """
+        with np.errstate(**_QUIET):
+            return self._read(w)
+
+    def _read(self, w: np.ndarray) -> np.ndarray:
+        """_achieved without an error state of its own: its caller enters _QUIET."""
         rows = w.reshape(-1, w.shape[-1])
         n_consts, known = len(self._consts), self._known
         values = np.empty((self._n_values, len(rows)))
@@ -316,13 +333,11 @@ class CompiledConstraints:
             values[:n_consts] = self._consts
         if known > n_consts:
             np.matmul(self.columns, rows.T, out=values[n_consts:known])
-        # Two constant sides near the float limit can differ by more than it:
-        # that margin is infinite, as it is, without an overflow warning.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # Each distinct query side is divided once, into its own row.
-            np.divide(values[self._ratio_num], values[self._ratio_den], out=values[known:])
-            achieved = values[self._first]
-            achieved -= values[self._second]
+        # Each distinct query side is divided once, into its own row.
+        np.divide(values.take(self._ratio_num, axis=0), values.take(self._ratio_den, axis=0),
+                  out=values[known:])
+        achieved = values.take(self._first, axis=0)
+        achieved -= values.take(self._second, axis=0)
         if self._equality:
             achieved[self._equality] = -np.abs(achieved[self._equality])
         return achieved
@@ -334,11 +349,11 @@ class CompiledConstraints:
         A hinge past about 1e154 squares to an infinite penalty, which is
         returned as it is, without an overflow warning.
         """
-        achieved = self._achieved(w)
-        with np.errstate(over="ignore"):
+        with np.errstate(**_QUIET):
+            achieved = self._read(w)
             hinges = np.subtract(self._required, achieved, out=achieved)
             np.maximum(hinges, 0.0, out=hinges)
-            hinges[np.isnan(hinges)] = np.sqrt(UNDEFINED_PENALTY)
+            hinges[np.isnan(hinges)] = _UNDEFINED_HINGE
             # Summed over the constraint axis: for a block of k > 1 rows that
             # adds one constraint at a time, in order, for every row.
             total = np.square(hinges, out=hinges).sum(axis=0)
@@ -536,6 +551,9 @@ def is_satisfied(dist: JointDistribution, cs: ConstraintSet) -> bool:
 #: Line-search step multiples along the combination of a sweep's improving moves.
 LINE_SEARCH_STEPS = np.array([[1.0], [2.0], [4.0], [8.0], [16.0]])
 
+#: The exponents of a single move's two factors, (1 + delta) ** +-1.
+_GROW_SHRINK = np.array([1.0, -1.0])
+
 
 def coordinate_descent(x: np.ndarray, objective, pin):
     """Derivative-free block descent over the world weights x, normalised.
@@ -571,7 +589,7 @@ def coordinate_descent(x: np.ndarray, objective, pin):
         signs -= improving[n:] & (down < up)
         line = _scale_move(x, signs[None, :], delta * LINE_SEARCH_STEPS, pin)
         line_scores = objective(line)
-        j, k = int(np.argmin(scores)), int(np.argmin(line_scores))
+        j, k = int(scores.argmin()), int(line_scores.argmin())
         # The kept point is a copy, so no block outlives its sweep.
         if line_scores[k] < scores[j]:
             x, best = line[k].copy(), line_scores[k]
@@ -642,7 +660,7 @@ def _single_moves(x: np.ndarray, delta: float, pin) -> np.ndarray:
     n = x.shape[0]
     block = np.empty((2 * n, n))
     block[:] = x
-    grow, shrink = (1.0 + delta) ** np.array([1.0, -1.0])
+    grow, shrink = (1.0 + delta) ** _GROW_SHRINK
     # The diagonals of the two halves, as strided views of the flat block.
     flat = block.reshape(-1)
     np.multiply(x, grow, out=flat[:n * n:n + 1])
@@ -737,7 +755,7 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
         for start in range(0, len(block), BATCH_SIZE):
             batch = penalties[start:start + BATCH_SIZE]
             samples_used += len(batch)
-            idx = start + int(np.argmin(batch))
+            idx = start + int(batch.argmin())
             # The first batch always refines: every penalty can overflow to inf.
             if best_w is not None and not penalties[idx] < best_penalty:
                 continue

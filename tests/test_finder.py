@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -39,7 +41,7 @@ from analogybench.finder import (
     sample_blocks,
 )
 
-from conftest import exact_satisfied, exact_value, run_capped
+from conftest import child_env, exact_satisfied, exact_value, run_capped
 
 
 @pytest.fixture
@@ -543,6 +545,58 @@ class TestFindModelBlocks:
         assert result.found
         # the first block is one batch of 512, the second two
         assert result.samples_used > 3 * finder.BATCH_SIZE and result.restarts_refined > 1
+
+
+#: A child that runs find_model on three 6-atom sets of 21 cond_gt_cond
+#: constraints over random world sets, the last with a contradicting 22nd,
+#: and prints each set's mask column count and result: found,
+#: samples_used, restarts_refined, penalty.hex() and the weight bytes.
+WIDE_SETS_CHILD = """
+import numpy as np
+from analogybench import (ConstraintSet, ProbConstraint, Proposition, SearchConfig, Side,
+                          WorldSpace, find_model)
+from analogybench.finder import CompiledConstraints
+
+space = WorldSpace(tuple(f"A{i}" for i in range(6)))
+for seed in range(3):
+    rng = np.random.default_rng([6, seed])
+    joint = rng.dirichlet(np.full(64, 0.5))
+    constraints = []
+    while len(constraints) < 21:
+        t1, g1, t2, g2 = (Proposition(space, rng.random(64) < 0.5) for _ in range(4))
+        p1, p2 = joint @ g1.mask, joint @ g2.mask
+        if min(p1, p2) < 0.05:
+            continue
+        gap = joint @ (t1.mask & g1.mask) / p1 - joint @ (t2.mask & g2.mask) / p2
+        lhs, rhs = Side(target=t1, given=g1), Side(target=t2, given=g2)
+        if gap < 0:
+            lhs, rhs, gap = rhs, lhs, -gap
+        constraints.append(ProbConstraint("cond_gt_cond", lhs, rhs, margin=0.85 * gap))
+    if seed == 2:  # contradict the first: this search runs to its budget
+        first = constraints[0]
+        constraints.append(ProbConstraint("cond_gt_cond", first.rhs, first.lhs, margin=0.05))
+    r = find_model(ConstraintSet(space, constraints), SearchConfig(seed=seed, max_samples=3072))
+    print(len(CompiledConstraints(constraints).columns), r.found, r.samples_used,
+          r.restarts_refined, r.penalty.hex(), r.distribution.weights.tobytes().hex())
+"""
+
+
+class TestBlasThreads:
+    # A (C, 64) @ (64, 512) product over about 80 mask columns is large
+    # enough for OpenBLAS to split it over two threads; a smaller one runs
+    # on one thread whatever the setting. Same-seed results must not
+    # depend on how many threads the product takes.
+    def test_one_and_two_threads_give_the_same_bits(self):
+        outputs = []
+        for threads in ("1", "2"):
+            child = subprocess.run([sys.executable, "-c", WIDE_SETS_CHILD], capture_output=True,
+                                   text=True, timeout=120,
+                                   env={**child_env(), "OPENBLAS_NUM_THREADS": threads})
+            assert child.returncode == 0, child.stderr
+            outputs.append(child.stdout)
+        lines = outputs[0].splitlines()
+        assert len(lines) == 3 and all(int(line.split()[0]) >= 70 for line in lines)
+        assert outputs[0] == outputs[1]
 
 
 def pow_block_descent(x, objective, pin):

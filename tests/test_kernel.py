@@ -623,6 +623,121 @@ class TestScreenBound:
         assert screen.least(block).hex() == float(bounds.min()).hex()
 
 
+def reference_margins(compiled: CompiledConstraints, w: np.ndarray) -> np.ndarray:
+    """margins one step at a time, gathered by fancy index, from public parts.
+
+    The mask sums are compiled.columns @ rows.T, the kernel's one product;
+    each query side's num and den rows are found by matching its masks
+    against the columns. The side values are stacked, first and second per
+    constraint with prob_lt's swapped, gathered by fancy index and
+    subtracted, and equality takes -|.|.
+    """
+    rows = w.reshape(-1, w.shape[-1])
+    columns = compiled.columns
+    sums = columns @ rows.T if len(columns) else None
+
+    def column(mask):
+        return sums[np.flatnonzero((columns == mask).all(axis=1))[0]]
+
+    def value(side: Side):
+        if side.is_const:
+            return np.full(len(rows), side.const)
+        target = side.target.mask
+        if side.given is None:
+            return column(target) / column(np.ones_like(target))
+        return column(target & side.given.mask) / column(side.given.mask)
+
+    m = len(compiled.constraints)
+    with np.errstate(all="ignore"):
+        values = np.array([
+            value(s) for c in compiled.constraints
+            for s in ((c.rhs, c.lhs) if c.kind == "prob_lt" else (c.lhs, c.rhs))
+        ]).reshape(2 * m, len(rows))
+        firsts = np.arange(0, 2 * m, 2)
+        achieved = values[firsts]
+        achieved -= values[firsts + 1]
+    equality = [i for i, c in enumerate(compiled.constraints) if c.kind == "equality"]
+    achieved[equality] = -np.abs(achieved[equality])
+    return achieved if w.ndim > 1 else achieved[:, 0]
+
+
+def reference_penalty(compiled: CompiledConstraints, w: np.ndarray, targets) -> np.ndarray:
+    """penalty's steps on reference_margins: the hinge against each
+    constraint's required margin in targets, nan to a hinge of 1, squared
+    and summed over the constraint axis."""
+    achieved = reference_margins(compiled, w.reshape(-1, w.shape[-1]))
+    with np.errstate(all="ignore"):
+        hinges = np.maximum(np.array(targets, dtype=float)[:, None] - achieved, 0.0)
+        hinges[np.isnan(hinges)] = 1.0
+        total = np.square(hinges).sum(axis=0)
+    return total if w.ndim > 1 else total[0]
+
+
+def reference_least(screen: _Screen, m: int, w: np.ndarray) -> float:
+    """_Screen.least from its documented allowance and shrink factor."""
+    kept = screen.constraints
+    n = w.shape[-1] if any(not s.is_const for c in kept for s in (c.lhs, c.rhs)) else 0
+    magnitude = [max(abs(required(c)), *(abs(s.const) if s.is_const else 1.0
+                                         for s in (c.lhs, c.rhs))) for c in kept]
+    lowered = np.array([required(c) for c in kept]) - 16 * (n + 1) * 2.0**-53 * np.array(magnitude)
+    least = float(reference_penalty(screen, w, lowered).min()) * (1.0 - (2 * m + 6) * 2.0**-53)
+    return 0.0 if least < 2.0**-900 else min(least, 2.0**1000)
+
+
+def far_constant_cases() -> ConstraintSet:
+    """Constant sides, an undefined conditional, constants at +-1e308 and a
+    hinge past 1e154, beside ordinary query sides over three atoms."""
+    space = WorldSpace(("a", "b", "c"))
+    a, b, c = (Proposition.atom(space, name) for name in space.atoms)
+    nothing = Proposition(space, np.zeros(8, dtype=bool))
+    return ConstraintSet(space, [
+        ProbConstraint("prob_gt", Side(target=a), Side(const=0.25), margin=0.125),
+        ProbConstraint("prob_lt", Side(const=0.5), Side(target=b, given=c)),
+        ProbConstraint("cond_gt_cond", Side(target=a, given=b), Side(target=c, given=~b)),
+        ProbConstraint("equality", Side(const=-1e308), Side(const=1e308)),
+        ProbConstraint("prob_gt", Side(const=1e308), Side(const=-1e308)),
+        ProbConstraint("prob_gt", Side(const=0.0), Side(const=1e155)),
+        ProbConstraint("cond_gt_prob", Side(target=a, given=nothing), Side(target=a)),
+        ProbConstraint("equality", Side(const=0.25), Side(const=0.75), margin=0.125),
+        ProbConstraint("cond_ge_cond", Side(target=c, given=a | b), Side(const=0.5)),
+    ])
+
+
+def kernel_blocks(n: int, seed: int):
+    """One vector, 5 rows, (2n, n) and 512 rows of raw exponential weights."""
+    rng = np.random.default_rng(seed)
+    return [rng.standard_exponential(shape) for shape in ((n,), (5, n), (2 * n, n), (512, n))]
+
+
+class TestKernelReference:
+    # The kernel gathers its rows by take and enters one error state per
+    # penalty call; it must read every value bit for bit as the reference
+    # above, which gathers by fancy index, one step at a time.
+    @settings(max_examples=60, deadline=None)
+    @given(cs=constraint_sets(atoms=st.sampled_from([2, 3, 5, 6]), empty=True,
+                              constants=st.floats(-1e308, 1e308) | st.floats(-1.5, 1.5)),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @example(cs=far_constant_cases(), seed=0, data=None)
+    def test_every_reading_is_the_reference_to_the_bit(self, cs, seed, data):
+        compiled = CompiledConstraints(cs.constraints)
+        m = len(cs.constraints)
+        needed = [required(c) for c in cs.constraints]
+        floors = np.array([math.nextafter(r, math.inf) if c.kind in STRICT_KINDS else r - 1e-12
+                           for c, r in zip(cs.constraints, needed)])
+        kept = (list(cs.constraints) if data is None else
+                [c for c in cs.constraints if data.draw(st.booleans())])
+        for w in kernel_blocks(cs.space.world_count, seed):
+            margins = reference_margins(compiled, w)
+            assert compiled.margins(w).tobytes() == margins.tobytes()
+            assert compiled.penalty(w).tobytes() == reference_penalty(compiled, w, needed).tobytes()
+            verdict = (margins.reshape(m, -1) >= floors[:, None]).all(axis=0)
+            verdict = verdict if w.ndim > 1 else verdict[0]
+            assert compiled.satisfied(w).tobytes() == verdict.tobytes()
+            rows = w.reshape(-1, w.shape[-1])
+            for screen in (_Screen(kept, m), compiled.screen(rows[0])):
+                assert screen.least(rows).hex() == reference_least(screen, m, rows).hex()
+
+
 class TestGridBudgetEdge:
     # The largest grid grid_enumerate allows: 8 worlds at resolution 20,
     # 888 030 points. P(a) > 0.975 keeps exactly the comb(23, 3) points with
