@@ -18,7 +18,11 @@ refined without finding a model, it reads each later block first over a
 screen, the constraints violated at its best model compiled on their own
 with margins lowered by a rounding allowance, and skips the block unscored
 when its least screened bound proves that no row can beat the best; that
-too changes the calls, not the result.
+too changes the calls, not the result. A refine that ends near a model but
+short of it, at a best penalty below the square of the least positive
+required margin, stalls the search: the batches 1, 2, 4, 8, ... after it
+restart descent whatever their raw penalty, at most floor(log2 B) + 1
+extra refines for B batches (see find_model).
 The first exact marginal equality P(T) = c in a set is met by construction:
 under it, samples and descent moves are normalised per block, T-worlds to c
 and the rest to 1 - c, so the search never leaves P(T) = c.
@@ -295,6 +299,7 @@ class CompiledConstraints:
         self._consts = np.array(consts)[:, None]
         self.columns = np.array(masks, dtype=np.float64)
         self._equality = [i for i, c in enumerate(self.constraints) if c.kind == "equality"]
+        self._equality_rows = np.array(self._equality, dtype=int)
         required = [_required(c) for c in self.constraints]
         self._required = np.array(required)[:, None]
         # The verdict rule: a constraint holds iff its achieved margin is >=
@@ -339,7 +344,8 @@ class CompiledConstraints:
         achieved = values.take(self._first, axis=0)
         achieved -= values.take(self._second, axis=0)
         if self._equality:
-            achieved[self._equality] = -np.abs(achieved[self._equality])
+            rows = self._equality_rows
+            achieved[rows] = -np.abs(achieved.take(rows, axis=0))
         return achieved
 
     def penalty(self, w: np.ndarray):
@@ -689,6 +695,14 @@ def _check_search_size(n: int) -> None:
             f"({math.isqrt(_MAX_MOVE_BLOCK_BYTES // 16)} worlds)")
 
 
+def _stall_bound(constraints) -> float:
+    """tau, the square of the least positive required margin; 0 when none is positive.
+
+    A best penalty below tau marks a search stalled near a model (find_model).
+    """
+    return min((c.margin for c in constraints if _required(c) > 0), default=0.0) ** 2
+
+
 def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     """Seeded random restarts + coordinate descent; deterministic given the seed.
 
@@ -698,11 +712,11 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     every query side is a ratio, so only the sample a refine starts from is
     normalised. The block is then walked batch by batch: a batch's best
     sample is refined for REFINE_STEPS sweeps if it beats the best penalty
-    so far, and the search stops after
-    the first refine that leaves a satisfied model. samples_used counts whole
-    batches walked, not rows drawn ahead. The first batch always refines, and
-    its result is the first best model, even when every penalty overflows to
-    inf.
+    so far, or if a stalled search is due a restart (below), and the search
+    stops after the first refine that leaves a satisfied model. samples_used
+    counts whole batches walked, not rows drawn ahead. The first batch
+    always refines, and its result is the first best model, even when every
+    penalty overflows to inf.
 
     A refine that leaves a finite best and no satisfied model keeps a
     screen (CompiledConstraints.screen): the constraints violated at the
@@ -715,6 +729,25 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     skipped block beats the best, and a batch whose own least bound is at
     least the best is never refined either: every result is the same to
     the bit. A search whose first refine finds a model builds no screen.
+
+    A stalled search restarts. Let tau be the square of the least positive
+    required margin (_stall_bound), 0 when no margin is positive. The first
+    refine that leaves no satisfied model and a best penalty below tau
+    marks the search stalled near a model: descent met most constraints,
+    typically on the simplex boundary, short of the rest, and no raw sample
+    of a later batch reads a penalty that low, so by the rule above it
+    would never refine again. The batches 1, 2, 4, 8, ... after the
+    stalled one then each refine their best sample whatever its raw
+    penalty, and a block holding such a batch is scored in full, never
+    screened. That is at most floor(log2 B) + 1 extra refines for a budget
+    of B batches, 8 at the default budget. tau is worked out only after a
+    refine that finds no model, so a search whose first refine finds one
+    does no new work, and with tau = 0 the rule is off. tau does not
+    mistake an exhausted search for a stalled one: two strict constraints
+    that contradict each other at margins m1 and m2, such as
+    P(a|b) - P(a|~b) > m1 and P(a|~b) - P(a|b) > m2, have hinges summing to
+    at least m1 + m2 at every distribution, so the penalty stays at
+    (m1 + m2)**2 / 2 >= 2 tau or more everywhere.
 
     An exact marginal equality P(T) = c (see _marginal_pin; only the first
     one in the set) is met by construction: the search runs only over
@@ -743,21 +776,31 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     samples_used = 0
     restarts_refined = 0
     screen = None
+    # The batch that stalled the search, s, counting batches from 0, and the
+    # next batch due a restart: s + 1, s + 2, s + 4, ..., none before a stall.
+    stalled_at, due = None, math.inf
 
     for block in sample_blocks(rng, n, config.max_samples):
         if pin is not None:
             block = _normalise(block, pin)
-        # No row of this block can beat the best: skip it unscored.
-        if screen is not None and screen.least(block) >= best_penalty:
+        # No row of this block can beat the best, and no batch of it is due a
+        # restart (batch b starts at row b * BATCH_SIZE of the stream, since
+        # every batch but the budget's last is whole): skip it unscored.
+        if (screen is not None and due * BATCH_SIZE >= samples_used + len(block)
+                and screen.least(block) >= best_penalty):
             samples_used += len(block)
             continue
         penalties = compiled.penalty(block)
         for start in range(0, len(block), BATCH_SIZE):
+            here = samples_used // BATCH_SIZE
             batch = penalties[start:start + BATCH_SIZE]
             samples_used += len(batch)
             idx = start + int(batch.argmin())
+            restart = here == due
+            if restart:
+                due += due - stalled_at
             # The first batch always refines: every penalty can overflow to inf.
-            if best_w is not None and not penalties[idx] < best_penalty:
+            if best_w is not None and not penalties[idx] < best_penalty and not restart:
                 continue
             refined, refined_penalty = coordinate_descent(
                 _normalise(block[idx], pin), compiled.penalty, pin)
@@ -769,6 +812,8 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
                     break
                 if best_penalty < math.inf:
                     screen = compiled.screen(best_w)
+            if stalled_at is None and best_penalty < _stall_bound(cs.constraints):
+                stalled_at, due = here, here + 1
         if found:
             break
 

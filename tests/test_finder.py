@@ -3,7 +3,9 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,30 +415,46 @@ def contradictory_set(seed: int, atoms: int, family: int = 0) -> ConstraintSet:
     return ConstraintSet(space, [*core, *filler])
 
 
+#: Batches after a stall that restart whatever their raw penalty.
+RESTART_OFFSETS = frozenset(2**k for k in range(40))
+
+
 def one_batch_at_a_time(cs: ConstraintSet, config: SearchConfig):
     """find_model as one raw draw and one penalty call per batch, the reference.
 
     It stops on penalty <= 1e-12 and satisfied, checked after every batch
     and again at the end; find_model checks satisfied alone, after each
     refine that improves the best. Equal results show the two rules agree.
+    The first refine that leaves a best penalty below tau, the square of
+    the least positive margin of a kind other than equality, without a
+    model stalls the search, and each batch 1, 2, 4, 8, ... after the
+    stalled one refines its best row whatever its raw penalty.
     """
     compiled = CompiledConstraints(cs.constraints)
+    tau = min((c.margin for c in cs.constraints if c.kind != "equality" and c.margin > 0),
+              default=0.0) ** 2
     rng = np.random.default_rng(config.seed)
     n = cs.space.world_count
     best_w, best_penalty = None, float("inf")
-    samples_used = restarts_refined = 0
+    samples_used = restarts_refined = batches = 0
+    stalled_at = None
     while samples_used < config.max_samples:
         count = min(finder.BATCH_SIZE, config.max_samples - samples_used)
         weights = rng.standard_exponential((count, n))
         penalties = compiled.penalty(weights)
         samples_used += count
         idx = int(np.argmin(penalties))
-        if penalties[idx] < best_penalty:
+        due = stalled_at is not None and batches - stalled_at in RESTART_OFFSETS
+        if penalties[idx] < best_penalty or due:
             w = weights[idx]
             refined, refined_penalty = coordinate_descent(w / w.sum(), compiled.penalty, None)
             restarts_refined += 1
             if refined_penalty < best_penalty:
                 best_penalty, best_w = refined_penalty, refined
+            if (stalled_at is None and best_penalty < tau
+                    and not (best_penalty <= 1e-12 and compiled.satisfied(best_w))):
+                stalled_at = batches
+        batches += 1
         if best_penalty <= 1e-12 and compiled.satisfied(best_w):
             break
     weights = JointDistribution.from_unnormalized(cs.space, best_w).weights
@@ -545,6 +563,128 @@ class TestFindModelBlocks:
         assert result.found
         # the first block is one batch of 512, the second two
         assert result.samples_used > 3 * finder.BATCH_SIZE and result.restarts_refined > 1
+
+
+def conditional_equality_set(atoms: int) -> ConstraintSet:
+    """P(a|b) = 0.3 exactly, beside P(b) > 0 at margin 0.5, so tau = 0.25.
+
+    Descent meets a conditional equality only near its value: with 20
+    sweeps a refine ends about 1e-8 from it, at a penalty near 1e-16, far
+    below tau and far below what any sampled row reads on the equality.
+    """
+    space = WorldSpace(tuple(f"A{i}" for i in range(atoms)))
+    a, b = (Proposition.atom(space, name) for name in space.atoms[:2])
+    return ConstraintSet(space, [
+        ProbConstraint("equality", Side(target=a, given=b), Side(const=0.3), label="equal"),
+        ProbConstraint("prob_gt", Side(target=b), Side(const=0.0), margin=0.5, label="b"),
+    ])
+
+
+#: (seed, atoms) of planted_set searches whose only refine, under the rule
+#: before stalled searches restarted, ended without a model at a best
+#: penalty far below tau, and which then ran out the 100 000-sample budget.
+STALLED_PLANTED = [(37, 4), (62, 4), (85, 4), (239, 4), (283, 4), (408, 4)]
+
+
+#: The ten planted sets of the benchmark's solve workload at seed 1, rounds
+#: 0-59, that the search missed before stalled searches restarted: (round,
+#: atoms, tier, index in its cell), in the cell order of
+#: SolveWorkload._make_tasks before its shuffle.
+SOLVE_MISSES = [(2, 4, "tight", 6), (12, 4, "tight", 8), (22, 5, "tight", 3),
+                (23, 4, "tight", 1), (25, 4, "tight", 6), (27, 4, "tight", 9),
+                (28, 4, "tight", 9), (39, 4, "tight", 2), (48, 4, "tight", 0),
+                (55, 5, "tight", 7)]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """benchmarks/workloads.py, imported as it is, with its sibling modules."""
+    benchmarks = str(Path(__file__).resolve().parent.parent / "benchmarks")
+    sys.path.insert(0, benchmarks)
+    try:
+        import harness
+        import workloads
+        yield workloads, harness
+    finally:
+        sys.path.remove(benchmarks)
+
+
+class TestStalledSearch:
+    # A refine that leaves no model but a best penalty below tau stalls the
+    # search: the batches 1, 2, 4, 8, ... after it refine their best row
+    # whatever its raw penalty, and a block holding one is scored in full.
+    def test_stall_bound_is_the_least_positive_margin_squared(self, ab_space):
+        a = Side(target=Proposition.atom(ab_space, "a"))
+        constraints = [ProbConstraint("prob_gt", a, Side(const=0.0)),
+                       ProbConstraint("equality", a, Side(const=0.5), margin=0.01),
+                       ProbConstraint("prob_lt", a, Side(const=0.9), margin=0.25),
+                       ProbConstraint("prob_gt", a, Side(const=0.0), margin=0.5)]
+        assert finder._stall_bound(constraints) == 0.25**2
+        assert finder._stall_bound(constraints[:2]) == 0.0
+
+    def test_restarts_follow_the_schedule(self, monkeypatch):
+        monkeypatch.setattr(finder, "REFINE_STEPS", 20)
+        cs = conditional_equality_set(6)
+        drawn, scored = [], []
+        sample_blocks, penalty = finder.sample_blocks, CompiledConstraints.penalty
+
+        def spy_blocks(*args):
+            for block in sample_blocks(*args):
+                drawn.append(block)
+                yield block
+
+        def spy_penalty(self, w):
+            if drawn and w is drawn[-1] and not isinstance(self, finder._Screen):
+                scored.append(len(drawn) - 1)
+            return penalty(self, w)
+
+        monkeypatch.setattr(finder, "sample_blocks", spy_blocks)
+        monkeypatch.setattr(CompiledConstraints, "penalty", spy_penalty)
+        config = SearchConfig(seed=3, max_samples=20_000)
+        result = find_model(cs, config)
+        got = (result.found, result.samples_used, result.restarts_refined,
+               repr(result.penalty), result.distribution.weights.tobytes())
+        assert got == one_batch_at_a_time(cs, config)
+        # At 64 worlds a block is one batch. The first refine stalls, and the
+        # screen skips every later block but those due a restart.
+        assert len(drawn) == 40 and not result.found and result.penalty < 0.25
+        assert scored == [0, 1, 2, 4, 8, 16, 32] and result.restarts_refined == 7
+
+    @pytest.mark.parametrize("seed,atoms", STALLED_PLANTED)
+    def test_stalled_planted_set_is_found(self, seed, atoms):
+        cs, config = planted_set(seed, atoms)
+        result = find_model(cs, config)
+        assert result.found and result.restarts_refined > 1
+        assert exact_satisfied(cs.constraints, result.distribution.weights)
+        short = SearchConfig(seed=config.seed, max_samples=20_000)
+        result = find_model(cs, short)
+        got = (result.found, result.samples_used, result.restarts_refined,
+               repr(result.penalty), result.distribution.weights.tobytes())
+        assert got == one_batch_at_a_time(cs, short)
+
+    @pytest.mark.parametrize("round_index,atoms,tier,index", SOLVE_MISSES)
+    def test_solve_misses_are_found(self, workloads, round_index, atoms, tier, index):
+        workloads, harness = workloads
+        tasks = {t.id: t for t in workloads.SolveWorkload(1)._make_tasks(round_index)}
+        task = tasks[f"solve:r{round_index}:{atoms}{tier}:{index}"]
+        result = task.run(harness.Tracer(False))
+        # check certifies a found model exactly (benchmarks/exact.py).
+        assert task.check(result) is None
+        assert result.found and result.restarts_refined > 1
+
+    def test_unmeetable_equality_runs_a_bounded_schedule(self):
+        # riemann_weil with P(W|R) = 0.5 at margin 0: descent meets the
+        # equality only near its value, never within BOUNDARY_TOLERANCE. The
+        # first refine stalls, and the schedule adds at most 8 refines at the
+        # default budget of 196 batches.
+        riemann = load_scenario(corpus_dir() / "riemann_weil.json")
+        space = riemann.constraint_set().space
+        w_given_r = Side(target=Proposition.atom(space, "W"), given=Proposition.atom(space, "R"))
+        variant = replace(riemann, extra_constraints=riemann.extra_constraints + (
+            ProbConstraint("equality", w_given_r, Side(const=0.5)),))
+        result = find_model(variant.constraint_set(), SearchConfig(seed=1))
+        assert not result.found and result.samples_used == 100_000
+        assert 1 < result.restarts_refined <= 9
 
 
 #: A child that runs find_model on three 6-atom sets of 21 cond_gt_cond

@@ -703,6 +703,19 @@ def far_constant_cases() -> ConstraintSet:
     ])
 
 
+def two_equality_cases() -> ConstraintSet:
+    """Two equalities over query sides, one between two conditionals, with a
+    strict constraint between them, so the -|.| rows are not contiguous."""
+    space = WorldSpace(("a", "b", "c"))
+    a, b, c = (Proposition.atom(space, name) for name in space.atoms)
+    return ConstraintSet(space, [
+        ProbConstraint("equality", Side(target=a), Side(const=0.5)),
+        ProbConstraint("prob_gt", Side(target=b), Side(const=0.25), margin=0.125),
+        ProbConstraint("equality", Side(target=a, given=c), Side(target=b, given=~c),
+                       margin=0.0625),
+    ])
+
+
 def kernel_blocks(n: int, seed: int):
     """One vector, 5 rows, (2n, n) and 512 rows of raw exponential weights."""
     rng = np.random.default_rng(seed)
@@ -718,6 +731,7 @@ class TestKernelReference:
                               constants=st.floats(-1e308, 1e308) | st.floats(-1.5, 1.5)),
            seed=st.integers(0, 2**32 - 1), data=st.data())
     @example(cs=far_constant_cases(), seed=0, data=None)
+    @example(cs=two_equality_cases(), seed=1, data=None)
     def test_every_reading_is_the_reference_to_the_bit(self, cs, seed, data):
         compiled = CompiledConstraints(cs.constraints)
         m = len(cs.constraints)
