@@ -14,7 +14,8 @@ In the limiting case in which Y entails Z, (ii) and (iv) alone suffice;
 check_transitivity still judges all four, and
 tests/test_acceptance.py::test_02_corollary_fuzz checks that corollary.
 The counterexample miner searches for naive-transitivity failures:
-X confirms Y, Y confirms Z, yet X disconfirms Z.
+X confirms Y, Y confirms Z, yet X disconfirms Z. It is one find_model
+solve of the three relations, so its verdict is find_model's.
 
 Each verdict is written once, as a ProbConstraint list: the conditions and
 the conclusion by transitivity_constraints, the miner's three relations by
@@ -24,10 +25,11 @@ correctly rounded (math.fsum) sums (CompiledConstraints.scalar_margins),
 judged by the kernel's verdict rule: per constraint by _judge for
 check_transitivity's report, and as one boolean by
 CompiledConstraints.scalar_satisfied where only the verdict is read (the fuzz
-re-check, the miner and Counterexample.verify). The scalar judge reads a
-distribution's weights as a plain list. The fuzz harness compiles all five
-constraints once, reads each sampled block with one kernel call, and
-re-checks kept rows, normalised as one block, over the same compiled list.
+re-check and Counterexample.verify, the miner's independent re-check). The
+scalar judge reads a distribution's weights as a plain list. The fuzz
+harness compiles all five constraints once, reads each sampled block with
+one kernel call, and re-checks kept rows, normalised as one block, over the
+same compiled list.
 prob.conditional and prob.probability stay the independent reference, read
 by confirm.
 """
@@ -44,7 +46,9 @@ from .finder import (
     CompiledConstraints,
     ConstraintSet,
     ProbConstraint,
+    SearchConfig,
     Side,
+    find_model,
     sample_blocks,
 )
 from .prob import (
@@ -191,7 +195,7 @@ class Counterexample:
     x: Proposition
     y: Proposition
     z: Proposition
-    samples_used: int
+    samples_used: int  # find_model's: whole batches walked, in samples
 
     def verify(self) -> bool:
         """Re-computation of all three relations of _naive_chain, judged on
@@ -217,35 +221,24 @@ def _naive_chain(a: Proposition, b: Proposition, c: Proposition) -> list[ProbCon
 def mine_naive_transitivity_counterexample(
     seed: int, budget: int
 ) -> Counterexample | None:
-    """Search random 3-atom distributions for a naive-transitivity failure.
+    """Search 3-atom distributions for a naive-transitivity failure.
 
     Looks for atoms A, B, C with P(B|A) > P(B) + 0.01, P(C|B) > P(C) + 0.01
-    and P(C|A) < P(C) - 0.001. Samples `budget` rows of one seeded stream in
-    sample_blocks blocks, judges the raw rows with CompiledConstraints over
-    _naive_chain, whose sides are ratios, and stops at the first row that
-    satisfies the three relations and, normalised, holds them by
-    scalar_satisfied over the same compiled list, the check
-    Counterexample.verify() makes; samples_used is that row's 1-based
-    position in the stream, the same row a single full-budget draw would
-    give.
-    Deterministic given the seed; returns None when the budget is exhausted
-    (insufficient budget, not impossibility).
-    Raises ValueError when `budget` is below 1.
+    and P(C|A) < P(C) - 0.001: one find_model solve of _naive_chain at
+    SearchConfig(seed, budget), whose verdict is the kernel's float rule.
+    Counterexample.verify() stays the independent re-check. samples_used is
+    the solve's, whole batches walked. Deterministic given the seed; returns
+    None when the solve runs out of budget (insufficient budget, not
+    impossibility). Raises ValueError when `budget` is below 1.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     space = WorldSpace(("A", "B", "C"))
     a, b, c = (Proposition.atom(space, name) for name in space.atoms)
-    relations = CompiledConstraints(_naive_chain(a, b, c))
-    rng = np.random.default_rng(seed)
-    offset = 0
-    for weights in sample_blocks(rng, space.world_count, budget):
-        for idx in np.flatnonzero(relations.satisfied(weights)):
-            dist = JointDistribution.from_unnormalized(space, weights[idx])
-            if relations.scalar_satisfied(dist.weights.tolist()):
-                return Counterexample(dist, a, b, c, samples_used=offset + int(idx) + 1)
-        offset += len(weights)
-    return None
+    result = find_model(ConstraintSet(space, _naive_chain(a, b, c)), SearchConfig(seed, budget))
+    if not result.found:
+        return None
+    return Counterexample(result.distribution, a, b, c, samples_used=result.samples_used)
 
 
 @dataclass(frozen=True)
@@ -260,9 +253,9 @@ class FuzzReport:
 def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     """Sample 3-atom distributions, filter those satisfying (i)-(iv), verify (v).
 
-    The rows are one seeded stream walked in sample_blocks blocks, the
-    solver's and the miner's, so memory stays one block whatever `samples`
-    is, and the report does not depend on how the stream is cut.
+    The rows are one seeded stream walked in sample_blocks blocks, as the
+    solver walks its own, so memory stays one block whatever `samples` is,
+    and the report does not depend on how the stream is cut.
     The constraint list is built once per run by transitivity_constraints
     and compiled once by CompiledConstraints, whose sides are ratios, so
     each block of raw rows takes one kernel reading of all five margins.

@@ -10,10 +10,10 @@ sweep rather than one per entry (_single_moves).
 
 Restarts are sampled ahead in blocks of batches (sample_blocks): the first
 block is one batch, each later block doubles, up to LOOKAHEAD_VALUES floats,
-and each block is scored with one penalty call; the fuzz harness and the
-miner walk the same blocks. The search then walks the block batch by batch
-under the same rule as one draw per batch would, so drawing ahead changes
-the number of calls, not the result (see find_model). Once a search has
+and each block is scored with one penalty call; the fuzz harness walks
+the same blocks. The search then walks the block batch by batch under the
+same rule as one draw per batch would, so drawing ahead changes the number
+of calls, not the result (see find_model). Once a search has
 refined without finding a model, it reads each later block first over a
 screen, the constraints violated at its best model compiled on their own
 with margins lowered by a rounding allowance, and skips the block unscored
@@ -178,7 +178,8 @@ def sample_simplex(space: WorldSpace, seed: int) -> JointDistribution:
 
 
 #: Samples per batch: find_model refines the best sample of each batch, and
-#: every sample_blocks stream starts with a block of this many rows.
+#: every sample_blocks stream, the solver's and the fuzz harness's, starts
+#: with a block of this many rows.
 BATCH_SIZE = 512
 
 #: Most floats one look-ahead block of sample_blocks holds, unless its first
@@ -195,8 +196,8 @@ def sample_blocks(rng: np.random.Generator, n: int, total: int):
     A row is i.i.d. standard exponentials: normalised, it is a uniform draw
     from the simplex, but it is yielded unnormalised, since every query side
     of CompiledConstraints is a ratio and reads a row and its normalisation
-    alike. A caller that reports a row normalises it itself
-    (JointDistribution.from_unnormalized). The first block has BATCH_SIZE
+    alike. Its two callers, find_model and the fuzz harness, normalise a row
+    they refine or re-check themselves. The first block has BATCH_SIZE
     rows and each later one twice as many, while a block stays within
     LOOKAHEAD_VALUES floats; the last block holds what is left. The rows,
     concatenated, are exactly one rng.standard_exponential((total, n)) draw:

@@ -20,7 +20,8 @@ benchmarks/workloads.py, so only the program differs. The parts are:
   resolutions 1-20;
 - fuzz: fuzz_transitivity at seeds 1, 3, 5, 7 and 11, at 1, 511, 513,
   4 097, 20 000 and 100 000 samples;
-- miner: mine_naive_transitivity_counterexample at seeds 1, 3 and 7;
+- miner: mine_naive_transitivity_counterexample at seeds 1, 3 and 7, at
+  budgets 1, 7 and 100 000;
 - cli: stdout, stderr and exit code of one CLI child per argument list:
   check --json and find-model --json on each bundled file at the default
   seed and --seed 3, check as a table on each, the benchmark's two sweeps,
@@ -135,15 +136,16 @@ def _library_captures(reduced: bool):
             yield "fuzz", f"{seed}:{samples}", \
                 lambda s=seed, n=samples: repr(fuzz_transitivity(n, s, 1e-6)).encode()
 
-    def miner(seed):
-        ce = mine(seed, 100_000)
+    def miner(seed, budget):
+        ce = mine(seed, budget)
         if ce is None:
             return b"None"
         return repr((ce.samples_used, ce.distribution.weights.tobytes().hex(),
                      [p.mask.tobytes().hex() for p in (ce.x, ce.y, ce.z)])).encode()
 
     for seed in (1,) if reduced else (1, 3, 7):
-        yield "miner", str(seed), lambda s=seed: miner(s)
+        for budget in (100_000,) if reduced else (1, 7, 100_000):
+            yield "miner", f"{seed}:{budget}", lambda s=seed, b=budget: miner(s, b)
 
 
 def _cli_argvs(reduced: bool) -> list[list[str]]:

@@ -18,6 +18,7 @@ from analogybench import (
     check_transitivity,
     cli,
     conditional,
+    confirmation,
     probability,
     scenarios,
 )
@@ -502,9 +503,14 @@ class TestCounterexample:
             f"  failing transitivity conditions: {', '.join(report['failing_conditions'])}",
         ]
 
-    def test_not_found_within_budget(self, capsys):
-        code, out, err = run(capsys, "counterexample", "--seed", "1", "--budget", "1")
+    def test_not_found_within_budget(self, capsys, monkeypatch):
+        # P(B|A) - P(B) <= 1, so no distribution holds the chain at margin 1
+        # and the solve runs out its budget.
+        monkeypatch.setattr(confirmation, "MINER_CONFIRM_MARGIN", 1.0)
+        code, out, err = run(capsys, "counterexample", "--seed", "1", "--budget", "2000")
         assert code == EXIT_NOT_FOUND
+        assert out == ""
+        assert "no counterexample found within budget 2000" in err
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_rejected(self, capsys, budget):
@@ -807,8 +813,7 @@ class TestCollector:
         (["fuzz-theorem", "--samples", "1000"], ["fuzz-theorem", "--samples", "20000"], None),
         (["sweep", RIEMANN, "--param", "P(G)", "--range", "0:1:0.5"],
          ["sweep", RIEMANN, "--param", "P(G)", "--range", "0:0.29:0.01"], None),
-        # The miner stops at its first hit, which lies in its first block at
-        # either budget.
+        # find_model's first refine finds a model at either budget.
         (["counterexample", "--budget", "1000"], ["counterexample", "--budget", "100000"], None),
         (["find-model", EXHAUSTED], ["find-model", EXHAUSTED], (10_000, 100_000)),
     ], ids=["fuzz-theorem", "sweep", "counterexample", "find-model-exhausted"])
@@ -845,9 +850,8 @@ class TestProcessEntry:
         (["check", RIEMANN, "--seed", "-1"], EXIT_VALIDATION),
         (["sweep", RIEMANN, "--param", "P(W)", "--range", "0:1:0.5"], EXIT_VALIDATION),
         (["find-model", EXHAUSTED, "--json"], EXIT_INFEASIBLE),
-        (["counterexample", "--budget", "1"], EXIT_NOT_FOUND),
         (["check", "does-not-exist.json"], EXIT_IO),
-    ], ids=["ok", "usage", "validation", "infeasible", "not-found", "io"])
+    ], ids=["ok", "usage", "validation", "infeasible", "io"])
     def test_child_matches_in_process_main(self, capsys, tmp_path, argv, expected):
         """A `python -m analogybench.cli` child exits and prints as main(argv) does,
         and main leaves the collector on and nothing frozen."""

@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 
@@ -26,15 +25,19 @@ from analogybench.confirmation import (
     Counterexample,
     TransitivityReport,
     _judge,
+    _naive_chain,
     transitivity_constraints,
 )
-from analogybench.finder import CompiledConstraints, ProbConstraint, Side, sample_blocks
+from analogybench.finder import CompiledConstraints, ConstraintSet, SearchConfig, sample_blocks
 from analogybench.prob import (
     InvalidDistributionError,
     SpaceMismatchError,
     check_weights,
     normalised,
 )
+
+from conftest import exact_satisfied
+from test_finder import one_batch_at_a_time
 
 
 class TestConfirm:
@@ -218,51 +221,39 @@ class TestMiner:
         assert not report.antecedent_holds
         assert any(not c.holds for c in report.conditions.values())
 
-    def test_exhausted_budget_returns_none(self):
+    def test_exhausted_budget_returns_none(self, monkeypatch):
         with pytest.raises(ValueError, match="budget must be >= 1"):
             mine_naive_transitivity_counterexample(seed=1, budget=0)
-        assert mine_naive_transitivity_counterexample(seed=1, budget=1) is None
+        # P(B|A) - P(B) <= 1, so no distribution holds the chain at margin 1.
+        monkeypatch.setattr(confirmation, "MINER_CONFIRM_MARGIN", 1.0)
+        assert mine_naive_transitivity_counterexample(seed=1, budget=2_000) is None
 
-
-@functools.lru_cache(maxsize=None)
-def full_budget_miner(seed: int, budget: int):
-    """The miner as one draw of the whole budget: (samples_used, weight bytes) or None."""
-    space = WorldSpace(("A", "B", "C"))
-    a, b, c = (Proposition.atom(space, name) for name in space.atoms)
-    relations = CompiledConstraints([
-        ProbConstraint("cond_gt_prob", Side(target=b, given=a), Side(target=b),
-                       margin=MINER_CONFIRM_MARGIN),
-        ProbConstraint("cond_gt_prob", Side(target=c, given=b), Side(target=c),
-                       margin=MINER_CONFIRM_MARGIN),
-        ProbConstraint("prob_lt", Side(target=c, given=a), Side(target=c),
-                       margin=MINER_DISCONFIRM_MARGIN),
-    ])
-    weights = np.random.default_rng(seed).standard_exponential((budget, 8))
-    for idx in np.flatnonzero(relations.satisfied(weights)):
-        dist = JointDistribution.from_unnormalized(space, weights[idx])
-        if Counterexample(dist, a, b, c, samples_used=int(idx) + 1).verify():
-            return int(idx) + 1, dist.weights.tobytes()
-    return None
+    @pytest.mark.parametrize("budget", [1, 7, 100_000])
+    def test_every_seed_finds_an_exact_counterexample(self, budget):
+        for seed in range(1, 201):
+            ce = mine_naive_transitivity_counterexample(seed, budget)
+            assert ce is not None and ce.verify(), seed
+            assert exact_satisfied(_naive_chain(ce.x, ce.y, ce.z), ce.distribution.weights), seed
 
 
 class TestMinerBlocks:
-    # Every counterexample of seeds 1-50 lies in the first 65 rows, so a first
-    # block of one row is needed to put some of them in later blocks:
-    # sample_blocks reads finder.BATCH_SIZE when it is called.
+    # The miner is one find_model solve of its full budget, so it gives what
+    # test_finder.py's reference walk, one draw and one penalty call per
+    # batch, gives on the same set. At a BATCH_SIZE of 1 every batch is one
+    # row, and find_model walks its blocks of 1, 2, 4, ... rows row by row:
+    # sample_blocks and find_model read finder.BATCH_SIZE when they are called.
     @pytest.mark.parametrize("first_block", [1, 512])
     @pytest.mark.parametrize("budget", [1, 3, 7, 511, 512, 513, 100_000])
     def test_matches_full_budget_draw(self, budget, first_block, monkeypatch):
         monkeypatch.setattr(finder, "BATCH_SIZE", first_block)
-        outcomes = []
+        space = WorldSpace(("A", "B", "C"))
+        a, b, c = (Proposition.atom(space, name) for name in space.atoms)
+        cs = ConstraintSet(space, _naive_chain(a, b, c))
         for seed in range(1, 51):
             ce = mine_naive_transitivity_counterexample(seed, budget)
-            got = None if ce is None else (ce.samples_used, ce.distribution.weights.tobytes())
-            assert got == full_budget_miner(seed, budget), seed
-            outcomes.append(got is None)
-        if budget >= 511:
-            assert not any(outcomes)
-        if budget == 7:
-            assert any(outcomes) and not all(outcomes)
+            found, used, _, _, weights = one_batch_at_a_time(cs, SearchConfig(seed, budget))
+            assert found and ce is not None, seed
+            assert (ce.samples_used, ce.distribution.weights.tobytes()) == (used, weights), seed
 
 
 def fuzz_one_draw(samples: int, seed: int, margin: float):
