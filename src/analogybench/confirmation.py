@@ -20,16 +20,15 @@ solve of the three relations, so its verdict is find_model's.
 Each verdict is written once, as a ProbConstraint list: the conditions and
 the conclusion by transitivity_constraints, the miner's three relations by
 _naive_chain. The compiled kernel (finder.CompiledConstraints) reads a list
-on sampled blocks, and on one distribution it reads the same rows with
+on sampled blocks with matrix-product sums, and on distributions with
 correctly rounded (math.fsum) sums (CompiledConstraints.scalar_margins),
-judged by the kernel's verdict rule: per constraint by _judge for
-check_transitivity's report, and as one boolean by
+through the same arithmetic and the same verdict rule: per constraint by
+_judge for check_transitivity's report, and as one boolean per row by
 CompiledConstraints.scalar_satisfied where only the verdict is read (the fuzz
 re-check and Counterexample.verify, the miner's independent re-check). The
-scalar judge reads a distribution's weights as a plain list. The fuzz
-harness compiles all five constraints once, reads each sampled block with
-one kernel call, and re-checks kept rows, normalised as one block, over the
-same compiled list.
+fuzz harness compiles all five constraints once, reads each sampled block
+with one kernel call, and re-checks kept rows, normalised as one block, with
+one scalar_satisfied call over the same compiled list.
 prob.conditional and prob.probability stay the independent reference, read
 by confirm.
 """
@@ -153,18 +152,20 @@ def transitivity_constraints(
 def _judge(dist: JointDistribution, compiled: CompiledConstraints) -> list[ConditionResult]:
     """One ConditionResult per constraint of a compiled list, on one distribution.
 
-    The achieved margins are compiled.scalar_margins(dist), the kernel's
-    rows read with correctly rounded sums, each judged against the kernel's
-    verdict floor. A constraint with an undefined conditional (a nan margin)
-    is inapplicable, never silently true.
+    The achieved margins are compiled.scalar_margins(dist.weights), the
+    kernel's margins over correctly rounded sums, and each verdict is one
+    comparison of them with the kernel's floors. A constraint with an
+    undefined conditional (a nan margin) is inapplicable, never silently
+    true.
     """
+    margins = compiled.scalar_margins(dist.weights)
     return [
         _INAPPLICABLE if math.isnan(margin) else ConditionResult(
-            holds=margin >= floor,
+            holds=held,
             margin=margin,
             at_boundary=abs(margin) <= BOUNDARY_TOLERANCE,
         )
-        for margin, floor in zip(compiled.scalar_margins(dist.weights.tolist()), compiled._floors)
+        for margin, held in zip(margins.tolist(), (margins >= compiled._floor[:, 0]).tolist())
     ]
 
 
@@ -202,7 +203,7 @@ class Counterexample:
         the compiled rows' correctly rounded sums (scalar_satisfied)."""
         dist = self.distribution
         chain = ConstraintSet(dist.space, _naive_chain(self.x, self.y, self.z))
-        return CompiledConstraints(chain.constraints).scalar_satisfied(dist.weights.tolist())
+        return CompiledConstraints(chain.constraints).scalar_satisfied(dist.weights)
 
 
 def _naive_chain(a: Proposition, b: Proposition, c: Proposition) -> list[ProbConstraint]:
@@ -267,9 +268,9 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
     as a cross-check of the block kernel's rounding: they are normalised as
     one block by prob.normalised, the bits from_unnormalized gives row by
     row, and checked once by prob.check_weights, JointDistribution's rules.
-    Each row, as a list, is then judged once over the same compiled list by
-    scalar_satisfied, the verdict rule check_transitivity's _judge applies
-    to the same margins; reverified counts the rows that hold.
+    The block is then judged over the same compiled list by one
+    scalar_satisfied call, the verdict rule check_transitivity's _judge
+    applies to the same margins; reverified counts the rows that hold.
     Raises ValueError when `samples` is below 1.
     """
     if samples < 1:
@@ -290,7 +291,7 @@ def fuzz_transitivity(samples: int, seed: int, margin: float) -> FuzzReport:
         if filtered < FUZZ_REVERIFY_CAP:
             head = normalised(kept[:FUZZ_REVERIFY_CAP - filtered])
             check_weights(head)
-            reverified += sum(map(checks.scalar_satisfied, head.tolist()))
+            reverified += int(checks.scalar_satisfied(head).sum())
         filtered += len(kept)
     return FuzzReport(
         samples=samples,

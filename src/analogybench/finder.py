@@ -39,10 +39,12 @@ the kernel's value rows over integer weights
 (CompiledConstraints.integer_differences), shares the verdict rule
 (STRICT_KINDS and _required) and decides the grid points in int64
 arithmetic, a block of GRID_CHUNK points per pass, with one exact Fraction
-threshold per constraint. The same rows are read on one distribution with
-correctly rounded math.fsum sums (CompiledConstraints.scalar_margins), which
-confirmation's scalar judge reads; prob.conditional stays the independent
-reference the tests compare against.
+threshold per constraint. The kernel sums a mask column in two ways, over
+one arithmetic and one compiled plan: by the matrix product, and by
+correctly rounded math.fsum sums (CompiledConstraints.scalar_margins),
+which confirmation's judge reads; both fill the same value array, and one
+tail divides, subtracts and takes equality's -|.| after either.
+prob.conditional stays the independent reference the tests compare against.
 
 Infeasibility is only ever reported as budget exhaustion, never as a proof.
 """
@@ -91,7 +93,7 @@ class Side:
     given: Proposition | None = None
 
     def __post_init__(self):
-        if (self.const is None) == (self.target is None):
+        if (self.const is None) == (self.target is None) or self.is_const and self.given is not None:
             raise ValueError("a side is either a constant or a (target, given?) query")
         if self.is_const and not math.isfinite(self.const):
             raise ValueError("a constant side must be finite")
@@ -238,16 +240,18 @@ class CompiledConstraints:
     axis without a per-constraint loop. A call copies the rows it reads, the
     ratios' num and den and the constraints' first and second, out of the
     value array by take, and enters one numpy error state (_QUIET): penalty,
-    margins, satisfied and screen one each. Weights are >= 0 and num is a
-    subset of den, so den = 0 forces num = 0 and 0/0 = nan marks an
-    undefined conditional. integer_differences reads the same rows over integer
-    weights, exactly, for grid_enumerate.
+    margins, satisfied, screen and scalar_margins one each. Weights are >= 0
+    and num is a subset of den, so den = 0 forces num = 0 and 0/0 = nan
+    marks an undefined conditional. integer_differences reads the same plan
+    over integer weights, exactly, for grid_enumerate.
 
-    The matrix product sums a column in its own order, while
-    prob.conditional's sums are correctly rounded (math.fsum), so values can
-    differ from prob.conditional in the last bits; same-seed search results
-    depend on those bits. scalar_margins reads the same rows on one
-    distribution with math.fsum sums.
+    The float readers differ only in how a mask-column row is summed; the
+    constants, divisions, first - second and equality's -|.| after it are
+    one tail, _margins_of. penalty, margins, satisfied and screen sum by
+    the matrix product, in its own order, so their values can differ from
+    prob.conditional's correctly rounded (math.fsum) sums in the last bits;
+    same-seed search results depend on those bits. scalar_margins and
+    scalar_satisfied sum each row with math.fsum.
     """
 
     def __init__(self, constraints):
@@ -299,8 +303,8 @@ class CompiledConstraints:
         self._known, self._n_values = known, known + len(ratios)
         self._consts = np.array(consts)[:, None]
         self.columns = np.array(masks, dtype=np.float64)
-        self._equality = [i for i, c in enumerate(self.constraints) if c.kind == "equality"]
-        self._equality_rows = np.array(self._equality, dtype=int)
+        self._equality_rows = np.array(
+            [i for i, c in enumerate(self.constraints) if c.kind == "equality"], dtype=int)
         required = [_required(c) for c in self.constraints]
         self._required = np.array(required)[:, None]
         # The verdict rule: a constraint holds iff its achieved margin is >=
@@ -308,18 +312,10 @@ class CompiledConstraints:
         # achieved >= the next float above required; cond_ge_cond and
         # equality need achieved >= required - BOUNDARY_TOLERANCE. A nan
         # (undefined) margin never holds.
-        self._floors = [
+        self._floor = np.array([
             math.nextafter(r, math.inf) if c.kind in STRICT_KINDS else r - BOUNDARY_TOLERANCE
             for c, r in zip(self.constraints, required)
-        ]
-        self._floor = np.array(self._floors)[:, None]
-        # The plan as Python lists, so that the one-row readers,
-        # scalar_margins and integer_differences, convert no array: the
-        # constants, the (num, den) of each ratio row and the (first,
-        # second) of each constraint, beside _selectors and _floors.
-        self._const_list = consts
-        self._ratio_pairs = list(ratios)
-        self._side_pairs = list(zip(first, second))
+        ])[:, None]
 
     def _achieved(self, w: np.ndarray) -> np.ndarray:
         """Achieved margin per constraint and row of w, as an (m, k) array.
@@ -333,20 +329,25 @@ class CompiledConstraints:
     def _read(self, w: np.ndarray) -> np.ndarray:
         """_achieved without an error state of its own: its caller enters _QUIET."""
         rows = w.reshape(-1, w.shape[-1])
-        n_consts, known = len(self._consts), self._known
         values = np.empty((self._n_values, len(rows)))
+        if len(self.columns):
+            np.matmul(self.columns, rows.T, out=values[len(self._consts):self._known])
+        return self._margins_of(values)
+
+    def _margins_of(self, values: np.ndarray) -> np.ndarray:
+        """The (m, k) achieved margins of a value array whose mask-column rows
+        are filled: the one arithmetic both summations share. Runs in its
+        caller's error state (_QUIET)."""
+        n_consts, known = len(self._consts), self._known
         if n_consts:
             values[:n_consts] = self._consts
-        if known > n_consts:
-            np.matmul(self.columns, rows.T, out=values[n_consts:known])
         # Each distinct query side is divided once, into its own row.
         np.divide(values.take(self._ratio_num, axis=0), values.take(self._ratio_den, axis=0),
                   out=values[known:])
         achieved = values.take(self._first, axis=0)
         achieved -= values.take(self._second, axis=0)
-        if self._equality:
-            rows = self._equality_rows
-            achieved[rows] = -np.abs(achieved.take(rows, axis=0))
+        if self._equality_rows.size:
+            achieved[self._equality_rows] = -np.abs(achieved.take(self._equality_rows, axis=0))
         return achieved
 
     def penalty(self, w: np.ndarray):
@@ -399,11 +400,12 @@ class CompiledConstraints:
         # Imported here, on the grid path alone, so that no CLI command loads it.
         from fractions import Fraction
 
-        parts = [(0, 1, Fraction(c)) for c in self._const_list]
+        parts = [(0, 1, Fraction(c)) for c in self._consts[:, 0].tolist()]
         masses = self.columns.reshape(-1, counts.shape[-1]) @ counts.T.astype(np.float64)
         parts += [(mass, 1, 0) for mass in masses.astype(np.int64)]
-        parts += [(parts[num][0], parts[den][0], 0) for num, den in self._ratio_pairs]
-        for f, s in self._side_pairs:
+        parts += [(parts[num][0], parts[den][0], 0)
+                  for num, den in zip(self._ratio_num.tolist(), self._ratio_den.tolist())]
+        for f, s in zip(self._first.tolist(), self._second.tolist()):
             (fn, fd, fc), (sn, sd, sc) = parts[f], parts[s]
             yield fn * sd - sn * fd, fd * sd, fc - sc
 
@@ -419,45 +421,43 @@ class CompiledConstraints:
         achieved = self._achieved(w)
         return achieved if w.ndim > 1 else achieved[:, 0]
 
-    def scalar_margins(self, weights: list[float]) -> list[float]:
-        """Achieved margin per constraint on one distribution; nan when undefined.
+    def scalar_margins(self, w: np.ndarray) -> np.ndarray:
+        """margins read with correctly rounded sums; nan when undefined.
 
-        weights is the distribution's weights as a list of floats
-        (dist.weights.tolist(), or a row of a normalised block). The value
-        rows of margins are read with correctly rounded sums: each mask
-        column is the math.fsum of the weights it selects, except the
-        all-ones column, which reads 1.0, the total a distribution has by
-        contract. So P(target) is target's mass undivided, as
+        w is one distribution's weights (n,) or a block of them (k, n), and
+        the shape is margins': (m,) or (m, k). Only the mask-column rows of
+        the value array are summed otherwise: each is the math.fsum of the
+        weights its column selects, except the all-ones column, which reads
+        1.0, the total a distribution has by contract. The constants, ratio
+        divisions, first - second and equality's -|.| are margins' own
+        (_margins_of). So P(target) is target's mass undivided, as
         prob.probability reads it, P(target | given) is one division of two
         fsums, as in prob.conditional, and a ratio over a column of mass 0
-        is nan. A side reads bitwise as those functions do, save a side
-        whose given, or whose unconditional target, is every world: there
-        the reference reads the fsum of all weights, which may miss 1.0 by
-        a few ulps, and this reads 1.0. The sides are those of margins:
-        prob_lt's swapped, and equality's -|.| taken after.
+        is 0/0 = nan. A side reads bitwise as those functions do, save a
+        side whose given, or whose unconditional target, is every world:
+        there the reference reads the fsum of all weights, which may miss
+        1.0 by a few ulps, and this reads 1.0.
         """
-        values = self._const_list + [
-            1.0 if key is None else math.fsum(compress(weights, key))
-            for key in self._selectors]
-        values += [values[num] / values[den] if values[den] else math.nan
-                   for num, den in self._ratio_pairs]
-        achieved = [values[f] - values[s] for f, s in self._side_pairs]
-        for i in self._equality:
-            achieved[i] = -abs(achieved[i])
-        return achieved
+        rows = w.reshape(-1, w.shape[-1]).tolist()
+        values = np.empty((self._n_values, len(rows)))
+        # A list of constant sides alone has no mask-column row to fill.
+        for i, key in enumerate(self._selectors, len(self._consts)):
+            values[i] = 1.0 if key is None else [math.fsum(compress(row, key)) for row in rows]
+        with np.errstate(**_QUIET):
+            achieved = self._margins_of(values)
+        return achieved if w.ndim > 1 else achieved[:, 0]
 
     def satisfied(self, w: np.ndarray):
         """Whether every constraint holds by the verdict rule, per row of w."""
         ok = (self._achieved(w) >= self._floor).all(axis=0)
         return ok if w.ndim > 1 else ok[0]
 
-    def scalar_satisfied(self, weights: list[float]) -> bool:
-        """Whether every constraint holds by the verdict rule on one distribution.
-
-        satisfied's twin over scalar_margins, on the same list of weights: a
-        nan (undefined) margin fails its floor, so it never holds.
-        """
-        return all(m >= f for m, f in zip(self.scalar_margins(weights), self._floors))
+    def scalar_satisfied(self, w: np.ndarray):
+        """satisfied over scalar_margins: whether every constraint holds by
+        the verdict rule, a bool for one distribution (n,) and a (k,) array
+        for a block (k, n). A nan (undefined) margin never holds."""
+        ok = (self.scalar_margins(w.reshape(-1, w.shape[-1])) >= self._floor).all(axis=0)
+        return ok if w.ndim > 1 else bool(ok[0])
 
 
 class _Screen(CompiledConstraints):

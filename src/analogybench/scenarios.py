@@ -275,10 +275,11 @@ def _parse_formula(text, space: WorldSpace, where: str, field: str) -> Propositi
 
 def _parse_side(data, space: WorldSpace, where: str, field: str) -> Side:
     _typed(data, dict, where, field)
+    if ("const" in data) == ("target" in data) or "const" in data and "given" in data:
+        raise ScenarioFormatError(
+            f"{where}: field {field!r} needs 'const' alone, or 'target' and an optional 'given'")
     if "const" in data:
         return Side(const=_typed(data["const"], float, where, f"{field}.const"))
-    if "target" not in data:
-        raise ScenarioFormatError(f"{where}: field {field!r} needs 'const' or 'target'")
     target = _parse_formula(data["target"], space, where, f"{field}.target")
     given = data.get("given")
     if given in (None, ""):

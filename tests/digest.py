@@ -34,8 +34,10 @@ benchmarks/workloads.py, so only the program differs. The parts are:
 A find_model capture is found, samples_used, restarts_refined,
 penalty.hex(), the weight bytes and each achieved margin's hex.
 
-It prints one sha256 per part and side, and one overall, and names the
-first capture that differs in each part that differs. The exit code is 0
+It prints one sha256 per part and side, and one overall. Captures are
+matched by part and name, and for each part that differs it lists every
+capture whose bytes differ and every capture one side alone has: how many,
+and the first SHOWN (20) names. The exit code is 0
 when every part is equal and 3 when some part differs; any other code is a
 crash. A capture that raises records the exception as its value, and the
 report lists it.
@@ -67,6 +69,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EXIT_DIFFERS = 3
 PARTS = ("solve", "infeasible", "screened", "grid", "fuzz", "miner", "cli")
+SHOWN = 20
 
 _ELAPSED = re.compile(rb"elapsed: [0-9.]+s")
 
@@ -258,16 +261,19 @@ def part_digests(lines) -> dict[str, str]:
     return digests
 
 
-def first_differences(base, new) -> dict[str, str]:
-    """For each part that differs, the name of its first differing capture."""
-    found: dict[str, str] = {}
+def differences(base, new) -> dict[str, list[str]]:
+    """For each part that differs, every differing capture, matched by
+    (part, name): the names whose bytes differ, in new's order, then the
+    names base alone has and new alone has, each marked so."""
+    a = {(p, n): s for p, n, s in base}
+    b = {(p, n): s for p, n, s in new}
+    found: dict[str, list[str]] = {}
     for part in PARTS:
-        a = [(n, s) for p, n, s in base if p == part]
-        b = [(n, s) for p, n, s in new if p == part]
-        for i in range(max(len(a), len(b))):
-            if i >= len(a) or i >= len(b) or a[i] != b[i]:
-                found[part] = (a if i < len(a) else b)[i][0]
-                break
+        names = [n for p, n, s in new if p == part and a.get((p, n), s) != s]
+        names += [f"{n} (base only)" for p, n, _ in base if p == part and (p, n) not in b]
+        names += [f"{n} (new only)" for p, n, _ in new if p == part and (p, n) not in a]
+        if names:
+            found[part] = names
     return found
 
 
@@ -298,7 +304,7 @@ def main(argv: list[str]) -> int:
                     start_capture(ROOT / "src", args.reduced)]
         base, new = (finish_capture(child) for child in children)
     base_digests, new_digests = part_digests(base), part_digests(new)
-    differing = first_differences(base, new)
+    differing = differences(base, new)
     print(f"base {sha[:12]} against the working tree of {ROOT}"
           f"{' (reduced capture list)' if args.reduced else ''}")
     for part in (*PARTS, "overall"):
@@ -306,8 +312,13 @@ def main(argv: list[str]) -> int:
         verdict = "equal" if base_digests[part] == new_digests[part] else "DIFFERS"
         print(f"{part:<10} {count:>4} captures  {verdict}")
         print(f"  base {base_digests[part]}\n  new  {new_digests[part]}")
-        if part in differing:
-            print(f"  first differing capture: {differing[part]}")
+        names = differing.get(part, [])
+        if names:
+            print(f"  {len(names)} differing captures:")
+            for name in names[:SHOWN]:
+                print(f"    {name}")
+            if len(names) > SHOWN:
+                print(f"    ... and {len(names) - SHOWN} more")
     for side, lines in (("base", base), ("new", new)):
         for part, name, _ in lines:
             if name.endswith("[raised]"):

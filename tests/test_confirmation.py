@@ -313,7 +313,7 @@ def three_compile_fuzz(samples: int, seed: int, margin: float):
         if filtered < FUZZ_REVERIFY_CAP:
             head = normalised(kept[:FUZZ_REVERIFY_CAP - filtered])
             check_weights(head)
-            reverified += sum(map(checks.scalar_satisfied, head.tolist()))
+            reverified += sum(map(checks.scalar_satisfied, head))
         filtered += len(kept)
     conclusion = float(min_margin) if filtered else float("nan")
     return samples, filtered, violations, reverified, conclusion.hex()
@@ -454,8 +454,8 @@ def reference_verdict(dist, x, y, z, margin) -> bool:
 
 
 class TestBlockRecheck:
-    """The fuzz re-check: the kept rows normalised as one block, each judged
-    once over one compiled list of all five constraints."""
+    """The fuzz re-check: the kept rows normalised as one block, and judged
+    as one block over one compiled list of all five constraints."""
 
     def test_block_normalisation_is_from_unnormalized(self):
         space = WorldSpace(("X", "Y", "Z"))
@@ -492,7 +492,7 @@ class TestBlockRecheck:
         antecedent = CompiledConstraints(constraints[:4])
         concluded = CompiledConstraints(constraints[4:])
         for w in weights:
-            row = normalised(w).tolist()
+            row = normalised(w)
             verdict = checks.scalar_satisfied(row)
             assert verdict is (antecedent.scalar_satisfied(row) and concluded.scalar_satisfied(row))
             assert verdict == reference_verdict(JointDistribution(space, w), x, y, z, margin)
@@ -505,25 +505,28 @@ class TestBlockRecheck:
         report = check_transitivity(on_floor, x, y, z)
         assert report.conditions["iii"].margin == report.conditions["iv"].margin == 0.0
         assert report.antecedent_holds and report.conclusion.holds
-        assert checks.scalar_satisfied(on_floor.weights.tolist())
-        assert not checks.scalar_satisfied([0.5, 0.5, 0, 0, 0, 0, 0, 0])
+        assert checks.scalar_satisfied(on_floor.weights)
+        assert not checks.scalar_satisfied(np.array([0.5, 0.5, 0, 0, 0, 0, 0, 0]))
 
     def test_reverified_counts_verdicts(self, monkeypatch):
         # At seed 3 every one of the FUZZ_REVERIFY_CAP re-checked rows holds
         # (TestFuzz.test_scalar_reverification_agrees); rejecting every third
-        # verdict must take exactly that many off reverified.
+        # row's verdict, counted across the block calls, must take exactly
+        # that many off reverified.
         judged = []
         holds = CompiledConstraints.scalar_satisfied
 
-        def every_third_rejected(self, weights):
-            judged.append(weights)
-            return holds(self, weights) and len(judged) % 3 != 0
+        def every_third_rejected(self, block):
+            verdicts = holds(self, block)
+            assert block.ndim == 2 and verdicts.shape == (len(block),)
+            third = (len(judged) + np.arange(len(block))) % 3 == 2
+            judged.extend(block)
+            return verdicts & ~third
 
         monkeypatch.setattr(CompiledConstraints, "scalar_satisfied", every_third_rejected)
         report = fuzz_transitivity(samples=20_000, seed=3, margin=1e-6)
         assert report.filtered > FUZZ_REVERIFY_CAP
         assert len(judged) == FUZZ_REVERIFY_CAP
-        assert all(type(row) is list for row in judged)
         assert report.reverified == FUZZ_REVERIFY_CAP - FUZZ_REVERIFY_CAP // 3
 
     def test_zero_mass_row_rejected(self):

@@ -30,15 +30,19 @@ def test_reduced_captures_repeat_and_name_a_planted_change(tmp_path, monkeypatch
     assert not [name for _, name, _ in first if name.endswith("[raised]")]
     assert first == second
     assert digest.part_digests(first) == digest.part_digests(second)
-    differing = digest.first_differences(first, changed)
+    differing = digest.differences(first, changed)
     assert "solve" in differing and "grid" not in differing
     assert digest.part_digests(first)["overall"] != digest.part_digests(changed)["overall"]
 
 
-def test_first_differences_names_the_first_differing_capture():
-    base = [("solve", "a", "1"), ("solve", "b", "2"), ("grid", "g", "3")]
-    assert digest.first_differences(base, base) == {}
-    assert digest.first_differences(base, [*base[:1], ("solve", "b", "9"), base[2]]) == {
-        "solve": "b"}
-    assert digest.first_differences(base, base[:2]) == {"grid": "g"}
-    assert digest.first_differences(base[1:], base) == {"solve": "b"}
+def test_differences_name_every_differing_capture():
+    base = [("solve", "a", "1"), ("solve", "b", "2"), ("solve", "c", "3"), ("grid", "g", "4")]
+    assert digest.differences(base, base) == {}
+    # Moved in the middle and at the end of a part, and in a second part.
+    moved = [base[0], ("solve", "b", "9"), ("solve", "c", "8"), ("grid", "g", "7")]
+    assert digest.differences(base, moved) == {"solve": ["b", "c"], "grid": ["g"]}
+    # On one side only; matched by name, a missing capture moves no other.
+    assert digest.differences(base, [base[0], *base[2:]]) == {"solve": ["b (base only)"]}
+    assert digest.differences(base[:3], base) == {"grid": ["g (new only)"]}
+    assert digest.differences([base[0], ("solve", "b", "9"), *base[2:]], base[1:]) == {
+        "solve": ["b", "a (base only)"]}

@@ -119,6 +119,12 @@ class TestConstraintValidation:
         with pytest.raises(ValueError):
             Side(const=0.5, target=Proposition.atom(WorldSpace(("a",)), "a"))
 
+    def test_constant_side_takes_no_given(self):
+        # The kernel reads a constant as is, so a given beside it would be
+        # ignored without a word.
+        with pytest.raises(ValueError, match="either a constant or a"):
+            Side(const=0.5, given=Proposition.atom(WorldSpace(("a",)), "a"))
+
     def test_unknown_kind_rejected(self, ab_space):
         a = Proposition.atom(ab_space, "a")
         with pytest.raises(ValueError):

@@ -216,6 +216,10 @@ class TestFusedMargins:
             judged = _judge(dist, compiled)
             np.testing.assert_array_equal([r.margin for r in judged], expected)
             assert [not r.applicable for r in judged] == np.isnan(expected).tolist()
+        # Every sum is exact on dyadic rows, so the two summations fill the
+        # same value rows and the one arithmetic after them gives the same
+        # bits, nan where nan.
+        assert compiled.scalar_margins(block).tobytes() == margins.tobytes()
 
     # On raw exponential rows, normalised, the kernel's matrix product
     # rounds in its own order, but _judge reads the kernel's rows with fsum
@@ -246,7 +250,7 @@ class TestFusedMargins:
         for row in data.draw(st.lists(dyadic_rows(cs.space.world_count), min_size=1,
                                       max_size=6)):
             dist = JointDistribution(cs.space, row)
-            verdict = compiled.scalar_satisfied(dist.weights.tolist())
+            verdict = compiled.scalar_satisfied(dist.weights)
             assert verdict is all(r.holds for r in _judge(dist, compiled))
             assert verdict == compiled.satisfied(row)
 

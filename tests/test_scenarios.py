@@ -183,13 +183,18 @@ class TestCorpusLoading:
          lambda d: d["distribution"]["constraints"][0].update(margin=-0.1)),
         ("distribution.constraints[0].kind",
          lambda d: d["distribution"]["constraints"][0].update(kind="prob_gte")),
+        ("distribution.constraints[0].rhs",
+         lambda d: d["distribution"]["constraints"][0]["rhs"].update(target="W")),
+        ("distribution.constraints[0].rhs",
+         lambda d: d["distribution"]["constraints"][0]["rhs"].update(given="G")),
     ], ids=["bridge-int", "target-list", "distribution-string", "margins-list", "margin-null",
             "constraints-object", "constraint-string", "weight-null", "seed-float", "seed-bool",
             "seed-negative", "weights-sum", "weights-negative",
             "label-list", "notes-int", "baseline-string", "baseline-value-string",
             "baseline-quotient-above-1", "baseline-quotient-negative",
             "baseline-delta-above-quotient", "baseline-delta-negative",
-            "margins-negative", "margin-negative", "kind-unknown"])
+            "margins-negative", "margin-negative", "kind-unknown", "const-with-target",
+            "const-with-given"])
     def test_rejects_wrongly_typed_field(self, tmp_path, capsys, field, edit):
         data = json.loads((corpus_dir() / "riemann_weil.json").read_text())
         edit(data)
