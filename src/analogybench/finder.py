@@ -4,9 +4,10 @@ Finds joint distributions satisfying conditional-probability inequality
 constraints at requested margins, via seeded random restarts plus
 derivative-free block coordinate descent on the world weights: each sweep
 scores all 2n single-coordinate moves in one block evaluation, then a short
-line search along their improving combination in a second. The single moves
-are 2n copies of the point with one weight scaled in each, two powers per
-sweep rather than one per entry (_single_moves).
+line search along their improving combination in a second, unless a single
+move already reads 0, which ends the descent. The single moves are 2n
+copies of the point with one weight scaled in each, two powers per sweep
+rather than one per entry (_single_moves).
 
 Restarts are sampled ahead in blocks of batches (sample_blocks): the first
 block is one batch, each later block doubles, up to LOOKAHEAD_VALUES floats,
@@ -31,15 +32,16 @@ Every probability the search evaluates goes through one kernel,
 CompiledConstraints: a constraint list compiled once into a stacked matrix
 of deduplicated 0/1 mask columns, each query side evaluated over a weight
 vector or block as one ratio (W @ num) / (W @ den), with one matrix product
-per call. P(target) is target over the all-ones column, so every side is
-scale-invariant and the sampled rows are scored as drawn, never normalised;
-only a refine's start, descent moves and a pinned block are normalised. A
-small exact rational grid enumerator backs the search as an oracle: it reads
-the kernel's value rows over integer weights
-(CompiledConstraints.integer_differences), shares the verdict rule
-(STRICT_KINDS and _required) and decides the grid points in int64
-arithmetic, a block of GRID_CHUNK points per pass, with one exact Fraction
-threshold per constraint. The kernel sums a mask column in two ways, over
+per call. A search enters one numpy error state for all its block,
+descent and screen readings, not one per call. P(target) is target over
+the all-ones column, so every side is scale-invariant and the sampled rows
+are scored as drawn, never normalised; only a refine's start, descent
+moves and a pinned block are normalised. A small exact rational grid
+enumerator backs the search as an oracle: it reads the kernel's value rows
+over integer weights (CompiledConstraints.integer_differences), shares the
+verdict rule (STRICT_KINDS and _required) and decides the grid points in
+int64 arithmetic, a block of GRID_CHUNK points per pass, with one exact
+Fraction threshold per constraint. The kernel sums a mask column in two ways, over
 one arithmetic and one compiled plan: by the matrix product, and by
 correctly rounded math.fsum sums (CompiledConstraints.scalar_margins),
 which confirmation's judge reads; both fill the same value array, and one
@@ -239,11 +241,16 @@ class CompiledConstraints:
     and penalty and satisfied reduce the (m, k) margins over the constraint
     axis without a per-constraint loop. A call copies the rows it reads, the
     ratios' num and den and the constraints' first and second, out of the
-    value array by take, and enters one numpy error state (_QUIET): penalty,
-    margins, satisfied, screen and scalar_margins one each. Weights are >= 0
-    and num is a subset of den, so den = 0 forces num = 0 and 0/0 = nan
-    marks an undefined conditional. integer_differences reads the same plan
-    over integer weights, exactly, for grid_enumerate.
+    value array by take. Each public reader called on its own enters one
+    numpy error state (_QUIET): penalty, margins, satisfied, screen,
+    scalar_margins and _Screen.least one each. find_model enters it once
+    for a whole search and reads through _penalty and _Screen._least, which
+    run in their caller's state. Weights are >= 0 and num is a subset of
+    den, so den = 0 forces num = 0 and 0/0 = nan marks an undefined
+    conditional. integer_differences reads the same plan over integer
+    weights, exactly, for grid_enumerate. The compile walks each
+    constraint's two sides once, and the columns are one buffer of the
+    masks' bytes, cast to float.
 
     The float readers differ only in how a mask-column row is summed; the
     constants, divisions, first - second and equality's -|.| after it are
@@ -256,66 +263,61 @@ class CompiledConstraints:
 
     def __init__(self, constraints):
         self.constraints = tuple(constraints)
-        consts = [
-            float(s.const)
-            for c in self.constraints for s in (c.lhs, c.rhs) if s.is_const
-        ]
-        const_rows = iter(range(len(consts)))
-        masks: list[np.ndarray] = []
+        # One pass over the sides. A constant is numbered in lhs-then-rhs
+        # order, a mask column by the bytes of its mask as it is first met,
+        # and a ratio, a (num, den) pair of column numbers, as the achieved
+        # margin's first, then second, side first reads it. first and second
+        # hold a constant's number c as c and a ratio's number r as ~r.
+        consts: list[float] = []
         index: dict[bytes, int] = {}
-
-        def column(mask: np.ndarray) -> int:
-            key = mask.tobytes()
-            if key not in index:
-                index[key] = len(consts) + len(masks)
-                masks.append(mask)
-            return index[key]
-
-        def side(s: Side) -> tuple[int, int | None]:
-            """A side's (num, den) rows; den None for a constant."""
-            if s.is_const:
-                return next(const_rows), None
-            if s.given is None:
-                return column(s.target.mask), column(np.ones_like(s.target.mask))
-            return column(s.target.mask & s.given.mask), column(s.given.mask)
-
-        sides = [(side(c.lhs), side(c.rhs)) for c in self.constraints]
+        ratios: dict[tuple[int, int], int] = {}
+        first, second, equality_rows, required, floor = [], [], [], [], []
+        for i, c in enumerate(self.constraints):
+            sides = []
+            for s in (c.lhs, c.rhs):
+                if s.const is not None:
+                    sides.append(len(consts))
+                    consts.append(float(s.const))
+                    continue
+                target = s.target.mask
+                num, den = ((target.tobytes(), b"\x01" * len(target)) if s.given is None
+                            else ((target & s.given.mask).tobytes(), s.given.mask.tobytes()))
+                sides.append((index.setdefault(num, len(index)), index.setdefault(den, len(index))))
+            # The achieved margin is first - second: prob_lt swaps its sides,
+            # and equality then takes -|first - second|.
+            if c.kind == "prob_lt":
+                sides.reverse()
+            for s, rows in zip(sides, (first, second)):
+                rows.append(s if isinstance(s, int) else ~ratios.setdefault(s, len(ratios)))
+            if c.kind == "equality":
+                equality_rows.append(i)
+            r = _required(c)
+            required.append(r)
+            # The verdict rule: a constraint holds iff its achieved margin is
+            # >= its floor. Strict kinds need achieved > required, which is
+            # achieved >= the next float above required; cond_ge_cond and
+            # equality need achieved >= required - BOUNDARY_TOLERANCE. A nan
+            # (undefined) margin never holds.
+            floor.append(math.nextafter(r, math.inf) if c.kind in STRICT_KINDS
+                         else r - BOUNDARY_TOLERANCE)
+        # The value rows are [constants..., mask columns..., ratios...].
+        n_consts = len(consts)
+        known = n_consts + len(index)
+        self._first = np.array([s if s >= 0 else known + ~s for s in first], dtype=int)
+        self._second = np.array([s if s >= 0 else known + ~s for s in second], dtype=int)
+        self._ratio_num = np.array([n_consts + num for num, _ in ratios], dtype=int)
+        self._ratio_den = np.array([n_consts + den for _, den in ratios], dtype=int)
+        self._known, self._n_values = known, known + len(ratios)
+        self._consts = np.array(consts)[:, None]
+        # A mask's bytes are its 0/1 bools, one per world.
+        self.columns = (np.frombuffer(b"".join(index), dtype=bool).reshape(len(index), -1)
+                        .astype(np.float64) if index else np.empty(0))
         # One 0/1 byte per world selects a column's weights for scalar_margins;
         # None marks the all-ones column.
         self._selectors = [None if all(key) else key for key in index]
-        known = len(consts) + len(masks)
-        ratios: dict[tuple[int, int], int] = {}
-
-        def row(num: int, den: int | None) -> int:
-            return num if den is None else ratios.setdefault((num, den), known + len(ratios))
-
-        # The achieved margin is first - second: prob_lt swaps its sides, and
-        # equality then takes -|first - second|.
-        first, second = [], []
-        for c, (lhs, rhs) in zip(self.constraints, sides):
-            if c.kind == "prob_lt":
-                lhs, rhs = rhs, lhs
-            first.append(row(*lhs))
-            second.append(row(*rhs))
-        self._first, self._second = np.array(first, dtype=int), np.array(second, dtype=int)
-        self._ratio_num = np.array([num for num, _ in ratios], dtype=int)
-        self._ratio_den = np.array([den for _, den in ratios], dtype=int)
-        self._known, self._n_values = known, known + len(ratios)
-        self._consts = np.array(consts)[:, None]
-        self.columns = np.array(masks, dtype=np.float64)
-        self._equality_rows = np.array(
-            [i for i, c in enumerate(self.constraints) if c.kind == "equality"], dtype=int)
-        required = [_required(c) for c in self.constraints]
+        self._equality_rows = np.array(equality_rows, dtype=int)
         self._required = np.array(required)[:, None]
-        # The verdict rule: a constraint holds iff its achieved margin is >=
-        # its floor. Strict kinds need achieved > required, which is
-        # achieved >= the next float above required; cond_ge_cond and
-        # equality need achieved >= required - BOUNDARY_TOLERANCE. A nan
-        # (undefined) margin never holds.
-        self._floor = np.array([
-            math.nextafter(r, math.inf) if c.kind in STRICT_KINDS else r - BOUNDARY_TOLERANCE
-            for c, r in zip(self.constraints, required)
-        ])[:, None]
+        self._floor = np.array(floor)[:, None]
 
     def _achieved(self, w: np.ndarray) -> np.ndarray:
         """Achieved margin per constraint and row of w, as an (m, k) array.
@@ -358,13 +360,17 @@ class CompiledConstraints:
         returned as it is, without an overflow warning.
         """
         with np.errstate(**_QUIET):
-            achieved = self._read(w)
-            hinges = np.subtract(self._required, achieved, out=achieved)
-            np.maximum(hinges, 0.0, out=hinges)
-            hinges[np.isnan(hinges)] = _UNDEFINED_HINGE
-            # Summed over the constraint axis: for a block of k > 1 rows that
-            # adds one constraint at a time, in order, for every row.
-            total = np.square(hinges, out=hinges).sum(axis=0)
+            return self._penalty(w)
+
+    def _penalty(self, w: np.ndarray):
+        """penalty without an error state of its own: its caller enters _QUIET."""
+        achieved = self._read(w)
+        hinges = np.subtract(self._required, achieved, out=achieved)
+        np.maximum(hinges, 0.0, out=hinges)
+        hinges[np.isnan(hinges)] = _UNDEFINED_HINGE
+        # Summed over the constraint axis: for a block of k > 1 rows that
+        # adds one constraint at a time, in order, for every row.
+        total = np.square(hinges, out=hinges).sum(axis=0)
         return total if w.ndim > 1 else total[0]
 
     def screen(self, w: np.ndarray) -> _Screen:
@@ -520,7 +526,12 @@ class _Screen(CompiledConstraints):
 
     def least(self, w: np.ndarray) -> float:
         """A value that no row of a block w has a full penalty below."""
-        least = float(self.penalty(w).min()) * self._shrink
+        with np.errstate(**_QUIET):
+            return self._least(w)
+
+    def _least(self, w: np.ndarray) -> float:
+        """least without an error state of its own: its caller enters _QUIET."""
+        least = float(self._penalty(w).min()) * self._shrink
         return 0.0 if least < 2.0**-900 else min(least, 2.0**1000)
 
 
@@ -566,15 +577,18 @@ def coordinate_descent(x: np.ndarray, objective, pin):
     """Derivative-free block descent over the world weights x, normalised.
 
     objective scores one point (n,) or every row of a block (k, n) in one
-    call; pin is None or a marginal pin (T, c), under which every candidate
-    is normalised per block (see _normalise). Each sweep scores the 2n
-    single-coordinate moves (_single_moves) as one block, then a line search
-    along the combination of every improving move (_scale_move at
-    LINE_SEARCH_STEPS times delta) as a second block, and keeps the best
-    candidate of both if it lowers the objective, the single move on a tie;
-    a sweep without improvement halves delta, which starts at 0.5. It runs
-    at most REFINE_STEPS sweeps; a start at objective 0 returns at once.
-    Returns (x, objective(x)), never above the start value.
+    call, never below 0, as a penalty does; pin is None or a marginal pin
+    (T, c), under which every candidate is normalised per block (see
+    _normalise). Each sweep scores the 2n single-coordinate moves
+    (_single_moves) as one block, then a line search along the combination
+    of every improving move (_scale_move at LINE_SEARCH_STEPS times delta)
+    as a second block, and keeps the best candidate of both if it lowers the
+    objective, the single move on a tie; a sweep without improvement halves
+    delta, which starts at 0.5. A sweep whose best single move reads 0 keeps
+    it and ends the descent without the line search, since no line row
+    could beat it. It runs at most REFINE_STEPS sweeps; a start at objective
+    0 returns at once. Returns (x, objective(x)), never above the start
+    value.
     """
     start = objective(x)
     if start == 0.0:
@@ -591,12 +605,18 @@ def coordinate_descent(x: np.ndarray, objective, pin):
             if delta < 1e-7:
                 break
             continue
+        j = int(scores.argmin())
+        # No line row reads below 0, and a tie keeps the single move, so the
+        # line search could not change this sweep's result.
+        if scores[j] == 0.0:
+            x, best = cands[j].copy(), scores[j]
+            break
         up, down = scores[:n], scores[n:]
         signs = (improving[:n] & (up <= down)).astype(float)
         signs -= improving[n:] & (down < up)
         line = _scale_move(x, signs[None, :], delta * LINE_SEARCH_STEPS, pin)
         line_scores = objective(line)
-        j, k = int(scores.argmin()), int(line_scores.argmin())
+        k = int(line_scores.argmin())
         # The kept point is a copy, so no block outlives its sweep.
         if line_scores[k] < scores[j]:
             x, best = line[k].copy(), line_scores[k]
@@ -781,42 +801,45 @@ def find_model(cs: ConstraintSet, config: SearchConfig) -> FindModelResult:
     # next batch due a restart: s + 1, s + 2, s + 4, ..., none before a stall.
     stalled_at, due = None, math.inf
 
-    for block in sample_blocks(rng, n, config.max_samples):
-        if pin is not None:
-            block = _normalise(block, pin)
-        # No row of this block can beat the best, and no batch of it is due a
-        # restart (batch b starts at row b * BATCH_SIZE of the stream, since
-        # every batch but the budget's last is whole): skip it unscored.
-        if (screen is not None and due * BATCH_SIZE >= samples_used + len(block)
-                and screen.least(block) >= best_penalty):
-            samples_used += len(block)
-            continue
-        penalties = compiled.penalty(block)
-        for start in range(0, len(block), BATCH_SIZE):
-            here = samples_used // BATCH_SIZE
-            batch = penalties[start:start + BATCH_SIZE]
-            samples_used += len(batch)
-            idx = start + int(batch.argmin())
-            restart = here == due
-            if restart:
-                due += due - stalled_at
-            # The first batch always refines: every penalty can overflow to inf.
-            if best_w is not None and not penalties[idx] < best_penalty and not restart:
+    # One error state for the whole search: its block penalties, descent
+    # objective and screen readings run in it (_penalty, _Screen._least).
+    with np.errstate(**_QUIET):
+        for block in sample_blocks(rng, n, config.max_samples):
+            if pin is not None:
+                block = _normalise(block, pin)
+            # No row of this block can beat the best, and no batch of it is due a
+            # restart (batch b starts at row b * BATCH_SIZE of the stream, since
+            # every batch but the budget's last is whole): skip it unscored.
+            if (screen is not None and due * BATCH_SIZE >= samples_used + len(block)
+                    and screen._least(block) >= best_penalty):
+                samples_used += len(block)
                 continue
-            refined, refined_penalty = coordinate_descent(
-                _normalise(block[idx], pin), compiled.penalty, pin)
-            restarts_refined += 1
-            if best_w is None or refined_penalty < best_penalty:
-                best_w, best_penalty = refined, refined_penalty
-                found = bool(compiled.satisfied(best_w))
-                if found:
-                    break
-                if best_penalty < math.inf:
-                    screen = compiled.screen(best_w)
-            if stalled_at is None and best_penalty < _stall_bound(cs.constraints):
-                stalled_at, due = here, here + 1
-        if found:
-            break
+            penalties = compiled._penalty(block)
+            for start in range(0, len(block), BATCH_SIZE):
+                here = samples_used // BATCH_SIZE
+                batch = penalties[start:start + BATCH_SIZE]
+                samples_used += len(batch)
+                idx = start + int(batch.argmin())
+                restart = here == due
+                if restart:
+                    due += due - stalled_at
+                # The first batch always refines: every penalty can overflow to inf.
+                if best_w is not None and not penalties[idx] < best_penalty and not restart:
+                    continue
+                refined, refined_penalty = coordinate_descent(
+                    _normalise(block[idx], pin), compiled._penalty, pin)
+                restarts_refined += 1
+                if best_w is None or refined_penalty < best_penalty:
+                    best_w, best_penalty = refined, refined_penalty
+                    found = bool(compiled.satisfied(best_w))
+                    if found:
+                        break
+                    if best_penalty < math.inf:
+                        screen = compiled.screen(best_w)
+                if stalled_at is None and best_penalty < _stall_bound(cs.constraints):
+                    stalled_at, due = here, here + 1
+            if found:
+                break
 
     dist = JointDistribution.from_unnormalized(cs.space, best_w)
     return FindModelResult(

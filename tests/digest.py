@@ -54,6 +54,7 @@ collect it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -277,6 +278,26 @@ def differences(base, new) -> dict[str, list[str]]:
     return found
 
 
+def resolve(rev: str) -> str | None:
+    """The commit sha that rev names in this repository, or None."""
+    resolved = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                               f"{rev}^{{commit}}"], capture_output=True, text=True)
+    return resolved.stdout.strip() if resolved.returncode == 0 else None
+
+
+@contextlib.contextmanager
+def exported(sha: str):
+    """A temporary directory holding `git archive sha`, removed on exit."""
+    with tempfile.TemporaryDirectory() as tree:
+        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", sha],
+                                   stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout, check=True)
+        archive.stdout.close()
+        if archive.wait() != 0:
+            raise RuntimeError(f"git archive {sha} failed")
+        yield Path(tree)
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", help="the git revision to compare against")
@@ -288,19 +309,11 @@ def main(argv: list[str]) -> int:
     if not args.rev:
         parser.error("a revision is required")
     started = time.perf_counter()
-    resolved = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
-                               f"{args.rev}^{{commit}}"], capture_output=True, text=True)
-    if resolved.returncode != 0:
+    sha = resolve(args.rev)
+    if sha is None:
         parser.error(f"not a commit of this repository: {args.rev}")
-    sha = resolved.stdout.strip()
-    with tempfile.TemporaryDirectory() as exported:
-        archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", sha],
-                                   stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", exported], stdin=archive.stdout, check=True)
-        archive.stdout.close()
-        if archive.wait() != 0:
-            raise RuntimeError(f"git archive {sha} failed")
-        children = [start_capture(Path(exported) / "src", args.reduced),
+    with exported(sha) as tree:
+        children = [start_capture(tree / "src", args.reduced),
                     start_capture(ROOT / "src", args.reduced)]
         base, new = (finish_capture(child) for child in children)
     base_digests, new_digests = part_digests(base), part_digests(new)

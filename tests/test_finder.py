@@ -523,7 +523,8 @@ class TestFindModelBlocks:
         monkeypatch.setattr(finder, "REFINE_STEPS", refine_steps)
         cs = make()
         drawn, scored = [], []
-        sample_blocks, penalty = finder.sample_blocks, CompiledConstraints.penalty
+        # The search reads its blocks through _penalty, in its one error state.
+        sample_blocks, penalty = finder.sample_blocks, CompiledConstraints._penalty
         normalise = finder._normalise
 
         def spy_blocks(*args):
@@ -546,7 +547,7 @@ class TestFindModelBlocks:
 
         monkeypatch.setattr(finder, "sample_blocks", spy_blocks)
         monkeypatch.setattr(finder, "_normalise", spy_normalise)
-        monkeypatch.setattr(CompiledConstraints, "penalty", spy_penalty)
+        monkeypatch.setattr(CompiledConstraints, "_penalty", spy_penalty)
         config = SearchConfig(seed=20_000, max_samples=20_000)
         result = find_model(cs, config)
         got = (result.found, result.samples_used, result.restarts_refined,
@@ -658,7 +659,7 @@ class TestStalledSearch:
         monkeypatch.setattr(finder, "REFINE_STEPS", 20)
         cs = conditional_equality_set(6)
         drawn, scored = [], []
-        sample_blocks, penalty = finder.sample_blocks, CompiledConstraints.penalty
+        sample_blocks, penalty = finder.sample_blocks, CompiledConstraints._penalty
 
         def spy_blocks(*args):
             for block in sample_blocks(*args):
@@ -671,7 +672,7 @@ class TestStalledSearch:
             return penalty(self, w)
 
         monkeypatch.setattr(finder, "sample_blocks", spy_blocks)
-        monkeypatch.setattr(CompiledConstraints, "penalty", spy_penalty)
+        monkeypatch.setattr(CompiledConstraints, "_penalty", spy_penalty)
         config = SearchConfig(seed=3, max_samples=20_000)
         result = find_model(cs, config)
         got = (result.found, result.samples_used, result.restarts_refined,
@@ -888,6 +889,64 @@ class TestCoordinateDescent:
             tracemalloc.stop()
         assert best > 0.0
         assert peak - start < blocks * 16 * n * n
+
+    @pytest.mark.parametrize("seed,atoms", [(1, 4), (2, 4), (0, 5)])
+    def test_a_sweep_that_reaches_zero_ends_without_its_line_search(self, seed, atoms):
+        # Slack planted sets whose descent from this start ends on a sweep
+        # whose single moves read 0: no line row can read below 0, and a tie
+        # keeps the single move, so no line block is scored after it.
+        cs, _ = planted_set(seed, atoms, (0.5, 0.5))
+        compiled = CompiledConstraints(cs.constraints)
+        n = cs.space.world_count
+        x = np.random.default_rng(seed).dirichlet(np.ones(n))
+        calls = []
+
+        def objective(w):
+            scores = compiled.penalty(w)
+            calls.append((w.shape, float(np.min(scores))))
+            return scores
+
+        out, best = coordinate_descent(x, objective, None)
+        assert best == 0.0
+        zero = next(i for i, (_, least) in enumerate(calls) if least == 0.0)
+        assert calls[zero][0] == (2 * n, n) and calls[zero + 1:] == [((n,), 0.0)]
+        want = pow_block_descent(x, compiled.penalty, None)
+        assert out.tobytes() == want[0].tobytes() and repr(best) == repr(want[1])
+
+    @pytest.mark.parametrize("seed,atoms", [(5, 4), (4, 4), (0, 5), (3, 5)])
+    def test_readings_of_a_search_found_by_its_first_refine(self, monkeypatch, seed, atoms):
+        # One reading for the block, one for the descent's start, one per
+        # sweep's single moves, one per line search, and three single-row
+        # readings: the final recompute, satisfied and named_margins. Every
+        # improving sweep runs a line search but the last, whose single
+        # moves reach 0.
+        cs, config = planted_set(seed, atoms, (0.5, 0.5))
+        n = cs.space.world_count
+        rows, descent_least = [], []
+        read, descent = CompiledConstraints._read, finder.coordinate_descent
+
+        def spy_read(self, w):
+            rows.append(len(w.reshape(-1, n)))
+            return read(self, w)
+
+        def spy_descent(x, objective, pin):
+            def spied(w):
+                scores = objective(w)
+                descent_least.append(float(np.min(scores)))
+                return scores
+            return descent(x, spied, pin)
+
+        monkeypatch.setattr(CompiledConstraints, "_read", spy_read)
+        monkeypatch.setattr(finder, "coordinate_descent", spy_descent)
+        result = find_model(cs, config)
+        assert result.found and result.restarts_refined == 1
+        sweeps, lines = rows.count(2 * n), rows.count(len(LINE_SEARCH_STEPS))
+        improving = sum(
+            least < min(descent_least[:i])
+            for i, (least, size) in enumerate(zip(descent_least, rows[1:])) if size == 2 * n)
+        assert lines == improving - 1 and sweeps >= 2
+        assert len(rows) == 2 + sweeps + lines + 3
+        assert rows[:2] == [finder.BATCH_SIZE, 1] and rows[-4:] == [2 * n, 1, 1, 1]
 
     def test_scale_move_rows_match_one_coordinate_moves(self):
         w = np.random.default_rng(3).dirichlet(np.ones(8))
@@ -1198,11 +1257,18 @@ class TestMarginalPin:
             assert exact_satisfied([above], w)
 
     def test_condition_on_the_dead_block_is_not_found(self, abg):
-        # Under P(g) = 0 the conditional P(a|g) is undefined on every row.
+        # Under P(g) = 0 the conditional P(a|g) is undefined on every row: each
+        # reading of the search divides 0/0 in the search's one error state,
+        # and runs silent, since the suite turns a RuntimeWarning into an error.
         space, a, g = abg
         raised = ProbConstraint("cond_gt_prob", Side(target=a, given=g), Side(target=a),
                                 margin=0.05, label="rel")
         result = self.solve_pinned(space, raised, g, 0.0)
+        cs = ConstraintSet(space, [raised, equality(Side(target=g), Side(const=0.0),
+                                                    label="bridge_prior")])
+        got = (result.found, result.samples_used, result.restarts_refined,
+               repr(result.penalty), result.distribution.weights.tobytes())
+        assert got == one_batch_at_a_time(cs, SearchConfig(seed=1))
         assert not result.found
         assert result.penalty == finder.UNDEFINED_PENALTY
         w = result.distribution.weights

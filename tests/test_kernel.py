@@ -23,6 +23,7 @@ from analogybench.prob import UndefinedConditionalError, conditional, probabilit
 from analogybench.finder import (
     ALL_KINDS,
     BATCH_SIZE,
+    BOUNDARY_TOLERANCE,
     MAX_GRID_RESOLUTION,
     MAX_GRID_WORLDS,
     STRICT_KINDS,
@@ -318,6 +319,117 @@ class TestBlockPenalty:
         # a & b, b and a: three distinct masks across five query sides, and
         # the all-ones column that P(a) and P(b) are divided by
         assert len(compiled.columns) == 4
+
+
+def reference_plan(constraints) -> dict:
+    """The compiled plan built in three passes over the sides, the reference.
+
+    Constants are numbered first, in lhs-then-rhs order; then each side's
+    (num, den) mask columns, deduplicated by mask bytes, numbered after the
+    constants as they are first met; then each distinct (num, den) pair a
+    ratio row, numbered after the columns as the achieved margin's first,
+    then second, side reads it, after prob_lt's swap.
+    """
+    consts = [float(s.const) for c in constraints for s in (c.lhs, c.rhs) if s.is_const]
+    const_rows = iter(range(len(consts)))
+    masks, index = [], {}
+
+    def column(mask):
+        key = mask.tobytes()
+        if key not in index:
+            index[key] = len(consts) + len(masks)
+            masks.append(mask)
+        return index[key]
+
+    def side(s):
+        if s.is_const:
+            return next(const_rows), None
+        if s.given is None:
+            return column(s.target.mask), column(np.ones_like(s.target.mask))
+        return column(s.target.mask & s.given.mask), column(s.given.mask)
+
+    sides = [(side(c.lhs), side(c.rhs)) for c in constraints]
+    known = len(consts) + len(masks)
+    ratios = {}
+
+    def row(num, den):
+        return num if den is None else ratios.setdefault((num, den), known + len(ratios))
+
+    first, second = [], []
+    for c, (lhs, rhs) in zip(constraints, sides):
+        if c.kind == "prob_lt":
+            lhs, rhs = rhs, lhs
+        first.append(row(*lhs))
+        second.append(row(*rhs))
+    required = [_required(c) for c in constraints]
+    return {
+        "_consts": np.array(consts)[:, None],
+        "columns": np.array(masks, dtype=np.float64),
+        "_first": np.array(first, dtype=int),
+        "_second": np.array(second, dtype=int),
+        "_ratio_num": np.array([num for num, _ in ratios], dtype=int),
+        "_ratio_den": np.array([den for _, den in ratios], dtype=int),
+        "_equality_rows": np.array(
+            [i for i, c in enumerate(constraints) if c.kind == "equality"], dtype=int),
+        "_required": np.array(required)[:, None],
+        "_floor": np.array([math.nextafter(r, math.inf) if c.kind in STRICT_KINDS
+                            else r - BOUNDARY_TOLERANCE for c, r in zip(constraints, required)])[:, None],
+        "_selectors": [None if all(key) else key for key in index],
+        "_known": known,
+        "_n_values": known + len(ratios),
+    }
+
+
+def assert_plan_is_the_reference(constraints):
+    """Every plan array of the compile equals reference_plan's, bitwise."""
+    compiled = CompiledConstraints(constraints)
+    for name, want in reference_plan(constraints).items():
+        got = getattr(compiled, name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                want.dtype, want.shape, want.tobytes()), name
+        else:
+            assert got == want, name
+
+
+class TestCompilePlan:
+    # The compile walks each constraint's sides once; its plan must be the
+    # one the reference builds in three passes.
+    @settings(max_examples=150, deadline=None)
+    @given(cs=st.sampled_from([False, True]).flatmap(
+        lambda const: constraint_sets(atoms=st.integers(1, 3), constants_only=const,
+                                      empty=True)))
+    def test_plan_is_the_reference(self, cs):
+        assert_plan_is_the_reference(cs.constraints)
+
+    def test_named_cases_are_the_reference(self, ab_space):
+        a, b = Proposition.atom(ab_space, "a"), Proposition.atom(ab_space, "b")
+        k = Side(const=0.25)
+        cases = {
+            # A prob_lt with two constant sides: constants are numbered
+            # before the swap, the ratios after it.
+            "prob_lt constants": [
+                ProbConstraint("prob_lt", Side(const=0.5), Side(const=0.75)),
+                ProbConstraint("prob_gt", Side(const=0.125), k)],
+            "constants only": [ProbConstraint("equality", k, Side(const=0.5))],
+            # Two query sides swapped: the rhs's ratio is numbered first.
+            "prob_lt queries": [
+                ProbConstraint("prob_lt", Side(target=a), Side(target=b, given=a))],
+            "constant either side": [
+                ProbConstraint("prob_gt", Side(target=a), k),
+                ProbConstraint("prob_lt", k, Side(target=b, given=a)),
+                ProbConstraint("prob_lt", Side(target=b), Side(target=a)),
+                ProbConstraint("equality", Side(target=a, given=b), Side(const=0.5),
+                               margin=0.01)],
+            "repeated masks": [
+                ProbConstraint("cond_gt_cond", Side(target=a, given=b), Side(target=a)),
+                ProbConstraint("cond_ge_cond", Side(target=a, given=b), Side(target=a & b)),
+                ProbConstraint("prob_lt", Side(target=a), Side(target=a, given=b)),
+                ProbConstraint("equality", Side(target=a & b, given=a & b), Side(target=a))],
+        }
+        for constraints in cases.values():
+            assert_plan_is_the_reference(constraints)
+        assert CompiledConstraints(cases["constants only"]).columns.shape == (0,)
 
 
 def uniform_ab_case(make):
