@@ -14,6 +14,7 @@ from analogybench import (
     confirm,
     conditional,
     fuzz_transitivity,
+    grid_enumerate,
     mine_naive_transitivity_counterexample,
     probability,
 )
@@ -28,7 +29,9 @@ from analogybench.confirmation import (
     _naive_chain,
     transitivity_constraints,
 )
-from analogybench.finder import CompiledConstraints, ConstraintSet, SearchConfig, sample_blocks
+from analogybench.finder import (
+    CompiledConstraints, ConstraintSet, ProbConstraint, SearchConfig, Side, sample_blocks,
+)
 from analogybench.prob import (
     InvalidDistributionError,
     SpaceMismatchError,
@@ -436,6 +439,18 @@ class TestFuzz:
         a = fuzz_transitivity(samples=2_000, seed=5, margin=1e-6)
         b = fuzz_transitivity(samples=2_000, seed=5, margin=1e-6)
         assert a == b
+
+
+class TestTheoremOnTheGrid:
+    # The exact complement to the fuzz: every point of the resolution-20 grid
+    # over X, Y and Z, judged in integers, that meets (i)-(iv) also meets the
+    # conclusion in its weak form.
+    def test_no_grid_point_meets_the_conditions_and_not_the_conclusion(self, xyz_space):
+        x, y, z = (Proposition.atom(xyz_space, name) for name in ("x", "y", "z"))
+        conditions = transitivity_constraints(x, y, z)[:4]
+        assert len(grid_enumerate(ConstraintSet(xyz_space, conditions), 20)) == 64_088
+        not_confirmed = ProbConstraint("cond_ge_cond", Side(target=z), Side(target=z, given=x))
+        assert grid_enumerate(ConstraintSet(xyz_space, [*conditions, not_confirmed]), 20) == []
 
 
 def reference_verdict(dist, x, y, z, margin) -> bool:

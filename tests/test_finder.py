@@ -43,7 +43,10 @@ from analogybench.finder import (
     sample_blocks,
 )
 
-from conftest import child_env, exact_satisfied, exact_value, run_capped
+from conftest import (
+    SPARSE_MISSES, child_env, exact_satisfied, exact_value, planted_set, random_event, run_capped,
+    sparse_witness,
+)
 
 
 @pytest.fixture
@@ -349,45 +352,6 @@ class TestSampleBlocks:
         assert rng.standard_exponential() == reference.standard_exponential()
 
 
-def _random_prop(space: WorldSpace, rng) -> Proposition:
-    while True:
-        mask = rng.integers(0, 2, space.world_count).astype(bool)
-        if 0 < mask.sum() < space.world_count:
-            return Proposition(space, mask)
-
-
-def planted_set(seed: int, atoms: int,
-                frac: tuple[float, float] = (0.8, 0.9)) -> tuple[ConstraintSet, SearchConfig]:
-    """3-4*atoms cond_gt_cond constraints that a Dirichlet(0.5) joint meets.
-
-    Each margin is a fraction of the constraint's gap under the joint (which
-    is therefore a witness), drawn from frac: 0.8-0.9, the tight tier, by
-    default, and 0.5 for the slack tier. Every conditioning event has
-    probability >= 0.05 and every gap is >= 0.05.
-    """
-    rng = np.random.default_rng([atoms, seed])
-    space = WorldSpace(tuple(f"A{i}" for i in range(atoms)))
-    joint = rng.dirichlet(np.full(space.world_count, 0.5))
-    count = int(rng.integers(3 * atoms, 4 * atoms + 1))
-    constraints = []
-    while len(constraints) < count:
-        t1, g1, t2, g2 = (_random_prop(space, rng) for _ in range(4))
-        p1, p2 = joint @ g1.mask, joint @ g2.mask
-        if min(p1, p2) < 0.05:
-            continue
-        gap = joint @ (t1.mask & g1.mask) / p1 - joint @ (t2.mask & g2.mask) / p2
-        if abs(gap) < 0.05:
-            continue
-        lhs, rhs = Side(target=t1, given=g1), Side(target=t2, given=g2)
-        if gap < 0:
-            lhs, rhs, gap = rhs, lhs, -gap
-        constraints.append(ProbConstraint(
-            "cond_gt_cond", lhs, rhs, margin=float(rng.uniform(*frac) * gap),
-            label=f"c{len(constraints)}"))
-    config = SearchConfig(seed=int(rng.integers(1, 2**31 - 1)))
-    return ConstraintSet(space, constraints), config
-
-
 TIGHT_PLANTED = [(seed, atoms) for atoms in (4, 5) for seed in range(20)] + [
     (seed, 6) for seed in range(10)]
 
@@ -400,21 +364,21 @@ def contradictory_set(seed: int, atoms: int, family: int = 0) -> ConstraintSet:
     """
     rng = np.random.default_rng([atoms, seed, 1])
     space = WorldSpace(tuple(f"A{i}" for i in range(atoms)))
-    a = _random_prop(space, rng)
+    a = random_event(space, rng)
     if family == 0:
         hi = float(rng.uniform(0.4, 0.7))
         lo = hi - float(rng.uniform(0.05, 0.3))
         core = [ProbConstraint("prob_gt", Side(target=a), Side(const=hi), label="above"),
                 ProbConstraint("prob_lt", Side(target=a), Side(const=lo), label="below")]
     else:
-        b = _random_prop(space, rng)
+        b = random_event(space, rng)
         m1, m2 = (float(m) for m in rng.uniform(0.05, 0.25, 2))
         given, given_not = Side(target=a, given=b), Side(target=a, given=~b)
         core = [ProbConstraint("cond_gt_cond", given, given_not, margin=m1, label="raise"),
                 ProbConstraint("cond_gt_cond", given_not, given, margin=m2, label="lower")]
     filler = [
-        ProbConstraint("cond_gt_prob", Side(target=_random_prop(space, rng),
-                                            given=_random_prop(space, rng)),
+        ProbConstraint("cond_gt_prob", Side(target=random_event(space, rng),
+                                            given=random_event(space, rng)),
                        Side(const=0.0), label=f"f{i}")
         for i in range(atoms)
     ]
@@ -640,6 +604,17 @@ def workloads():
         yield workloads, harness
     finally:
         sys.path.remove(benchmarks)
+
+
+class TestSparseWitnesses:
+    # A known-answer list the search misses: each set is feasible, and its
+    # witness shows it in exact arithmetic. Whether find_model finds a set is
+    # asserted only once a change finds it.
+    @pytest.mark.parametrize("seed", SPARSE_MISSES)
+    def test_witness_meets_its_set_exactly(self, seed):
+        cs, _, joint = sparse_witness(seed)
+        assert exact_satisfied(cs.constraints, joint)
+        assert (joint == 0).sum() >= 12
 
 
 class TestStalledSearch:
@@ -1212,13 +1187,13 @@ class TestMarginalPin:
             rng = np.random.default_rng([31, seed])
             space = WorldSpace(tuple("abcd"[: int(rng.integers(2, 5))]))
             joint = rng.dirichlet(np.full(space.world_count, 0.5))
-            target = _random_prop(space, rng)
+            target = random_event(space, rng)
             while not 0.02 < joint @ target.mask < 0.98:
-                target = _random_prop(space, rng)
+                target = random_event(space, rng)
             pin = equality(Side(target=target), Side(const=float(joint @ target.mask)))
             constraints = []
             while len(constraints) < 2 * len(space.atoms):
-                t1, g1, t2, g2 = (_random_prop(space, rng) for _ in range(4))
+                t1, g1, t2, g2 = (random_event(space, rng) for _ in range(4))
                 p1, p2 = joint @ g1.mask, joint @ g2.mask
                 if min(p1, p2) < 0.05:
                     continue
